@@ -3,6 +3,12 @@
 Each kernel has a pure-numpy fallback with identical semantics; the
 dispatching wrappers at the bottom are the only public surface.  All
 kernels are single-threaded and deterministic.
+
+The numpy pair-sum fallback visits only the upper triangle j >= i of the
+node pairs, forms |L|^2 in real float64 arithmetic, and works in row
+chunks of a fixed element budget (``_PAIR_BUDGET`` float64 values per
+temporary, a few MB in all), reducing each chunk into ring blocks by
+BLAS products against a weighted one-hot ring matrix.
 """
 from __future__ import annotations
 
@@ -102,6 +108,7 @@ def local_sup_poly(centers, radii, grid, qcoef):
 # ---------------------------------------------------------------------------
 
 _DIAG_TOL2 = 1e-12  # squared |z-w| switchover to the derivative form
+_PAIR_BUDGET = 1 << 16  # float64 elements per temporary of the numpy pass
 
 
 def _lift_mid_derivative(zi, zj, s, variant):
@@ -111,36 +118,54 @@ def _lift_mid_derivative(zi, zj, s, variant):
     return 1.0 / m
 
 
-def _pair_block_sums_numpy(z, f, w, ring, n_rings, p, s, variant, chunk_rows=64):
-    S = np.zeros((n_rings, n_rings))
-    D = np.zeros(n_rings)
+def _abs_pow(m2, p, out=None):
+    """|L|^p from |L|^2: identity, square or sqrt for p = 2, 4, 1."""
+    if p == 2.0:
+        return m2
+    if p == 4.0:
+        return np.multiply(m2, m2, out=out)
+    if p == 1.0:
+        return np.sqrt(m2, out=out)
+    return np.power(m2, 0.5 * p, out=out)
+
+
+def _pair_block_sums_numpy(z, f, w, ring, n_rings, p, s, variant):
+    zr, zi = z.real.copy(), z.imag.copy()
+    fr, fi = f.real.copy(), f.imag.copy()
     N = len(z)
-    starts = np.searchsorted(ring, np.arange(n_rings))
-    for i0 in range(0, N, chunk_rows):
-        i1 = min(i0 + chunk_rows, N)
-        diff = z[i0:i1, None] - z[None, :]
+    # weighted one-hot ring matrix: v @ Wr sums w_j v_ij into ring_j
+    Wr = np.zeros((N, n_rings))
+    Wr[np.arange(N), ring] = w
+    S = np.zeros((n_rings, n_rings))
+    Ld = _lift_mid_derivative(z, z, s, variant)
+    Ld = _abs_pow(Ld.real ** 2 + Ld.imag ** 2, p)
+    D = np.bincount(ring, weights=w * w * Ld, minlength=n_rings)
+    i0 = 0
+    while i0 < N:
+        i1 = min(N, i0 + max(1, _PAIR_BUDGET // (N - i0)))
+        k = np.arange(i1 - i0)
+        # |L|^2 = |f_i - f_j|^2 / |z_i - z_j|^2 over the columns j >= i0
+        d2 = np.subtract.outer(zr[i0:i1], zr[i0:])
+        d2 *= d2
+        t = np.subtract.outer(zi[i0:i1], zi[i0:])
+        t *= t
+        d2 += t
+        d2[k, k] = 1.0  # the diagonal is in D; this keeps its quotient finite
+        m2 = np.subtract.outer(fr[i0:i1], fr[i0:])
+        m2 *= m2
+        np.subtract.outer(fi[i0:i1], fi[i0:], out=t)
+        t *= t
+        m2 += t
         with np.errstate(divide="ignore", invalid="ignore"):
-            L = (f[i0:i1, None] - f[None, :]) / diff
-        bad = np.abs(diff) ** 2 < _DIAG_TOL2
-        if bad.any():
-            ii, jj = np.nonzero(bad)
-            L[ii, jj] = _lift_mid_derivative(z[i0 + ii], z[jj], s, variant)
-        v = np.abs(L) ** p
-        v *= w[i0:i1, None]
-        v *= w[None, :]
-        # keep only the strict upper triangle plus remember diagonal terms
-        cols = np.arange(N)[None, :]
-        rows = np.arange(i0, i1)[:, None]
-        diag_mask = cols == rows
-        D_add = np.where(diag_mask, v, 0.0).sum(axis=1)
-        for a, d in zip(ring[i0:i1], D_add):
-            D[a] += d
-        v = np.where(cols > rows, v, 0.0)
-        red = np.add.reduceat(v, starts, axis=1)
-        for a in range(n_rings):
-            m = ring[i0:i1] == a
-            if m.any():
-                S[a] += red[m].sum(axis=0)
+            m2 /= d2  # a duplicated node gives 0/0 here, replaced below
+        if d2.min() < _DIAG_TOL2:  # distinct nodes closer than the switchover
+            ii, jj = np.nonzero(d2 < _DIAG_TOL2)
+            L = _lift_mid_derivative(z[i0 + ii], z[i0 + jj], s, variant)
+            m2[ii, jj] = L.real * L.real + L.imag * L.imag
+        v = _abs_pow(m2, p, out=m2)
+        v[:, :len(k)][k[:, None] >= k[None, :]] = 0.0  # keep j > i only
+        S += Wr[i0:i1].T @ (v @ Wr[i0:])
+        i0 = i1
     return S, D
 
 
@@ -213,7 +238,13 @@ def pair_block_sums(z, f, w, ring, n_rings, p, s, variant):
     where L is the symmetric divided difference of the closed-form family.
 
     Returns the (n_rings, n_rings) block matrix of the full double sum,
-    assembled from one triangular pass (the integrand is symmetric).
+    assembled from one triangular pass (the integrand is symmetric); node
+    pairs with |z_i - z_j|^2 under ``_DIAG_TOL2``, the diagonal included,
+    take L = f' at their midpoint.  Rings need not be sorted.  The numpy
+    fallback computes the strict upper triangle j > i in real arithmetic
+    as |L|^2 = |f_i - f_j|^2 / |z_i - z_j|^2, raised to p/2, in row chunks
+    of about ``_PAIR_BUDGET`` elements, and sums each chunk into ring
+    blocks by two BLAS products with the weighted one-hot ring matrix.
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
     f = np.ascontiguousarray(f, dtype=np.complex128)

@@ -168,20 +168,13 @@ def bidisk_pairing(F, G, grid: BidiskGrid) -> complex:
     """Weighted inner product int int F conj(G) over the tensor grid.
 
     Both functions must carry coefficient matrices; the double node sum
-    then factors exactly through per-factor monomial moment matrices
-    M[i, k] = sum w z^i conj(z)^k, so no pairwise pass is needed."""
+    then factors exactly through the per-ring monomial moments
+    M_a[k, l] = sum_(i in ring a) w_i z_i^k conj(z_i)^l shared with
+    ``BidiskGrid.coefficient_norm`` at p = 2, so no pairwise pass is
+    needed: the pairing is the sum of ``grid.pairing_block(A, B)``."""
     A = _coefficient_matrix_of(F)
     B = _coefficient_matrix_of(G)
-    g = grid.factor
-
-    def moments(d1, d2):
-        zp = g.nodes[:, None] ** np.arange(d1)[None, :]
-        cp = np.conj(g.nodes)[:, None] ** np.arange(d2)[None, :]
-        return (g.weights[:, None] * zp).T @ cp
-
-    Mz = moments(A.shape[0], B.shape[0])
-    Mw = moments(A.shape[1], B.shape[1])
-    return complex(np.sum(Mz * (A @ Mw @ np.conj(B).T)))
+    return complex(grid.pairing_block(A, B).sum())
 
 
 def diagonal_norm(F, p: float, alpha: float, grid: DiskGrid | None = None,

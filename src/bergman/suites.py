@@ -340,15 +340,25 @@ def _suite_lemma10(cfg: SuiteConfig, rep: ExperimentReport):
     st_all = st_slope + [(0.0, -0.5), (0.0, 0.0)]
     scan = forelli_rudin_scan(all_radii, st_all)
 
+    def results(st, radii):
+        return [scan[st][all_radii.index(x)] for x in radii]
+
     def values(st, radii):
-        return [scan[st][all_radii.index(x)].value for x in radii]
+        return [r.value for r in results(st, radii)]
 
     rows = []
     for s, t in st_slope:
-        Is = values((s, t), slope_radii)
+        res = results((s, t), slope_radii)
+        Is = [r.value for r in res]
         slope = fit_growth_exponent(zip(slope_radii, Is))
+        # the fit does not gate on convergence; the flags show which of
+        # its points are undecided
         rep.checks.append(check(f"slope_error_s{s}_t{t}", abs(slope - t),
-                                0.05, "<=", info={"slope": slope}))
+                                0.05, "<=",
+                                info={"slope": slope,
+                                      "radii": list(slope_radii),
+                                      "converged": [bool(r.converged)
+                                                    for r in res]}))
         rows += [[s, t, x, I, -np.log(1 - x ** 2), np.log(I)]
                  for x, I in zip(slope_radii, Is)]
     rep.csv_blocks["growth"] = (

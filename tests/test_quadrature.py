@@ -8,11 +8,12 @@ from scipy.integrate import quad
 from bergman.errors import ParameterError
 from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
 from bergman.geometry import pseudo_disk
-from bergman.quadrature import (BallGrid, DiskGrid, WeightParams, build_grid,
-                                derivative_seminorm, fit_growth_exponent,
-                                forelli_rudin_exact, forelli_rudin_integral,
-                                forelli_rudin_sup, grid_for, membership,
-                                monomial_norm_exact, norm_p, region_integral)
+from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
+                                build_grid, derivative_seminorm,
+                                fit_growth_exponent, forelli_rudin_exact,
+                                forelli_rudin_integral, forelli_rudin_sup,
+                                grid_for, membership, monomial_norm_exact,
+                                norm_p, region_integral)
 from bergman.sampling import sample_disk
 
 ALPHAS = (-0.5, 0.0, 1.0, 2.5)
@@ -227,6 +228,56 @@ class TestGrowthExponentFit:
     def test_needs_four_deep_samples(self):
         with pytest.raises(ParameterError):
             fit_growth_exponent([(0.91, 1.0), (0.95, 1.0), (0.99, 1.0)])
+
+
+
+
+@pytest.fixture(scope="module")
+def small_bidisk():
+    return BidiskGrid(DiskGrid.build(0.0, eps_stop=2.0 ** -6, n_angular=16,
+                                     nodes_per_panel=4))
+
+
+def _pair_values(grid, cmat):
+    """sum c_ij z^i w^j at every node pair (z, w) of the tensor grid."""
+    g = grid.factor
+    Z, W = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    return np.polynomial.polynomial.polyval2d(Z, W, cmat)
+
+
+def _ring_blocks(grid, vals):
+    """sum_ij w_i w_j vals_ij over z_i in ring a and z_j in ring b."""
+    g = grid.factor
+    wr = g.weights[:, None] * np.eye(g.n_levels)[g.ring]
+    return wr.T @ vals @ wr
+
+
+class TestCoefficientNorm:
+    @pytest.fixture(scope="class")
+    def cmat(self):
+        rng = np.random.default_rng(11)
+        return rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+
+    def test_grid_spans_rings_and_chunks(self, small_bidisk):
+        from bergman import _kernels
+        assert small_bidisk.factor.n_levels == 3
+        assert small_bidisk.node_count > 2 * _kernels._PAIR_BUDGET
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])  # ring moments, BLAS pass
+    def test_partials_match_double_sum(self, small_bidisk, cmat, p):
+        block = _ring_blocks(small_bidisk,
+                             np.abs(_pair_values(small_bidisk, cmat)) ** p)
+        got = small_bidisk.coefficient_norm(cmat, p).partials
+        np.testing.assert_allclose(got, small_bidisk.block_partials(block),
+                                   rtol=1e-12)
+
+    def test_pairing_blocks_match_double_sum(self, small_bidisk, cmat):
+        rng = np.random.default_rng(12)
+        other = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        want = _ring_blocks(small_bidisk, _pair_values(small_bidisk, cmat)
+                            * np.conj(_pair_values(small_bidisk, other)))
+        np.testing.assert_allclose(small_bidisk.pairing_block(cmat, other),
+                                   want, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.fixture(scope="module")
