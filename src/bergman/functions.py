@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BALL_DIMS, ball_phi
-
-FD_STEP = 1e-5  # central-difference step for the invariant gradient
+from .geometry import BALL_DIMS
 
 
 class HoloFunction:
@@ -59,8 +57,12 @@ class TaylorPoly(HoloFunction):
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                self.coeffs)
+        z = np.asarray(z, dtype=complex)
+        v = np.full(z.shape, self.coeffs[-1])
+        for c in self.coeffs[-2::-1]:
+            v *= z
+            v += c
+        return v[()]  # a scalar for a scalar z
 
     def differentiated(self) -> "TaylorPoly":
         if len(self.coeffs) == 1:
@@ -174,18 +176,20 @@ class BallPoly(HoloFunction):
             acc += np.abs(self.partial(k)(z)) ** 2
         return np.sqrt(acc)
 
-    def invariant_gradient_at(self, z, h: float = FD_STEP):
-        """Moebius-invariant gradient |grad(f o phi_z)(0)| by central
-        finite differences along each complex coordinate axis."""
+    def invariant_gradient_at(self, z):
+        """Moebius-invariant gradient |grad(f o phi_z)(0)|, in the closed
+        form sqrt((1 - |z|^2)(|grad f(z)|^2 - |Rf(z)|^2)) (Zhu, Spaces of
+        Holomorphic Functions in the Unit Ball, 2005)."""
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape[:-1])
+        grad2 = np.zeros(z.shape[:-1])
+        radial = np.zeros(z.shape[:-1], dtype=complex)
         for k in range(self.n):
-            e = np.zeros(self.n, dtype=complex)
-            e[k] = h
-            gp = self(ball_phi(z, np.broadcast_to(e, z.shape), validate=False))
-            gm = self(ball_phi(z, np.broadcast_to(-e, z.shape), validate=False))
-            acc += np.abs((gp - gm) / (2.0 * h)) ** 2
-        return np.sqrt(acc)
+            dk = self.partial(k)(z)
+            grad2 += dk.real ** 2 + dk.imag ** 2
+            radial += z[..., k] * dk
+        one_minus = 1.0 - np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
+        diff = grad2 - (radial.real ** 2 + radial.imag ** 2)
+        return np.sqrt(one_minus * np.maximum(diff, 0.0))  # >= 0 up to rounding
 
     def to_json(self) -> dict:
         return {"variant": "ball", "n": self.n,

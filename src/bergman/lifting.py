@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    log_ladder, norm_p
+    log_ladder
 
 DIAG_SWITCH = 1e-6  # |z - w| below this: closed forms use f'((z+w)/2)
 

@@ -22,7 +22,6 @@ from scipy.special import gammaln, hyp2f1
 from .errors import ParameterError
 from .functions import BallPoly, HoloFunction, TaylorPoly
 from .geometry import EuclideanDisk
-from .sampling import sobol_ball
 from . import _kernels
 
 EPS_START = 2.0 ** -4

@@ -12,11 +12,11 @@ from .errors import ParameterError
 from .functions import BallPoly, PowerSingularity, TaylorPoly, \
     radial_metric_ratio
 from .geometry import ball_metric, ball_phi, beta, double_radius, mobius, \
-    pseudo_disk, radius_convert, rho
+    pseudo_disk, rho
 from .lifting import bidisk_norm, bidisk_pairing, default_poly_bidisk_grid, \
     diagonal_norm, divergence_coefficients, divergence_demo, \
     harmonic_numbers, homogeneous_lift_component, lift, lift_eval, \
-    lift_norm_series_A2, lifting_scan, log_weighted_norm
+    lift_norm_series_A2, lifting_scan
 from .quadrature import BallGrid, DiskGrid, WeightParams, ball_norm_p, \
     fit_growth_exponent, forelli_rudin_exact, forelli_rudin_scan, \
     forelli_rudin_sup, grid_for, log_ladder, monomial_norm_exact, norm_p

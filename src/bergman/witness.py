@@ -5,23 +5,25 @@ A witness for f is a continuous g >= 0 with
 the construction is g = |f|/r + h with h a guarded local sup of
 (1 - |u|^2)|f'(u)| over pseudo-hyperbolic disks; the Euclidean-metric
 witness divides the whole of g by (1 - |z|).  On the ball, h is a local
-sup of the invariant gradient with a constant calibrated per radius.
+sup of the invariant gradient |grad(f o phi_u)(0)|, taken in its closed
+form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), with a constant
+calibrated per radius.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .functions import FD_STEP, BallPoly, HoloFunction, TaylorPoly
+from .functions import BallPoly, HoloFunction, TaylorPoly
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
-from .quadrature import BallGrid, DiskGrid, NormResult, WeightParams, grid_for
+from .quadrature import BallGrid, NormResult, WeightParams, grid_for
 from .sampling import ball_pairs_stratified, disk_pairs_stratified, sobol_ball
 
 SAFETY = 1.05          # covers sampled-sup undershoot on smooth families
@@ -47,17 +49,7 @@ def _raw_local_sup(f: HoloFunction, z, r: float):
     """Sampled sup of (1 - |u|^2)|f'(u)| over D(z, r), vectorized in z."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     centers, radii = pseudo_disk_params(z, r)
-    if isinstance(f, TaylorPoly):
-        return _kernels.local_sup_poly(centers, radii, _UNIT_GRID,
-                                       f.differentiated().coeffs)
-    out = np.empty(len(z))
-    chunk = 2048
-    for lo in range(0, len(z), chunk):
-        hi = min(lo + chunk, len(z))
-        u = centers[lo:hi, None] + radii[lo:hi, None] * _UNIT_GRID[None, :]
-        m = (1.0 - np.abs(u) ** 2) * np.abs(f.derivative_at(u))
-        out[lo:hi] = m.max(axis=1)
-    return out
+    return _kernels.local_sup_poly(centers, radii, _UNIT_GRID, f)
 
 
 def _cached_local_sup(f: HoloFunction, z, r: float):
@@ -87,10 +79,10 @@ def _ball_sup_sample(n: int):
 
 
 def _ball_sup_values(f: BallPoly, z, r: float):
-    exps = np.array(sorted(f.terms), dtype=np.int64).reshape(-1, f.n)
-    coefs = np.array([f.terms[tuple(e)] for e in exps], dtype=complex)
+    """Sup of the invariant gradient of f over the images phi_z(r e) of
+    the quasi-random ball sample, per point z."""
     return _kernels.ball_sup_invgrad(np.atleast_2d(z), _ball_sup_sample(f.n),
-                                     exps, coefs, r, FD_STEP)
+                                     f, r)
 
 
 @dataclass

@@ -8,7 +8,33 @@ from bergman.errors import ParameterError
 from bergman.functions import (BallPoly, HoloFunction, LogKernel,
                                PowerSingularity, TaylorPoly, derivative,
                                radial_metric_ratio)
+from bergman.geometry import ball_phi
 from bergman.sampling import sample_ball, sample_disk
+
+# polynomials with mixed monomials and a constant term, on C^2 and C^3
+MIXED_BALL_POLYS = [
+    BallPoly(2, {(0, 0): 0.3 - 0.2j, (1, 0): 1.0, (1, 1): -0.7 + 0.4j,
+                 (0, 3): 0.5j, (2, 1): 0.25}),
+    BallPoly(2, {(0, 0): -1.1, (0, 1): 0.2 + 0.9j, (3, 0): -0.6,
+                 (1, 2): 0.8 - 0.1j}),
+    BallPoly(3, {(0, 0, 0): 1.2, (1, 0, 0): 0.4j, (0, 1, 1): -0.8,
+                 (2, 0, 1): 0.3 + 0.3j, (1, 1, 1): 0.6, (0, 0, 3): -0.45j}),
+    BallPoly(3, {(0, 0, 0): 0.5j, (0, 0, 1): -0.3, (1, 2, 0): 0.7 + 0.2j,
+                 (0, 1, 2): -0.4j}),
+]
+
+
+def fd_invariant_gradient(f, z, h=1e-5):
+    """|grad(f o phi_z)(0)| by central differences of f o phi_z along
+    each complex coordinate axis: the defining formula."""
+    acc = np.zeros(z.shape[:-1])
+    for k in range(f.n):
+        e = np.zeros(f.n, dtype=complex)
+        e[k] = h
+        gp = f(ball_phi(z, np.broadcast_to(e, z.shape), validate=False))
+        gm = f(ball_phi(z, np.broadcast_to(-e, z.shape), validate=False))
+        acc += np.abs((gp - gm) / (2.0 * h)) ** 2
+    return np.sqrt(acc)
 
 
 class TestEvaluation:
@@ -70,6 +96,13 @@ class TestDerivatives:
         z = np.zeros((1, 2), dtype=complex)
         np.testing.assert_allclose(derivative(f, z, "invariant-gradient"),
                                    1.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("f", MIXED_BALL_POLYS)
+    def test_invariant_gradient_closed_form(self, f):
+        # sqrt((1 - |z|^2)(|grad f|^2 - |Rf|^2)) against its definition
+        z = sample_ball(np.random.default_rng(8 + f.n), 200, f.n, rmax=0.95)
+        np.testing.assert_allclose(f.invariant_gradient_at(z),
+                                   fd_invariant_gradient(f, z), rtol=1e-6)
 
     def test_radial_matches_euler_identity(self):
         # for a homogeneous polynomial of degree d, Rf = d f

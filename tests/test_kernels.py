@@ -64,14 +64,3 @@ def test_pair_block_sums_matches_double_sum(nodes, p, s, variant):
                                    N_RINGS, p, s, variant)
     np.testing.assert_allclose(got, _direct(z, w, ring, p, s, variant),
                                rtol=1e-10)
-
-
-@pytest.mark.parametrize("variant,s", VARIANTS)
-@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 3.0])
-def test_numpy_fallback_matches_double_sum(nodes, p, s, variant):
-    z, w, ring = nodes
-    S, D = _kernels._pair_block_sums_numpy(z, _family(z, s, variant), w, ring,
-                                           N_RINGS, p, s, variant)
-    np.testing.assert_allclose(S + S.T + np.diag(D),
-                               _direct(z, w, ring, p, s, variant), rtol=1e-10)
-

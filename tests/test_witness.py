@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from bergman.functions import BallPoly, PowerSingularity, TaylorPoly
+from bergman import witness
+from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
+    TaylorPoly
+from bergman.geometry import ball_phi, pseudo_disk_params
 from bergman.quadrature import BallGrid
-from bergman.sampling import sample_disk
+from bergman.sampling import sample_ball, sample_disk
 from bergman.witness import (SAFETY, Witness, build_witness,
                              build_witness_ball, ball_witness_constant,
                              derivative_bound_check, disk_constant,
@@ -40,6 +43,17 @@ class TestLocalSup:
 
     def test_constant_factor(self):
         assert disk_constant(0.5) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("f", [PowerSingularity(0.4), LogKernel()])
+    def test_closed_forms_match_direct_max(self, f):
+        # the unit grid mapped onto each D(z, r), maximized directly
+        r = 0.5
+        z = sample_disk(11, 3000, rmax=0.99)
+        centers, radii = pseudo_disk_params(z, r)
+        u = centers[:, None] + radii[:, None] * witness._UNIT_GRID[None, :]
+        direct = ((1.0 - np.abs(u) ** 2) * np.abs(f.derivative_at(u))).max(axis=1)
+        np.testing.assert_allclose(local_sup_h(f, z, r),
+                                   disk_constant(r) * direct, rtol=1e-14)
 
 
 class TestBuildWitness:
@@ -201,6 +215,25 @@ class TestBallWitness:
         res = witness_integrability(w, 2, 0.0,
                                     grid=BallGrid(2, 0.0, log2_count=16))
         assert res.converged
+
+    def test_sup_values_match_finite_differences(self):
+        # max over the images phi_z(r e) of |grad(f o phi_u)(0)| taken by
+        # central differences along each coordinate axis, step 1e-5
+        f = BallPoly(2, {(0, 0): 0.4 - 0.3j, (1, 0): 1.0, (1, 1): -0.7j,
+                         (0, 3): 0.5 + 0.2j})
+        r, h = 0.5, 1e-5
+        z = sample_ball(13, 40, 2, rmax=0.95)
+        u = ball_phi(z[:, None, :], r * witness._ball_sup_sample(2)[None, :, :],
+                     validate=False)
+        acc = np.zeros(u.shape[:-1])
+        for k in range(2):
+            e = np.zeros(2, dtype=complex)
+            e[k] = h
+            gp = f(ball_phi(u, np.broadcast_to(e, u.shape), validate=False))
+            gm = f(ball_phi(u, np.broadcast_to(-e, u.shape), validate=False))
+            acc += np.abs((gp - gm) / (2.0 * h)) ** 2
+        np.testing.assert_allclose(witness._ball_sup_values(f, z, r),
+                                   np.sqrt(acc).max(axis=1), rtol=1e-8)
 
     def test_metadata_round_trip(self):
         f = BallPoly(2, {(1, 0): 1.0})
