@@ -8,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import DIAG_SWITCH
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
     log_ladder
-
-DIAG_SWITCH = 1e-6  # |z - w| below this: closed forms use f'((z+w)/2)
 
 
 def _divided_difference_matrix(coeffs) -> np.ndarray:

@@ -225,7 +225,14 @@ class DiskGrid:
         """Variant with angular GL panels dyadically refined toward the
         positive real axis, for integrands peaking at z = 1.  With
         ``weight_exponent`` set, the radial weight is the unnormalized
-        (1 - u)^weight_exponent instead of dA_alpha."""
+        (1 - u)^weight_exponent instead of dA_alpha.
+
+        Guaranteed layout: every angle lies strictly inside (0, pi), so no
+        node is on the real axis, and each radius lists its angles and
+        then their negatives, so ``nodes[Im < 0] == conj(nodes[Im > 0])``
+        element by element, with equal weights and rings.
+        ``_kernels.pair_block_sums`` relies on this exact mirror to halve
+        the lifted-norm pair pass."""
         if not alpha > -1:
             raise ParameterError("weight alpha must exceed -1")
         eps = eps_sequence(eps_start, eps_stop)
@@ -251,7 +258,7 @@ class DiskGrid:
             th_w.append(0.5 * brk[-1] * gw)
             th_nodes = np.concatenate(th_nodes)
             th_w = np.concatenate(th_w) / (2.0 * np.pi)
-            # mirror to negative angles
+            # mirror to negative angles (the layout the docstring promises)
             th_all = np.concatenate([th_nodes, -th_nodes])
             w_all = np.concatenate([th_w, th_w])
             nodes.append(r * np.exp(1j * th_all))
