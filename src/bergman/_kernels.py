@@ -1,11 +1,21 @@
 """Hot inner loops of the witness and lifting layers, in numpy.
 
 All kernels are single-threaded and deterministic, and each works in
-chunks so that its temporaries stay a few MB.  The two local-sup kernels
-push a fixed sample of the unit disk (ball) onto each local disk and take
-the max of a quantity that the function classes compute: (1 - |u|^2)
-|f'(u)| through ``derivative_at``, and the invariant gradient through
-``BallPoly.invariant_gradient_at``.
+passes sized by one element budget, ``_BUDGET`` = 2^16 sample points
+(or node pairs) per pass, so that a pass's temporaries (1 MB each in
+complex128) stay in cache.
+
+The two local-sup kernels push a fixed sample of the unit disk (ball)
+onto each local disk and take the max of a quantity that the function
+classes compute: (1 - |u|^2) |f'(u)| through ``derivative_at``, and the
+invariant gradient through ``BallPoly.invariant_gradient_at``.  A pass
+takes max(1, _BUDGET // len(sample)) centres (points): 65 centres of the
+993-point disk sample, 64 points of the 1,024-point ball sample.  The
+budget is measured, one thread on a 2-core Xeon: the 16 kernel calls of
+one ``disk-witness`` benchmark round (15,216 centres) take 0.69, 0.71,
+0.63, 0.64, 0.62 and 1.02 s at budgets 2^12 through 2^17, against 1.46 s
+at 2,048 centres per pass, where every Horner step streams two 32 MB
+temporaries.
 
 The pair sum of the lifted closed forms visits each mirror orbit of node
 pairs once.  When the nodes below the real axis are exact mirror images
@@ -16,10 +26,9 @@ quotients per pair, L(z_i, z_j) and L(z_i, conj z_j): about N^2 / 4
 quotients instead of N (N + 1) / 2.  Any other input runs the same pass
 with U = all nodes and the same-side quotient alone.  The pass visits the
 strict upper triangle j > i of U, puts both diagonals into a separate
-term, forms |L|^2 in real float64 arithmetic, and works in row chunks of
-a fixed element budget (``_PAIR_BUDGET`` float64 values per temporary),
-reducing each chunk into ring blocks by BLAS products against a weighted
-one-hot ring matrix.
+term, forms |L|^2 in real float64 arithmetic, and works in row passes of
+the element budget, each reduced into ring blocks by ``ring_block_sums``:
+BLAS products against the weighted one-hot ring matrix.
 """
 from __future__ import annotations
 
@@ -29,8 +38,14 @@ from .geometry import ball_phi
 
 HAVE_NUMBA = False  # read only by two warm-up branches of perfbench/workloads.py
 
-_LOCAL_CHUNK = 2048  # centres per pass of local_sup_poly
-_BALL_CHUNK = 256    # points per pass of ball_sup_invgrad
+_BUDGET = 1 << 16  # elements per temporary of every kernel pass
+
+
+def _passes(n, inner):
+    """Slices of n rows in order, each of max(1, _BUDGET // inner) rows
+    with ``inner`` elements per row, the last one possibly shorter."""
+    step = max(1, _BUDGET // inner)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +56,36 @@ def local_sup_poly(centers, radii, grid, f):
     """For each center/radius, max over u = center + radius*grid of
     (1 - |u|^2) |f'(u)|."""
     out = np.empty(len(centers))
-    for lo in range(0, len(centers), _LOCAL_CHUNK):
-        hi = lo + _LOCAL_CHUNK
-        u = centers[lo:hi, None] + radii[lo:hi, None] * grid[None, :]
-        out[lo:hi] = ((1.0 - np.abs(u) ** 2)
-                      * np.abs(f.derivative_at(u))).max(axis=1)
+    for k in _passes(len(centers), len(grid)):
+        u = centers[k, None] + radii[k, None] * grid[None, :]
+        out[k] = ((1.0 - np.abs(u) ** 2)
+                  * np.abs(f.derivative_at(u))).max(axis=1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# ring blocks of a weighted pairwise matrix
+# ---------------------------------------------------------------------------
+
+def ring_block_sums(rows, w, ring, n_rings, triangular=False):
+    """S[a, b] = sum of w_i w_j v_ij over ring_i = a, ring_j = b, for a
+    pairwise matrix v formed in row passes of the element budget.
+
+    ``rows(i0, i1)`` returns the rows i0 <= i < i1 of v, over the columns
+    j >= i0 when ``triangular`` and over all columns otherwise.  Each pass
+    is reduced by two BLAS products with the weighted one-hot ring matrix
+    Wr[j, ring_j] = w_j."""
+    N = len(ring)
+    Wr = np.zeros((N, n_rings))
+    Wr[np.arange(N), ring] = w
+    S = np.zeros((n_rings, n_rings))
+    i0 = 0
+    while i0 < N:
+        c0 = i0 if triangular else 0
+        i1 = min(N, i0 + max(1, _BUDGET // (N - c0)))
+        S += Wr[i0:i1].T @ (rows(i0, i1) @ Wr[c0:])
+        i0 = i1
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +96,6 @@ def local_sup_poly(centers, radii, grid, f):
 
 DIAG_SWITCH = 1e-6  # |z - w| under this: L takes f' at the midpoint
 _DIAG_TOL2 = DIAG_SWITCH ** 2  # the switchover on |z - w|^2, exactly 1e-12
-_PAIR_BUDGET = 1 << 16  # float64 elements per temporary of the pair pass
 
 
 def _lift_mid_derivative(zi, zj, s, variant):
@@ -157,8 +195,8 @@ def pair_block_sums(z, f, w, ring, n_rings, p, s, variant):
     the switchover.  Other inputs take the same pass with U = all nodes
     and no mirrored term, which is the plain triangular double sum.
 
-    Each chunk of about ``_PAIR_BUDGET`` elements is summed into ring
-    blocks by two BLAS products with the weighted one-hot ring matrix.
+    Each row pass of about ``_BUDGET`` elements is summed into ring
+    blocks by ``ring_block_sums``.
     """
     z = np.asarray(z, dtype=np.complex128)
     f = np.asarray(f, dtype=np.complex128)
@@ -170,11 +208,6 @@ def pair_block_sums(z, f, w, ring, n_rings, p, s, variant):
     if mirrored:
         z, f, w, ring = z[half], f[half], w[half], ring[half]
     parts = (z.real.copy(), z.imag.copy(), f.real.copy(), f.imag.copy())
-    N = len(z)
-    # weighted one-hot ring matrix: v @ Wr sums w_j v_ij into ring_j
-    Wr = np.zeros((N, n_rings))
-    Wr[np.arange(N), ring] = w
-    S = np.zeros((n_rings, n_rings))
     Ld = _lift_mid_derivative(z, z, s, variant)
     Ld = _abs_pow(Ld.real ** 2 + Ld.imag ** 2, p)
     if mirrored:  # L(z_i, conj z_i) = Im f_i / Im z_i
@@ -185,12 +218,9 @@ def pair_block_sums(z, f, w, ring, n_rings, p, s, variant):
             Lm[near] = L.real ** 2 + L.imag ** 2
         Ld += _abs_pow(Lm, p)
     D = np.bincount(ring, weights=w * w * Ld, minlength=n_rings)
-    i0 = 0
-    while i0 < N:
-        i1 = min(N, i0 + max(1, _PAIR_BUDGET // (N - i0)))
-        v = _pair_chunk(z, parts, i0, i1, p, s, variant, mirrored)
-        S += Wr[i0:i1].T @ (v @ Wr[i0:])
-        i0 = i1
+    S = ring_block_sums(
+        lambda i0, i1: _pair_chunk(z, parts, i0, i1, p, s, variant, mirrored),
+        w, ring, n_rings, triangular=True)
     block = S + S.T
     block[np.diag_indices(n_rings)] += D
     return 2.0 * block if mirrored else block
@@ -204,8 +234,7 @@ def ball_sup_invgrad(zpts, esamp, f, r):
     """Per point z: max over u = phi_z(r * e), e in ``esamp``, of the
     invariant gradient of the ball polynomial ``f``."""
     out = np.empty(len(zpts))
-    for lo in range(0, len(zpts), _BALL_CHUNK):
-        hi = lo + _BALL_CHUNK
-        u = ball_phi(zpts[lo:hi, None, :], r * esamp[None, :, :], validate=False)
-        out[lo:hi] = f.invariant_gradient_at(u).max(axis=1)
+    for k in _passes(len(zpts), len(esamp)):
+        u = ball_phi(zpts[k, None, :], r * esamp[None, :, :], validate=False)
+        out[k] = f.invariant_gradient_at(u).max(axis=1)
     return out

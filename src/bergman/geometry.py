@@ -114,11 +114,14 @@ class EuclideanDisk:
         return self.center + self.radius * np.exp(1j * th)
 
     def polar_grid(self, n_radial: int = 32, n_angular: int = 32) -> np.ndarray:
-        """Flattened polar sample of the closed disk, center and boundary
-        ring included, angles offset off the axes."""
-        sig = np.linspace(0.0, 1.0, n_radial)
+        """Flattened polar sample of the closed disk: the center once,
+        then ``n_angular`` angles offset off the axes on each of the
+        radii linspace(0, 1, n_radial)[1:], boundary ring included;
+        1 + (n_radial - 1) n_angular points."""
+        sig = np.linspace(0.0, 1.0, n_radial)[1:]
         ang = np.exp(2j * np.pi * (np.arange(n_angular) + 0.5) / n_angular)
-        return (self.center + self.radius * sig[:, None] * ang[None, :]).ravel()
+        ring = (self.center + self.radius * sig[:, None] * ang[None, :]).ravel()
+        return np.concatenate([[self.center], ring])
 
     def contains(self, u) -> np.ndarray:
         return np.abs(np.asarray(u, dtype=complex) - self.center) < self.radius

@@ -400,25 +400,19 @@ class BidiskGrid:
         At p = 2 the node double sum factors exactly by ring through the
         ring moments (``pairing_block`` of C with itself), O(levels N d^2)
         instead of O(N^2 d).  Otherwise the bidisk function is evaluated
-        as Zpow @ C @ Wpow^T in row chunks of a fixed element budget and
-        |.|^p is summed into ring blocks by BLAS products against the
-        weighted one-hot ring matrix."""
+        as Zpow @ C @ Wpow^T in row passes of the kernels' element budget
+        and |.|^p is summed into ring blocks by
+        ``_kernels.ring_block_sums``."""
         cmat = np.asarray(cmat, dtype=complex)
         if p == 2.0:
             block = self.pairing_block(cmat, cmat).real
             return self.protocol_from_block(block, rtol=rtol, rule=rule)
         g = self.factor
-        N = g.node_count
         zp = _powers(g.nodes, cmat.shape[0])
         right = cmat @ _powers(g.nodes, cmat.shape[1]).T
-        Wr = np.zeros((N, g.n_levels))
-        Wr[np.arange(N), g.ring] = g.weights
-        block = np.zeros((g.n_levels, g.n_levels))
-        rows = max(1, _kernels._PAIR_BUDGET // N)
-        for lo in range(0, N, rows):
-            hi = min(lo + rows, N)
-            v = np.abs(zp[lo:hi] @ right) ** p
-            block += Wr[lo:hi].T @ (v @ Wr)
+        block = _kernels.ring_block_sums(
+            lambda lo, hi: np.abs(zp[lo:hi] @ right) ** p,
+            g.weights, g.ring, g.n_levels)
         return self.protocol_from_block(block, rtol=rtol, rule=rule)
 
 

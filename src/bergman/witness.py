@@ -244,32 +244,32 @@ def _ball_calibration_family(n: int):
             BallPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})]
 
 
-def _min_passing_constant(f: BallPoly, r: float, n_pairs: int, seed: int,
-                          lo: float = 1e-6, hi: float = 1e6) -> float:
-    """Binary search for the smallest C with zero violations on the seeded
-    pair set (the residual is monotone decreasing in C)."""
+def _smallest_passing(num, den) -> float:
+    """Least C >= 1e-6, up to rounding, with num - C den <= 0 on every
+    pair, in closed form: the largest num / den over pairs with den > 0,
+    stepped up one ulp at a time while rounding makes that quotient fail
+    its own check."""
+    if not np.all(np.isfinite(num) & np.isfinite(den)) \
+            or np.any((den <= 0.0) & (num > 0.0)):
+        raise ParameterError("no finite C passes every pair")
+    pos = den > 0.0
+    C = float(np.max(num[pos] / den[pos], initial=1e-6))
+    while not np.all(num - C * den <= 0.0):
+        C = float(np.nextafter(C, np.inf))
+    return C
+
+
+def _min_passing_constant(f: BallPoly, r: float, n_pairs: int,
+                          seed: int) -> float:
+    """Smallest C with zero violations on the seeded pair set (the
+    residual num - C den is decreasing in C on every pair)."""
     z, w = ball_pairs_stratified(seed, n_pairs, r, n=f.n)
     fz, fw = f(z), f(w)
     Sz = _ball_sup_values(f, z, r)
     Sw = _ball_sup_values(f, w, r)
     rr = ball_metric(z, w, kind="rho", validate=False)
     num = np.abs(fz - fw) - rr * (np.abs(fz) + np.abs(fw)) / r
-    den = rr * (Sz + Sw)
-
-    def ok(C):
-        return np.all(num - C * den <= 0.0)
-
-    if ok(lo):
-        return lo
-    if not ok(hi):
-        raise ParameterError("calibration bracket too small")
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _smallest_passing(num, rr * (Sz + Sw))
 
 
 def ball_witness_constant(n: int, r: float, n_pairs: int = 10_000,

@@ -279,7 +279,21 @@ class TestEuclideanDisk:
         d = EuclideanDisk(0.3 + 0.1j, 0.2)
         g = d.polar_grid(8, 8)
         assert np.all(np.abs(g - d.center) <= d.radius + 1e-15)
-        assert g.shape == (64,)
+        assert g.shape == (1 + 7 * 8,)  # the center once
+
+    @pytest.mark.parametrize("n_r,n_a", [(32, 32), (8, 8), (2, 5)])
+    def test_polar_grid_holds_center_once(self, n_r, n_a):
+        """The same point set as the n_r x n_a outer product of radii
+        and angles, whose radius-0 row repeats the center n_a times."""
+        d = EuclideanDisk(0.3 + 0.1j, 0.2)
+        g = d.polar_grid(n_r, n_a)
+        assert g.shape == (1 + (n_r - 1) * n_a,)
+        assert np.count_nonzero(g == d.center) == 1
+        sig = np.linspace(0.0, 1.0, n_r)
+        ang = np.exp(2j * np.pi * (np.arange(n_a) + 0.5) / n_a)
+        full = d.center + d.radius * sig[:, None] * ang[None, :]
+        assert set(g.tolist()) == set(full.ravel().tolist())
+        assert len(set(g.tolist())) == len(g)
 
     def test_contains(self):
         d = EuclideanDisk(0j, 0.5)

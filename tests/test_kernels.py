@@ -1,13 +1,127 @@
-"""Tests for the ring-block pair sums of the lifted closed forms against
-their defining double sum, on unmirrored and mirrored node sets, and of
-the mirror layout of the graded grids that the pair sums rely on."""
+"""Tests for the kernels' passes of the element budget, and for the
+ring-block pair sums of the lifted closed forms against their defining
+double sum, on unmirrored and mirrored node sets, and of the mirror
+layout of the graded grids that the pair sums rely on."""
 
 import numpy as np
 import pytest
 
-from bergman import _kernels
+from bergman import _kernels, witness
+from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
+    TaylorPoly
+from bergman.geometry import EuclideanDisk, pseudo_disk_params
 from bergman.lifting import default_scan_bidisk_grid
 from bergman.quadrature import DiskGrid
+from bergman.sampling import sample_ball, sample_disk
+
+# ---------------------------------------------------------------------------
+# the local-sup kernels: passes of one element budget
+# ---------------------------------------------------------------------------
+
+N_CENTRES = 1000  # not a multiple of the pass size at any tested budget
+N_POINTS = 300
+DISK_FUNCTIONS = {
+    "taylor20": TaylorPoly(np.random.default_rng(31).normal(size=(21, 2))
+                           @ [1, 1j]),
+    "power": PowerSingularity(0.4),
+    "log": LogKernel(),
+}
+BALL_POLY = BallPoly(2, {(0, 0): 0.5, (1, 0): 1.0 - 0.5j, (1, 2): 0.7j,
+                         (0, 3): -1.2, (2, 1): 0.3})
+
+
+@pytest.fixture(scope="module")
+def disks():
+    z = sample_disk(21, N_CENTRES, rmax=0.99)
+    return pseudo_disk_params(z, 0.5)
+
+
+@pytest.fixture(scope="module")
+def ball_points():
+    return sample_ball(22, N_POINTS, n=2)
+
+
+@pytest.fixture
+def pass_sizes(monkeypatch):
+    """Records the number of sample points each kernel pass evaluates:
+    centres x disk samples, or points x ball samples."""
+    sizes = []
+    for cls, name in [(TaylorPoly, "derivative_at"),
+                      (BallPoly, "invariant_gradient_at")]:
+        def recording(self, u, _method=getattr(cls, name)):
+            sizes.append(int(np.prod(np.shape(u)[:2])))
+            return _method(self, u)
+
+        monkeypatch.setattr(cls, name, recording)
+    return sizes
+
+
+@pytest.mark.parametrize("budget", [1024, 3000, 1 << 20])
+@pytest.mark.parametrize("name", DISK_FUNCTIONS)
+def test_local_sup_is_budget_invariant(disks, monkeypatch, budget, name):
+    centers, radii = disks
+    f = DISK_FUNCTIONS[name]
+    want = _kernels.local_sup_poly(centers, radii, witness._UNIT_GRID, f)
+    monkeypatch.setattr(_kernels, "_BUDGET", budget)
+    got = _kernels.local_sup_poly(centers, radii, witness._UNIT_GRID, f)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [1024, 3000, 16 * 1024, 1 << 20])
+def test_ball_sup_is_budget_invariant(ball_points, monkeypatch, budget):
+    """Bit-identical at 16 or more points per pass; below that the
+    invariant gradient's reductions may round differently."""
+    esamp = witness._ball_sup_sample(2)
+    want = _kernels.ball_sup_invgrad(ball_points, esamp, BALL_POLY, 0.5)
+    monkeypatch.setattr(_kernels, "_BUDGET", budget)
+    got = _kernels.ball_sup_invgrad(ball_points, esamp, BALL_POLY, 0.5)
+    if budget // len(esamp) >= 16:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+
+def _check_passes(sizes, n_rows, inner):
+    """Every row once, in full passes of the budget and one last partial
+    pass, none over the budget."""
+    full = max(1, _kernels._BUDGET // inner) * inner
+    assert sum(sizes) == n_rows * inner
+    assert max(sizes) <= _kernels._BUDGET
+    assert all(size == full for size in sizes[:-1])
+    assert 0 < sizes[-1] <= full
+
+
+@pytest.mark.parametrize("budget", [None, 1024, 3000])
+@pytest.mark.parametrize("shape", [(32, 32), (12, 60), (3, 2)])
+def test_local_sup_passes_fit_the_budget(disks, pass_sizes, monkeypatch,
+                                         budget, shape):
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_BUDGET", budget)
+    centers, radii = disks
+    grid = EuclideanDisk(0j, 1.0).polar_grid(*shape)
+    _kernels.local_sup_poly(centers, radii, grid, DISK_FUNCTIONS["taylor20"])
+    _check_passes(pass_sizes, N_CENTRES, len(grid))
+
+
+@pytest.mark.parametrize("budget", [None, 3000, 1 << 20])
+def test_ball_sup_passes_fit_the_budget(ball_points, pass_sizes, monkeypatch,
+                                        budget):
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "_BUDGET", budget)
+    esamp = witness._ball_sup_sample(2)
+    _kernels.ball_sup_invgrad(ball_points, esamp, BALL_POLY, 0.5)
+    _check_passes(pass_sizes, N_POINTS, len(esamp))
+
+
+def test_default_pass_sizes():
+    assert len(witness._UNIT_GRID) == 993
+    assert len(witness._ball_sup_sample(2)) == 1024
+    assert _kernels._BUDGET // 993 == 65 and _kernels._BUDGET // 1024 == 64
+
+
+# ---------------------------------------------------------------------------
+# the pair sums of the lifted closed forms
+# ---------------------------------------------------------------------------
 
 N_NODES, N_RINGS = 600, 4
 N_HALF = 600  # nodes in the upper half of the mirrored set
@@ -57,7 +171,7 @@ def test_fixture_exercises_switchover_and_chunks(nodes):
     z, _, _ = nodes
     d2 = np.abs(z[:, None] - z[None, :]) ** 2
     assert np.count_nonzero(d2 < _kernels._DIAG_TOL2) == N_NODES + 4
-    assert N_NODES * N_NODES > 4 * _kernels._PAIR_BUDGET
+    assert N_NODES * N_NODES > 4 * _kernels._BUDGET
 
 
 @pytest.mark.parametrize("variant,s", VARIANTS)
@@ -119,7 +233,7 @@ def test_mirrored_fixture_exercises_switchovers_and_chunks(mirrored):
     assert abs(u[120] - u[5]) ** 2 < tol          # same side, off the diagonal
     assert abs(u[200] - u[200].conj()) ** 2 < tol  # mirrored diagonal
     assert abs(u[200] - u[260].conj()) < _kernels.DIAG_SWITCH  # across
-    assert N_HALF * N_HALF > 4 * _kernels._PAIR_BUDGET
+    assert N_HALF * N_HALF > 4 * _kernels._BUDGET
     for s, variant in VARIANTS:
         f = _family(z, s, variant)
         assert np.array_equal(f[N_HALF:], f[:N_HALF].conj())

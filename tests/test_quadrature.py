@@ -261,7 +261,7 @@ class TestCoefficientNorm:
     def test_grid_spans_rings_and_chunks(self, small_bidisk):
         from bergman import _kernels
         assert small_bidisk.factor.n_levels == 3
-        assert small_bidisk.node_count > 2 * _kernels._PAIR_BUDGET
+        assert small_bidisk.node_count > 2 * _kernels._BUDGET
 
     @pytest.mark.parametrize("p", [2.0, 3.0])  # ring moments, BLAS pass
     def test_partials_match_double_sum(self, small_bidisk, cmat, p):

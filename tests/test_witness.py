@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bergman import witness
+from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
     TaylorPoly
 from bergman.geometry import ball_phi, pseudo_disk_params
@@ -44,13 +45,20 @@ class TestLocalSup:
     def test_constant_factor(self):
         assert disk_constant(0.5) == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("f", [PowerSingularity(0.4), LogKernel()])
+    @pytest.mark.parametrize("f", [
+        PowerSingularity(0.4), LogKernel(),
+        TaylorPoly(np.random.default_rng(13).normal(size=(51, 2)) @ [1, 1j]),
+    ])
     def test_closed_forms_match_direct_max(self, f):
-        # the unit grid mapped onto each D(z, r), maximized directly
+        # the full 32 x 32 polar sample, the center 32 times, mapped onto
+        # each D(z, r) and maximized directly
         r = 0.5
         z = sample_disk(11, 3000, rmax=0.99)
         centers, radii = pseudo_disk_params(z, r)
-        u = centers[:, None] + radii[:, None] * witness._UNIT_GRID[None, :]
+        sig = np.linspace(0.0, 1.0, 32)
+        ang = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+        sample = (sig[:, None] * ang[None, :]).ravel()
+        u = centers[:, None] + radii[:, None] * sample[None, :]
         direct = ((1.0 - np.abs(u) ** 2) * np.abs(f.derivative_at(u))).max(axis=1)
         np.testing.assert_allclose(local_sup_h(f, z, r),
                                    disk_constant(r) * direct, rtol=1e-14)
@@ -234,6 +242,35 @@ class TestBallWitness:
             acc += np.abs((gp - gm) / (2.0 * h)) ** 2
         np.testing.assert_allclose(witness._ball_sup_values(f, z, r),
                                    np.sqrt(acc).max(axis=1), rtol=1e-8)
+
+    def test_calibration_constant_is_the_largest_quotient(self):
+        rng = np.random.default_rng(14)
+        num = rng.normal(size=500)
+        den = rng.uniform(0.0, 2.0, 500)
+        den[:20] = 0.0
+        num[:20] = -np.abs(num[:20])  # no C can fail a pair with den = 0
+        C = witness._smallest_passing(num, den)
+        pos = den > 0
+        q = np.max(num[pos] / den[pos])
+        assert np.all(num - C * den <= 0.0)
+        # q itself, or the first float above q that passes
+        below = np.nextafter(C, 0.0)
+        assert C == q or (below >= q and np.any(num - below * den > 0.0))
+
+    def test_calibration_constant_passes_its_own_check(self):
+        # fl(1 / 49) * 49 rounds below 1, so the quotient itself fails
+        num, den = np.array([1.0, -1.0]), np.array([49.0, 2.0])
+        assert num[0] - (num[0] / den[0]) * den[0] > 0.0
+        C = witness._smallest_passing(num, den)
+        assert C == np.nextafter(1.0 / 49.0, np.inf)
+        assert np.all(num - C * den <= 0.0)
+
+    def test_calibration_constant_floor_and_failure(self):
+        num, den = np.array([1e-9, -1.0]), np.array([1.0, 0.0])
+        assert witness._smallest_passing(num, den) == 1e-6
+        with pytest.raises(ParameterError):
+            witness._smallest_passing(np.array([1e-9, 1e-3]),
+                                      np.array([1.0, 0.0]))
 
     def test_metadata_round_trip(self):
         f = BallPoly(2, {(1, 0): 1.0})
