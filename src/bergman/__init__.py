@@ -11,7 +11,7 @@ from .geometry import (EuclideanDisk, RadiusPair, ball_metric, ball_phi,
 from .functions import (BallPoly, HoloFunction, LogKernel, PowerSingularity,
                         TaylorPoly, derivative, radial_metric_ratio)
 from .quadrature import (BallGrid, BidiskGrid, DiskGrid, NormResult,
-                         WeightParams, build_grid, derivative_seminorm,
+                         WeightParams, derivative_seminorm,
                          fit_growth_exponent, forelli_rudin_integral,
                          membership, monomial_norm_exact, norm_p)
 from .witness import (ViolationReport, Witness, build_witness,
@@ -28,7 +28,7 @@ __all__ = [
     "BallPoly", "HoloFunction", "LogKernel", "PowerSingularity",
     "TaylorPoly", "derivative", "radial_metric_ratio",
     "BallGrid", "BidiskGrid", "DiskGrid", "NormResult", "WeightParams",
-    "build_grid", "derivative_seminorm", "fit_growth_exponent",
+    "derivative_seminorm", "fit_growth_exponent",
     "forelli_rudin_integral", "membership", "monomial_norm_exact", "norm_p",
     "ViolationReport", "Witness", "build_witness", "build_witness_ball",
     "derivative_bound_check", "local_sup_h", "verify_lipschitz",

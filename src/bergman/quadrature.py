@@ -5,9 +5,21 @@ Disk grids put Gauss-Legendre nodes in the squared-radius variable
 u = |z|^2 on panels aligned with the truncation radii 1 - eps_i (eps
 halving from 2^-4), times a uniform angular rule; near-boundary panels
 are dyadically refined so each partial integral is quadrature-exact and
-the only error is the truncation itself.  Truncated values are then
-extrapolated to the full disk with a Richardson scheme that knows the
-tail exponents alpha+1, alpha+2, ... of the weight.
+the only error is the truncation itself.
+
+Every grid family runs one truncation protocol, ``_protocol``: the
+partial integrals over |z| <= 1 - eps_i give the verdict
+(``classify_partials``), and a converged sequence is extrapolated to the
+full domain by ``richardson`` with the tail-exponent ladder its family
+passes:
+
+- disk: ``disk_ladder(alpha)`` = alpha+1, alpha+2, ..., or the caller's;
+- log weight log(1/(1-|z|^2)) dA: ``log_ladder()`` = 1, 1, 2, 2, ...;
+- bidisk: ``bidisk_ladder(alpha)``, the merged alpha+1+m and 2(alpha+1)+m;
+- ball: the one exponent alpha+1 (a second stage would amplify the
+  quasi-Monte-Carlo noise of the outer rings);
+- Forelli-Rudin integrals: no ladder; the last increment ratio is
+  continued as a geometric tail.
 
 Convergence / membership verdicts come from the decay pattern of the
 partial-integral increments, never from the extrapolated number alone.
@@ -100,18 +112,20 @@ def log_ladder(n: int = 8):
     return out[:n]
 
 
-def richardson(deltas, partials, ladder, max_stage: int | None = None):
+def richardson(deltas, partials, ladder):
     """Sequential elimination of the given tail exponents.
 
-    Returns (estimate, error_estimate); the error estimate is the change
-    introduced by the last elimination stage.
+    ``partials`` F_i are the integrals truncated at delta_i = 1 - (1 -
+    eps_i)^2, and the tail I - F_i is taken as sum_j c_j delta_i^(a_j)
+    with a_j = ``ladder[j]``; one stage per exponent, at most one fewer
+    than the number of levels.  The ladder is the family's (see the
+    module docstring); a repeated exponent absorbs a delta^a log delta
+    term.  Returns (estimate, error_estimate); the error estimate is the
+    change introduced by the last elimination stage.
     """
     d = np.asarray(deltas, float)
     T = np.asarray(partials, float).copy()
-    n = len(T)
-    stages = min(len(ladder), n - 1)
-    if max_stage is not None:
-        stages = min(stages, max_stage)
+    stages = min(len(ladder), len(T) - 1)
     prev_last = T[-1]
     for j in range(stages):
         a = ladder[j]
@@ -152,6 +166,31 @@ def classify_partials(partials, rtol: float = 0.05, rule: str = "strict"):
     return "undecided", False
 
 
+def _protocol(F, eps_values, ladder, rtol: float, rule: str,
+              window: int | None = None) -> NormResult:
+    """The truncation protocol shared by every grid family: verdict from
+    the partials ``F`` at the levels ``eps_values``, then, if converged,
+    the value extrapolated with ``ladder`` (or, with ``ladder=None``, by a
+    geometric tail continuing the last increment ratio).  ``window``
+    restricts the extrapolation to the deepest levels; the verdict always
+    uses the whole sequence."""
+    verdict, conv = classify_partials(F, rtol=rtol, rule=rule)
+    if not conv:
+        value, err = float(F[-1]), float("inf")
+    elif ladder is None:
+        inc = np.diff(F)
+        r = float(np.clip(inc[-1] / max(inc[-2], 1e-300), 0.0, 0.97))
+        value = float(F[-1] + inc[-1] * r / (1.0 - r))
+        err = float(inc[-1] * r / (1.0 - r))
+    else:
+        deltas = 1.0 - (1.0 - np.asarray(eps_values, float)) ** 2
+        tail = slice(-window if window else 0, None)
+        value, err = richardson(deltas[tail], F[tail], ladder)
+    return NormResult(value=value, converged=conv,
+                      eps_values=list(eps_values), partials=list(F),
+                      estimated_error=err, rtol=rtol, verdict=verdict)
+
+
 # ---------------------------------------------------------------------------
 # disk grids
 # ---------------------------------------------------------------------------
@@ -184,7 +223,6 @@ class DiskGrid:
         self.weights = weights
         self.ring = ring
         self.eps_values = np.asarray(eps_values, float)
-        self.deltas = 1.0 - (1.0 - self.eps_values) ** 2
         self.alpha = float(alpha)
         self.kind = kind
         if np.any(weights < 0):
@@ -220,12 +258,10 @@ class DiskGrid:
     @classmethod
     def build_graded(cls, alpha: float, eps_start: float = EPS_START,
                      eps_stop: float = EPS_STOP, nodes_per_panel: int = 12,
-                     theta_per_panel: int = 6, weight_exponent=None,
+                     theta_per_panel: int = 6,
                      coarse_splits=(0.25, 0.5, 0.75)) -> "DiskGrid":
         """Variant with angular GL panels dyadically refined toward the
-        positive real axis, for integrands peaking at z = 1.  With
-        ``weight_exponent`` set, the radial weight is the unnormalized
-        (1 - u)^weight_exponent instead of dA_alpha.
+        positive real axis, for integrands peaking at z = 1.
 
         Guaranteed layout: every angle lies strictly inside (0, pi), so no
         node is on the real axis, and each radius lists its angles and
@@ -238,10 +274,7 @@ class DiskGrid:
         eps = eps_sequence(eps_start, eps_stop)
         deltas = 1.0 - (1.0 - eps) ** 2
         u, wu, rg = _radial_panels(deltas, nodes_per_panel, coarse_splits)
-        if weight_exponent is None:
-            wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
-        else:
-            wu = wu * (1.0 - u) ** weight_exponent
+        wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
         gx, gw = np.polynomial.legendre.leggauss(theta_per_panel)
         nodes, weights, ring = [], [], []
         for ui, wi, gi in zip(u, wu, rg):
@@ -268,7 +301,8 @@ class DiskGrid:
                    np.concatenate(ring), eps, alpha, "graded")
 
     def partials(self, values) -> np.ndarray:
-        """Cumulative truncated integrals over |z| <= 1 - eps_i."""
+        """Cumulative truncated integrals over |z| <= 1 - eps_i (any grid
+        with per-node ``weights``, ``ring`` and ``n_levels``)."""
         sums = np.bincount(self.ring, weights=self.weights * values,
                            minlength=self.n_levels)
         return np.cumsum(sums)
@@ -276,33 +310,17 @@ class DiskGrid:
     def integrate_protocol(self, values, rtol: float = 0.05, ladder="alpha",
                            rule: str = "strict", shift: float = 0.0,
                            window: int | None = None) -> NormResult:
-        """Full protocol: partials, verdict, extrapolated value.
+        """Protocol integral of ``values`` + ``shift`` with the weight's
+        ladder ``disk_ladder(alpha)`` unless the caller passes one.
 
         ``window`` restricts the extrapolation to the deepest levels
         (useful when the integrand is concentrated near the boundary and
-        the shallow truncations sit outside the tail's asymptotic regime);
-        the verdict always uses the whole sequence.
+        the shallow truncations sit outside the tail's asymptotic regime).
         """
-        F = self.partials(values) + shift
-        verdict, conv = classify_partials(F, rtol=rtol, rule=rule)
         if ladder == "alpha":
             ladder = disk_ladder(self.alpha)
-        if conv and ladder is not None:
-            if window is not None and window < len(F):
-                value, err = richardson(self.deltas[-window:], F[-window:],
-                                        ladder)
-            else:
-                value, err = richardson(self.deltas, F, ladder)
-        elif conv:
-            inc = np.diff(F)
-            r = float(np.clip(inc[-1] / max(inc[-2], 1e-300), 0.0, 0.97))
-            value = float(F[-1] + inc[-1] * r / (1.0 - r))
-            err = float(inc[-1] * r / (1.0 - r))
-        else:
-            value, err = float(F[-1]), float("inf")
-        return NormResult(value=value, converged=conv,
-                          eps_values=list(self.eps_values), partials=list(F),
-                          estimated_error=err, rtol=rtol, verdict=verdict)
+        return _protocol(self.partials(values) + shift, self.eps_values,
+                         ladder, rtol, rule, window)
 
 
 def grid_for(f: HoloFunction | None, alpha: float, **kw) -> DiskGrid:
@@ -345,17 +363,8 @@ class BidiskGrid:
 
     def protocol_from_block(self, block, rtol: float = 0.05,
                             rule: str = "scan") -> NormResult:
-        F = self.block_partials(block)
-        verdict, conv = classify_partials(F, rtol=rtol, rule=rule)
-        if conv:
-            value, err = richardson(self.factor.deltas, F,
-                                    bidisk_ladder(self.alpha))
-        else:
-            value, err = float(F[-1]), float("inf")
-        return NormResult(value=value, converged=conv,
-                          eps_values=list(self.factor.eps_values),
-                          partials=list(F), estimated_error=err, rtol=rtol,
-                          verdict=verdict)
+        return _protocol(self.block_partials(block), self.factor.eps_values,
+                         bidisk_ladder(self.alpha), rtol, rule)
 
     def lifted_power_norm(self, s: float, p: float, variant: int = 0,
                           rtol: float = 0.05) -> NormResult:
@@ -468,35 +477,14 @@ class BallGrid:
         return len(self.eps_values)
 
     def partials(self, values) -> np.ndarray:
-        sums = np.bincount(self.ring, weights=self.weights * values,
-                           minlength=self.n_levels)
-        return np.cumsum(sums)
+        return DiskGrid.partials(self, values)
 
     def integrate_protocol(self, values, rtol: float = 0.02,
                            rule: str = "scan") -> NormResult:
-        F = self.partials(values)
-        verdict, conv = classify_partials(F, rtol=rtol, rule=rule)
-        if conv:
-            # one elimination stage only: deeper stages amplify the
-            # quasi-Monte-Carlo noise of the outer rings
-            value, err = richardson(1.0 - (1.0 - self.eps_values) ** 2, F,
-                                    disk_ladder(self.alpha, n=2), max_stage=1)
-        else:
-            value, err = float(F[-1]), float("inf")
-        return NormResult(value=value, converged=conv,
-                          eps_values=list(self.eps_values), partials=list(F),
-                          estimated_error=err, rtol=rtol, verdict=verdict)
-
-
-def build_grid(domain: str, alpha: float, eps: float = EPS_STOP, **kw):
-    """Convenience dispatcher over the three grid families."""
-    if domain == "disk":
-        return DiskGrid.build(alpha, eps_stop=eps, **kw)
-    if domain == "bidisk":
-        return BidiskGrid(DiskGrid.build(alpha, eps_stop=eps, **kw))
-    if domain == "ball":
-        return BallGrid(kw.pop("n", 2), alpha, **kw)
-    raise ParameterError(f"unknown domain {domain!r}")
+        # one elimination stage only: deeper stages amplify the
+        # quasi-Monte-Carlo noise of the outer rings
+        return _protocol(self.partials(values), self.eps_values,
+                         [self.alpha + 1.0], rtol, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +543,9 @@ def derivative_seminorm(f: HoloFunction, wp: WeightParams, grid: DiskGrid,
 
 def forelli_rudin_integral(x: float, s: float, t: float,
                            rtol: float = 0.05) -> NormResult:
-    """I(x) = int (1-|w|^2)^s / |1 - x w|^(2+s+t) dA(w) for 0 <= x < 1.
-
-    By rotation invariance only |z| = x matters.  Uses an angularly
-    graded grid (the kernel peaks at w = 1) and an eps-sequence deep
-    enough to pass under the kernel scale 1 - x.
-    """
-    if not s > -1:
-        raise ParameterError("radial exponent s must exceed -1")
-    if not 0 <= x < 1:
-        raise ParameterError("|z| must lie in [0, 1)")
-    eps_stop = min(EPS_STOP, (1.0 - x) / 16.0)
-    grid = DiskGrid.build_graded(0.0, eps_stop=eps_stop, weight_exponent=s)
-    vals = np.abs(1.0 - x * grid.nodes) ** (-(2.0 + s + t))
-    return grid.integrate_protocol(vals, rtol=rtol, ladder=None, rule="scan")
+    """I(x) = int (1-|w|^2)^s / |1 - x w|^(2+s+t) dA(w) for 0 <= x < 1,
+    the one-radius ``forelli_rudin_scan``."""
+    return forelli_rudin_scan([x], [(s, t)], rtol=rtol)[(s, t)][0]
 
 
 def forelli_rudin_exact(x: float, s: float, t: float) -> float:
@@ -593,11 +570,23 @@ def forelli_rudin_sup(s: float, t: float) -> float:
 
 def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
     """I(x) for every |z| in ``radii`` and (s, t) in ``st_pairs``, sharing
-    one graded grid per radius; returns {(s, t): [NormResult, ...]}."""
+    one graded grid per radius; returns {(s, t): [NormResult, ...]}.
+
+    By rotation invariance only |z| = x matters.  The grid is angularly
+    graded (the kernel peaks at w = 1), carries dA = dA_0 with
+    (1-|w|^2)^s in the integrand, and its eps-sequence passes under the
+    kernel scale 1 - x.
+    """
+    for s, _ in st_pairs:
+        if not s > -1:
+            raise ParameterError("radial exponent s must exceed -1")
+    for x in radii:
+        if not 0 <= x < 1:
+            raise ParameterError("|z| must lie in [0, 1)")
     out = {st: [] for st in st_pairs}
     for x in radii:
         eps_stop = min(EPS_STOP, (1.0 - x) / 16.0)
-        grid = DiskGrid.build_graded(0.0, eps_stop=eps_stop, weight_exponent=0.0)
+        grid = DiskGrid.build_graded(0.0, eps_stop=eps_stop)
         one_minus_u = 1.0 - np.abs(grid.nodes) ** 2
         for s, t in st_pairs:
             vals = one_minus_u ** s * np.abs(1.0 - x * grid.nodes) ** (-(2.0 + s + t))

@@ -343,34 +343,36 @@ def _suite_lemma10(cfg: SuiteConfig, rep: ExperimentReport):
     def results(st, radii):
         return [scan[st][all_radii.index(x)] for x in radii]
 
-    def values(st, radii):
-        return [r.value for r in results(st, radii)]
-
     rows = []
     for s, t in st_slope:
         res = results((s, t), slope_radii)
         Is = [r.value for r in res]
         slope = fit_growth_exponent(zip(slope_radii, Is))
-        # the fit does not gate on convergence; the flags show which of
-        # its points are undecided
+        # the fit does not gate on convergence; the flags, verdicts and
+        # error estimates show how far to trust each of its points
         rep.checks.append(check(f"slope_error_s{s}_t{t}", abs(slope - t),
                                 0.05, "<=",
                                 info={"slope": slope,
                                       "radii": list(slope_radii),
                                       "converged": [bool(r.converged)
-                                                    for r in res]}))
+                                                    for r in res],
+                                      "verdict": [r.verdict for r in res],
+                                      "estimated_error": [
+                                          r.estimated_error for r in res]}))
         rows += [[s, t, x, I, -np.log(1 - x ** 2), np.log(I)]
                  for x, I in zip(slope_radii, Is)]
     rep.csv_blocks["growth"] = (
         ["s", "t", "abs_z", "I", "neg_log_one_minus_z2", "log_I"], rows)
 
-    bounded = values((0.0, -0.5), bounded_radii)
+    bounded_res = results((0.0, -0.5), bounded_radii)
+    bounded = [r.value for r in bounded_res]
     exact = [forelli_rudin_exact(x, 0.0, -0.5) for x in bounded_radii]
     rel_err = max(abs(v - e) / e for v, e in zip(bounded, exact))
     rep.checks.append(check("bounded_case_closed_form_max_rel_error",
                             rel_err, 1e-3, "<=",
                             info={"radii": list(bounded_radii),
                                   "closed_form": exact,
+                                  "verdict": [r.verdict for r in bounded_res],
                                   "supremum": forelli_rudin_sup(0.0, -0.5)}))
     spread = (max(bounded) - min(bounded)) / max(bounded)
     rep.checks.append(check("bounded_case_relative_variation", spread,
@@ -378,7 +380,7 @@ def _suite_lemma10(cfg: SuiteConfig, rep: ExperimentReport):
                             info={"radii": list(bounded_radii),
                                   "values": bounded}))
     # the t = 0 borderline: slope reported without a target
-    Is0 = values((0.0, 0.0), slope_radii)
+    Is0 = [r.value for r in results((0.0, 0.0), slope_radii)]
     rep.notes["borderline_t0_slope"] = fit_growth_exponent(
         zip(slope_radii, Is0))
 

@@ -86,6 +86,14 @@ class TestCriterion6GrowthExponents:
         rep = suite("lemma10")
         slope_checks = [n for n in names(rep) if n.startswith("slope_error")]
         assert len(slope_checks) == 6
+        # each fitted point carries its protocol verdict and error estimate
+        for c in rep.checks:
+            if c.name in slope_checks:
+                n = len(c.info["radii"])
+                assert len(c.info["verdict"]) == len(c.info["converged"]) == n
+                assert len(c.info["estimated_error"]) == n
+                assert all(v in ("member", "non-member", "undecided")
+                           for v in c.info["verdict"])
         assert _emit(rep, only=slope_checks)
 
     def test_bounded_case_variation_as_stated(self):
@@ -93,6 +101,9 @@ class TestCriterion6GrowthExponents:
         # variation at radii where the ~2.3 sqrt(1-x^2) gap to the sup
         # permits it
         rep = suite("lemma10")
+        closed = next(c for c in rep.checks
+                      if c.name == "bounded_case_closed_form_max_rel_error")
+        assert len(closed.info["verdict"]) == len(closed.info["radii"])
         assert _emit(rep, only=["bounded_case_closed_form_max_rel_error",
                                 "bounded_case_relative_variation"])
 

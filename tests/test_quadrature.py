@@ -9,11 +9,13 @@ from bergman.errors import ParameterError
 from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
 from bergman.geometry import pseudo_disk
 from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
-                                build_grid, derivative_seminorm,
+                                bidisk_ladder, classify_partials,
+                                derivative_seminorm, disk_ladder,
                                 fit_growth_exponent, forelli_rudin_exact,
-                                forelli_rudin_integral, forelli_rudin_sup,
-                                grid_for, membership, monomial_norm_exact,
-                                norm_p, region_integral)
+                                forelli_rudin_integral, forelli_rudin_scan,
+                                forelli_rudin_sup, grid_for, log_ladder,
+                                membership, monomial_norm_exact, norm_p,
+                                region_integral, richardson)
 from bergman.sampling import sample_disk
 
 ALPHAS = (-0.5, 0.0, 1.0, 2.5)
@@ -41,17 +43,90 @@ class TestGridBasics:
         F = g.partials(vals)
         assert np.all(np.diff(F) >= 0)
 
-    def test_build_grid_dispatcher(self):
-        assert build_grid("disk", 0.0, n_angular=16).node_count > 0
-        assert build_grid("bidisk", 0.0, n_angular=16).node_count > 0
-        with pytest.raises(ParameterError):
-            build_grid("triangle", 0.0)
-
     def test_alpha_validation(self):
         with pytest.raises(ParameterError):
             DiskGrid.build(-1.0)
         with pytest.raises(ParameterError):
             WeightParams(0.0, 0.0)
+
+
+def _ring_values(grid, masses):
+    """Node values whose integral over ring a is masses[a]."""
+    per_ring = np.bincount(grid.ring, weights=grid.weights,
+                           minlength=grid.n_levels)
+    return (np.asarray(masses, float) / per_ring)[grid.ring]
+
+
+# exactly geometric truncation depths, ratio 2
+GEOMETRIC_DELTAS = 2.0 ** -np.arange(4, 13)
+
+
+class TestProtocol:
+    """The truncation protocol against closed forms of its three steps:
+    verdict, Richardson extrapolation, windowing."""
+
+    @pytest.mark.parametrize("ladder", [
+        disk_ladder(-0.5), disk_ladder(1.0), bidisk_ladder(-0.5),
+        bidisk_ladder(0.3)], ids=["disk-0.5", "disk1", "bidisk-0.5",
+                                  "bidisk0.3"])
+    def test_richardson_removes_power_tails(self, ladder):
+        # F_i = I - sum_j c_j delta_i^(a_j): one stage per exponent
+        d = GEOMETRIC_DELTAS
+        c = np.random.default_rng(5).normal(size=len(ladder))
+        F = 1.7 - sum(cj * d ** a for cj, a in zip(c, ladder))
+        value, _ = richardson(d, F, ladder)
+        np.testing.assert_allclose(value, 1.7, rtol=1e-12)
+
+    def test_log_ladder_removes_log_tails(self):
+        # each repeated exponent absorbs a delta^a log(delta) term
+        d = GEOMETRIC_DELTAS
+        F = (1.7 - 0.8 * d * np.log(d) - 0.5 * d + 0.3 * d ** 2 * np.log(d)
+             - 0.2 * d ** 2 + 0.1 * d ** 3 * np.log(d))
+        value, _ = richardson(d, F, log_ladder())
+        np.testing.assert_allclose(value, 1.7, rtol=1e-12)
+
+    def test_ball_extrapolates_one_stage(self):
+        g = BallGrid(2, 1.5, log2_count=14)
+        vals = np.abs(g.nodes[:, 0]) ** 2
+        res = g.integrate_protocol(vals)
+        assert res.converged
+        F = g.partials(vals)
+        d = 1.0 - (1.0 - g.eps_values) ** 2
+        one_stage = F[-1] + (F[-1] - F[-2]) / ((d[-2] / d[-1]) ** 2.5 - 1.0)
+        np.testing.assert_allclose(res.value, one_stage, rtol=1e-14)
+        np.testing.assert_allclose(res.estimated_error,
+                                   abs(one_stage - F[-1]), rtol=1e-12)
+
+    def test_window_extrapolates_from_deepest_levels(self, grids):
+        g = grids[0.0]
+        vals = _ring_values(g, 0.5 ** np.arange(g.n_levels))
+        F = g.partials(vals)
+        d = 1.0 - (1.0 - g.eps_values) ** 2
+        res = g.integrate_protocol(vals, window=4)
+        assert res.verdict == "member"
+        assert res.value == richardson(d[-4:], F[-4:], disk_ladder(0.0))[0]
+        assert res.value != g.integrate_protocol(vals).value
+        assert res.partials == list(F)
+        assert len(res.eps_values) == g.n_levels
+
+    def test_window_verdict_uses_every_level(self, grids):
+        # the last three levels alone decay fast, the whole sequence
+        # does not: the verdict is the whole sequence's
+        g = grids[0.0]
+        vals = _ring_values(g, [1.0] * (g.n_levels - 1) + [0.5])
+        res = g.integrate_protocol(vals, window=3)
+        assert classify_partials(res.partials[-3:])[0] == "member"
+        assert res.verdict == "undecided"
+        assert not res.converged
+        assert res.value == res.partials[-1]
+
+    @pytest.mark.parametrize("ratio,strict,scan", [
+        (0.5, "member", "member"), (1.1, "non-member", "non-member"),
+        (0.93, "undecided", "member")])
+    def test_classify_geometric_increments(self, ratio, strict, scan):
+        F = np.cumsum(ratio ** np.arange(9))
+        assert classify_partials(F, rule="strict")[0] == strict
+        assert classify_partials(F, rule="scan")[0] == scan
 
 
 class TestMonomialExactness:
@@ -195,6 +270,10 @@ class TestForelliRudin:
             forelli_rudin_integral(0.5, -1.5, 0.0)
         with pytest.raises(ParameterError):
             forelli_rudin_integral(1.0, 0.0, 0.0)
+        with pytest.raises(ParameterError, match="exceed -1"):
+            forelli_rudin_scan([0.5], [(0.0, 1.0), (-1.5, 0.0)])
+        with pytest.raises(ParameterError, match="must lie in"):
+            forelli_rudin_scan([0.5, 1.0], [(0.0, 0.0)])
 
     def test_closed_form_matches_quadrature(self):
         # the growing cases carry ~1e-3 of truncated-tail extrapolation
