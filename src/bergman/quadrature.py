@@ -3,9 +3,15 @@ convergence protocol.
 
 Disk grids put Gauss-Legendre nodes in the squared-radius variable
 u = |z|^2 on panels aligned with the truncation radii 1 - eps_i (eps
-halving from 2^-4), times a uniform angular rule; near-boundary panels
-are dyadically refined so each partial integral is quadrature-exact and
-the only error is the truncation itself.
+halving from 2^-4), times an angular rule; near-boundary panels are
+dyadically refined so each partial integral is quadrature-exact and the
+only error is the truncation itself.  The angular rule is uniform
+(``DiskGrid.build``) or refined dyadically toward z = 1
+(``DiskGrid.build_graded``), where a radius's rule depends only on how
+many halvings of pi reach its finest panel, so all radii with one
+halving count share one rule.  Every disk grid keeps 1 - u per node,
+exact for u >= 1/2, for weights (1-|z|^2)^s that the rounding of |z|^2
+would spoil near the boundary.
 
 Every grid family runs one truncation protocol, ``_protocol``: the
 partial integrals over |z| <= 1 - eps_i give the verdict
@@ -26,6 +32,7 @@ partial-integral increments, never from the extrapolated number alone.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,14 +65,14 @@ class WeightParams:
             raise ParameterError("weight alpha must exceed -1")
 
 
-@dataclass
+@dataclass(slots=True)
 class NormResult:
     """Outcome of one protocol integration (the p-th power integral)."""
 
     value: float
     converged: bool
-    eps_values: list = field(default_factory=list)
-    partials: list = field(default_factory=list)
+    eps_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    partials: np.ndarray = field(default_factory=lambda: np.empty(0))
     estimated_error: float = float("inf")
     rtol: float = 0.05
     verdict: str = ""
@@ -187,13 +194,23 @@ def _protocol(F, eps_values, ladder, rtol: float, rule: str,
         tail = slice(-window if window else 0, None)
         value, err = richardson(deltas[tail], F[tail], ladder)
     return NormResult(value=value, converged=conv,
-                      eps_values=list(eps_values), partials=list(F),
+                      eps_values=eps_values, partials=np.asarray(F, float),
                       estimated_error=err, rtol=rtol, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
 # disk grids
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], as read-only arrays
+    shared by every caller."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    gx.flags.writeable = False
+    gw.flags.writeable = False
+    return gx, gw
+
 
 def _radial_panels(deltas, nodes_per_panel, coarse_splits):
     """GL nodes in u on panels with breakpoints at the truncation radii.
@@ -203,7 +220,7 @@ def _radial_panels(deltas, nodes_per_panel, coarse_splits):
     """
     edges = [1.0 - d for d in deltas]
     brk = sorted({0.0, *(c for c in coarse_splits if c < edges[0]), *edges})
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gx, gw = _gauss_legendre(nodes_per_panel)
     ring_edges = np.asarray(edges)
     us, ws, rg = [], [], []
     for a, b in zip(brk[:-1], brk[1:]):
@@ -214,15 +231,46 @@ def _radial_panels(deltas, nodes_per_panel, coarse_splits):
     return np.concatenate(us), np.concatenate(ws), np.concatenate(rg)
 
 
+# the exact halving ladder pi / 2^k of the graded angular panels, and the
+# floor on the finest panel (pi / 2^25 is the first rung below it)
+_T_FLOOR = 1e-7
+_HALVINGS = np.pi / 2.0 ** np.arange(32)
+
+
+def _halving_counts(t_min):
+    """Per finest-panel bound t_min >= 1e-7, the number m of halvings of
+    pi that first reach it: the least m with pi / 2^m <= t_min.  Halving
+    is exact in binary floating point, so each rung equals the value
+    that repeated halving produces."""
+    return np.count_nonzero(_HALVINGS[None, :] > t_min[:, None], axis=1)
+
+
+def _graded_angles(m: int, theta_per_panel: int):
+    """Angles and weights (normalized to dtheta / 2pi) of the graded rule
+    with m halvings: GL panels on [pi/2^(j+1), pi/2^j] for j < m, then
+    [0, pi/2^m], followed by the mirror images at negative angles."""
+    gx, gw = _gauss_legendre(theta_per_panel)
+    b = _HALVINGS[: m + 1]
+    a = np.append(_HALVINGS[1: m + 1], 0.0)
+    th = ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * gx).ravel()
+    w = ((0.5 * (b - a))[:, None] * gw).ravel() / (2.0 * np.pi)
+    return np.concatenate([th, -th]), np.concatenate([w, w])
+
+
 class DiskGrid:
     """Nodes and weights realizing dA_alpha on |z| <= 1 - eps, with the
-    whole halving eps-sequence embedded as nested node rings."""
+    whole halving eps-sequence embedded as nested node rings.
+    ``one_minus_u`` holds 1 - |z|^2 per node, taken from the Gauss node
+    in u (exact for u >= 1/2 by Sterbenz's lemma)."""
 
-    def __init__(self, nodes, weights, ring, eps_values, alpha, kind):
+    def __init__(self, nodes, weights, ring, one_minus_u, eps_values, alpha,
+                 kind):
         self.nodes = nodes
         self.weights = weights
         self.ring = ring
-        self.eps_values = np.asarray(eps_values, float)
+        self.one_minus_u = one_minus_u
+        self.eps_values = np.array(eps_values, float)
+        self.eps_values.flags.writeable = False
         self.alpha = float(alpha)
         self.kind = kind
         if np.any(weights < 0):
@@ -253,7 +301,8 @@ class DiskGrid:
         nodes = (np.sqrt(u)[:, None] * th[None, :]).ravel()
         weights = np.repeat(wu / n_angular, n_angular)
         ring = np.repeat(rg, n_angular)
-        return cls(nodes, weights, ring, eps, alpha, "uniform")
+        return cls(nodes, weights, ring, np.repeat(1.0 - u, n_angular), eps,
+                   alpha, "uniform")
 
     @classmethod
     def build_graded(cls, alpha: float, eps_start: float = EPS_START,
@@ -263,7 +312,16 @@ class DiskGrid:
         """Variant with angular GL panels dyadically refined toward the
         positive real axis, for integrands peaking at z = 1.
 
-        Guaranteed layout: every angle lies strictly inside (0, pi), so no
+        At radius r the panels halve from pi until the finest one is at
+        most max((1 - r)/4, 1e-7) wide, so the angular rule depends only
+        on the halving count m.  Radii are built one class of equal m at
+        a time (22 classes for the 252 radii of the Forelli-Rudin grid at
+        |z| = 0.99999), each as one outer product of its radii and
+        its rule; a 19,128-node grid builds in ~0.9 ms, a 47,100-node
+        one in ~1.5 ms (one thread, 2-core Xeon).
+
+        Guaranteed layout: nodes are listed radius by radius in
+        increasing |z|; every angle lies strictly inside (0, pi), so no
         node is on the real axis, and each radius lists its angles and
         then their negatives, so ``nodes[Im < 0] == conj(nodes[Im > 0])``
         element by element, with equal weights and rings.
@@ -275,30 +333,19 @@ class DiskGrid:
         deltas = 1.0 - (1.0 - eps) ** 2
         u, wu, rg = _radial_panels(deltas, nodes_per_panel, coarse_splits)
         wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
-        gx, gw = np.polynomial.legendre.leggauss(theta_per_panel)
-        nodes, weights, ring = [], [], []
-        for ui, wi, gi in zip(u, wu, rg):
-            r = np.sqrt(ui)
-            t_min = max((1.0 - r) / 4.0, 1e-7)
-            brk = [np.pi]
-            while brk[-1] > t_min:
-                brk.append(brk[-1] / 2)
-            th_nodes, th_w = [], []
-            for a, b in zip(brk[1:], brk[:-1]):
-                th_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * gx)
-                th_w.append(0.5 * (b - a) * gw)
-            th_nodes.append(0.5 * brk[-1] + 0.5 * brk[-1] * gx)
-            th_w.append(0.5 * brk[-1] * gw)
-            th_nodes = np.concatenate(th_nodes)
-            th_w = np.concatenate(th_w) / (2.0 * np.pi)
-            # mirror to negative angles (the layout the docstring promises)
-            th_all = np.concatenate([th_nodes, -th_nodes])
-            w_all = np.concatenate([th_w, th_w])
-            nodes.append(r * np.exp(1j * th_all))
-            weights.append(wi * w_all)
-            ring.append(np.full(len(th_all), gi, dtype=np.int64))
+        r = np.sqrt(u)
+        m = _halving_counts(np.maximum((1.0 - r) / 4.0, _T_FLOOR))
+        # u ascends, so m does too and each class is one run of radii
+        cuts = [0, *(np.flatnonzero(np.diff(m)) + 1), len(m)]
+        nodes, weights = [], []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            th, w = _graded_angles(int(m[lo]), theta_per_panel)
+            nodes.append((r[lo:hi, None] * np.exp(1j * th)[None, :]).ravel())
+            weights.append((wu[lo:hi, None] * w[None, :]).ravel())
+        per_radius = 2 * theta_per_panel * (m + 1)
         return cls(np.concatenate(nodes), np.concatenate(weights),
-                   np.concatenate(ring), eps, alpha, "graded")
+                   np.repeat(rg, per_radius), np.repeat(1.0 - u, per_radius),
+                   eps, alpha, "graded")
 
     def partials(self, values) -> np.ndarray:
         """Cumulative truncated integrals over |z| <= 1 - eps_i (any grid
@@ -451,6 +498,7 @@ class BallGrid:
         self.n = int(n)
         self.alpha = float(alpha)
         self.eps_values = eps_sequence(eps_start, eps_stop)
+        self.eps_values.flags.writeable = False
         raw = 2.0 * qmc.Sobol(d=2 * n, scramble=True, seed=seed).random_base2(log2_count) - 1.0
         keep = np.sum(raw * raw, axis=1) < 1.0
         pts = raw[keep]
@@ -574,8 +622,9 @@ def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
 
     By rotation invariance only |z| = x matters.  The grid is angularly
     graded (the kernel peaks at w = 1), carries dA = dA_0 with
-    (1-|w|^2)^s in the integrand, and its eps-sequence passes under the
-    kernel scale 1 - x.
+    (1-|w|^2)^s in the integrand, formed from the grid's exact
+    ``one_minus_u``, and its eps-sequence passes under the kernel scale
+    1 - x.
     """
     for s, _ in st_pairs:
         if not s > -1:
@@ -587,9 +636,8 @@ def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
     for x in radii:
         eps_stop = min(EPS_STOP, (1.0 - x) / 16.0)
         grid = DiskGrid.build_graded(0.0, eps_stop=eps_stop)
-        one_minus_u = 1.0 - np.abs(grid.nodes) ** 2
         for s, t in st_pairs:
-            vals = one_minus_u ** s * np.abs(1.0 - x * grid.nodes) ** (-(2.0 + s + t))
+            vals = grid.one_minus_u ** s * np.abs(1.0 - x * grid.nodes) ** (-(2.0 + s + t))
             out[(s, t)].append(grid.integrate_protocol(vals, rtol=rtol,
                                                        ladder=None,
                                                        rule="scan"))
@@ -615,7 +663,7 @@ def region_integral(values_fn, disk: EuclideanDisk, n_radial: int = 48,
                     n_angular: int = 64) -> float:
     """Integral of a function over a Euclidean disk against the normalized
     area measure of the unit disk (area / pi)."""
-    gx, gw = np.polynomial.legendre.leggauss(n_radial)
+    gx, gw = _gauss_legendre(n_radial)
     u = 0.5 + 0.5 * gx
     wu = 0.5 * gw
     th = np.exp(2j * np.pi * (np.arange(n_angular) + 0.5) / n_angular)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bergman import quadrature
 from bergman.errors import ParameterError
 from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
 from bergman.geometry import pseudo_disk
@@ -48,6 +49,133 @@ class TestGridBasics:
             DiskGrid.build(-1.0)
         with pytest.raises(ParameterError):
             WeightParams(0.0, 0.0)
+
+
+def _loop_halvings(t_min):
+    """Reference halving count: halve pi until it is at most t_min."""
+    brk = [np.pi]
+    while brk[-1] > t_min:
+        brk.append(brk[-1] / 2)
+    return len(brk) - 1
+
+
+def _graded_by_radius(alpha, eps_stop, nodes_per_panel=12,
+                      theta_per_panel=6, coarse_splits=(0.25, 0.5, 0.75)):
+    """Reference graded layout, one radius at a time: the angular panels
+    halve from pi down to max((1 - r)/4, 1e-7), then mirror to negative
+    angles.  Returns (nodes, weights, ring)."""
+    eps = quadrature.eps_sequence(quadrature.EPS_START, eps_stop)
+    deltas = 1.0 - (1.0 - eps) ** 2
+    u, wu, rg = quadrature._radial_panels(deltas, nodes_per_panel,
+                                          coarse_splits)
+    wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
+    gx, gw = np.polynomial.legendre.leggauss(theta_per_panel)
+    nodes, weights, ring = [], [], []
+    for ui, wi, gi in zip(u, wu, rg):
+        r = np.sqrt(ui)
+        t_min = max((1.0 - r) / 4.0, 1e-7)
+        brk = [np.pi]
+        while brk[-1] > t_min:
+            brk.append(brk[-1] / 2)
+        th_nodes, th_w = [], []
+        for a, b in zip(brk[1:], brk[:-1]):
+            th_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * gx)
+            th_w.append(0.5 * (b - a) * gw)
+        th_nodes.append(0.5 * brk[-1] + 0.5 * brk[-1] * gx)
+        th_w.append(0.5 * brk[-1] * gw)
+        th_nodes = np.concatenate(th_nodes)
+        th_w = np.concatenate(th_w) / (2.0 * np.pi)
+        th_all = np.concatenate([th_nodes, -th_nodes])
+        w_all = np.concatenate([th_w, th_w])
+        nodes.append(r * np.exp(1j * th_all))
+        weights.append(wi * w_all)
+        ring.append(np.full(len(th_all), gi, dtype=np.int64))
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(ring)
+
+
+# truncation depths from the default down past the 1e-7 angular floor
+LAYOUT_EPS = (2.0 ** -6, 2.0 ** -12, 1e-2 / 16, 1e-3 / 16, 1e-5 / 16,
+              1e-5 / 256)
+LAYOUTS = ([(a, e, 12, 6) for a in ALPHAS for e in LAYOUT_EPS]
+           + [(0.0, 1e-5 / 16, 6, 3), (0.0, 1e-5 / 16, 8, 4)])
+
+
+class TestGradedGrid:
+    """``DiskGrid.build_graded`` builds one halving class at a time; the
+    layout must be exactly the one-radius-at-a-time reference."""
+
+    @pytest.mark.parametrize("alpha,eps_stop,npp,tpp", LAYOUTS)
+    def test_layout_matches_per_radius_reference(self, alpha, eps_stop, npp,
+                                                 tpp):
+        g = DiskGrid.build_graded(alpha, eps_stop=eps_stop,
+                                  nodes_per_panel=npp, theta_per_panel=tpp)
+        nodes, weights, ring = _graded_by_radius(alpha, eps_stop, npp, tpp)
+        assert np.array_equal(g.nodes, nodes)
+        assert np.array_equal(g.weights, weights)
+        assert np.array_equal(g.ring, ring)
+        assert g.ring.dtype == ring.dtype
+
+    def test_halving_counts_match_loop(self):
+        rungs = np.pi / 2.0 ** np.arange(26)
+        deep = DiskGrid.build_graded(0.0, eps_stop=1e-5 / 256)
+        t = np.concatenate([
+            rungs, np.nextafter(rungs, 0.0), np.nextafter(rungs, np.inf),
+            [1e-7, np.nextafter(1e-7, np.inf), 0.25],
+            np.random.default_rng(3).uniform(1e-7, 0.25, 200),
+            np.maximum((1.0 - np.sqrt(1.0 - deep.one_minus_u)) / 4.0, 1e-7)])
+        got = quadrature._halving_counts(t)
+        assert got.tolist() == [_loop_halvings(x) for x in t]
+        # on or just above rung k takes k halvings, just below takes k + 1
+        assert got[:26].tolist() == list(range(26))
+        assert got[26:52].tolist() == list(range(1, 27))
+        assert got[52:78].tolist() == list(range(26))
+        assert quadrature._halving_counts(np.array([1e-7]))[0] == 25
+
+    @pytest.mark.parametrize("eps_stop", [2.0 ** -12, 1e-5 / 16])
+    def test_partials_of_radial_monomials(self, eps_stop):
+        # int_{|z| <= 1 - eps} |z|^(2k) dA = (1 - delta)^(k+1) / (k+1)
+        g = DiskGrid.build_graded(0.0, eps_stop=eps_stop)
+        inner = (1.0 - g.eps_values) ** 2
+        for k in range(12):
+            np.testing.assert_allclose(g.partials(np.abs(g.nodes) ** (2 * k)),
+                                       inner ** (k + 1) / (k + 1),
+                                       rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_one_minus_u_is_exact(self, graded):
+        # 1 - u from the Gauss node in u, repeated over each radius's angles
+        eps_stop = 1e-5 / 16
+        eps = quadrature.eps_sequence(quadrature.EPS_START, eps_stop)
+        u = quadrature._radial_panels(1.0 - (1.0 - eps) ** 2, 12,
+                                      (0.25, 0.5, 0.75))[0]
+        if graded:
+            g = DiskGrid.build_graded(0.3, eps_stop=eps_stop)
+            counts = [12 * (_loop_halvings(max((1.0 - np.sqrt(x)) / 4.0,
+                                               1e-7)) + 1) for x in u]
+        else:
+            g = DiskGrid.build(0.3, eps_stop=eps_stop, nodes_per_panel=12,
+                               n_angular=16)
+            counts = 16
+        assert np.array_equal(g.one_minus_u, np.repeat(1.0 - u, counts))
+        np.testing.assert_allclose(g.one_minus_u, 1.0 - np.abs(g.nodes) ** 2,
+                                   rtol=0, atol=1e-15)
+
+    def test_shared_rules_reject_writes(self):
+        gx, gw = quadrature._gauss_legendre(6)
+        assert quadrature._gauss_legendre(6)[0] is gx
+        ref = np.polynomial.legendre.leggauss(6)
+        assert np.array_equal(gx, ref[0]) and np.array_equal(gw, ref[1])
+        g = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -6)
+        for arr in (gx, gw, g.eps_values, BallGrid(2, 0.0, 8).eps_values):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_results_share_the_grid_levels(self):
+        g = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -6)
+        res = g.integrate_protocol(np.ones(g.node_count))
+        assert res.eps_values is g.eps_values
+        assert res.partials.dtype == np.float64
+        assert res.to_json()["eps"] == g.eps_values.tolist()
 
 
 def _ring_values(grid, masses):
@@ -106,7 +234,7 @@ class TestProtocol:
         assert res.verdict == "member"
         assert res.value == richardson(d[-4:], F[-4:], disk_ladder(0.0))[0]
         assert res.value != g.integrate_protocol(vals).value
-        assert res.partials == list(F)
+        assert np.array_equal(res.partials, F)
         assert len(res.eps_values) == g.n_levels
 
     def test_window_verdict_uses_every_level(self, grids):
@@ -281,6 +409,19 @@ class TestForelliRudin:
             np.testing.assert_allclose(
                 forelli_rudin_integral(x, s, t).value,
                 forelli_rudin_exact(x, s, t), rtol=5e-3)
+
+    def test_weight_taken_from_exact_one_minus_u(self):
+        # near the boundary 1 - |w|^2 from the rounded nodes moves the
+        # value; the scan must take the exact 1 - u the grid stores
+        x, s, t = 0.99999, -0.5, 0.3
+        g = DiskGrid.build_graded(0.0, eps_stop=(1.0 - x) / 16.0)
+        kernel = np.abs(1.0 - x * g.nodes) ** (-(2.0 + s + t))
+        exact, rounded = (
+            g.integrate_protocol(omu ** s * kernel, ladder=None,
+                                 rule="scan").value
+            for omu in (g.one_minus_u, 1.0 - np.abs(g.nodes) ** 2))
+        assert exact != rounded
+        assert forelli_rudin_integral(x, s, t).value == exact
 
     def test_bounded_case_supremum(self):
         # Gauss's value: Gamma(1/2) / Gamma(5/4)^2 for s = 0, t = -1/2
