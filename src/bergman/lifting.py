@@ -12,7 +12,7 @@ from ._kernels import DIAG_SWITCH
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    log_ladder
+    disk_ladder, log_ladder
 
 
 def _divided_difference_matrix(coeffs) -> np.ndarray:
@@ -221,8 +221,7 @@ def log_weighted_norm(f: HoloFunction, grid: DiskGrid | None = None,
     if grid is None:
         grid = DiskGrid.build(0.0, n_angular=(4 * f.degree + 16)
                               if isinstance(f, TaylorPoly) else 256)
-    u = np.abs(grid.nodes) ** 2
-    vals = np.abs(f(grid.nodes)) ** 2 * np.log(1.0 / (1.0 - u))
+    vals = np.abs(f(grid.nodes)) ** 2 * -np.log(grid.one_minus_u)
     return grid.integrate_protocol(vals, rtol=rtol, ladder=log_ladder())
 
 
@@ -332,8 +331,10 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
     for s in s_values:
         f = PowerSingularity(s)
-        nf = src_grid.integrate_protocol(np.abs(f(src_grid.nodes)) ** p,
-                                         rule="scan")
+        # |1-z|^(-ps) adds a tail in delta^(alpha+2-ps) to the weight's
+        nf = src_grid.integrate_protocol(
+            np.abs(f(src_grid.nodes)) ** p, rule="scan",
+            ladder=[alpha + 2.0 - p * s, *disk_ladder(alpha)])
         nlf = tensor.lifted_power_norm(s, p)
         ratio = nlf.value / nf.value if nf.value > 0 else float("inf")
         out.rows.append(LiftingScanRow(s=float(s), norm_f=nf.value,

@@ -24,8 +24,8 @@ passes:
 - bidisk: ``bidisk_ladder(alpha)``, the merged alpha+1+m and 2(alpha+1)+m;
 - ball: the one exponent alpha+1 (a second stage would amplify the
   quasi-Monte-Carlo noise of the outer rings);
-- Forelli-Rudin integrals: no ladder; the last increment ratio is
-  continued as a geometric tail.
+- Forelli-Rudin integrals: ``disk_ladder(s)`` for their (1-|w|^2)^s
+  weight, on graded grids down to eps = (1-x)/256.
 
 Convergence / membership verdicts come from the decay pattern of the
 partial-integral increments, never from the extrapolated number alone.
@@ -177,18 +177,12 @@ def _protocol(F, eps_values, ladder, rtol: float, rule: str,
               window: int | None = None) -> NormResult:
     """The truncation protocol shared by every grid family: verdict from
     the partials ``F`` at the levels ``eps_values``, then, if converged,
-    the value extrapolated with ``ladder`` (or, with ``ladder=None``, by a
-    geometric tail continuing the last increment ratio).  ``window``
-    restricts the extrapolation to the deepest levels; the verdict always
-    uses the whole sequence."""
+    the value extrapolated by ``richardson`` with the tail exponents
+    ``ladder``.  ``window`` restricts the extrapolation to the deepest
+    levels; the verdict always uses the whole sequence."""
     verdict, conv = classify_partials(F, rtol=rtol, rule=rule)
     if not conv:
         value, err = float(F[-1]), float("inf")
-    elif ladder is None:
-        inc = np.diff(F)
-        r = float(np.clip(inc[-1] / max(inc[-2], 1e-300), 0.0, 0.97))
-        value = float(F[-1] + inc[-1] * r / (1.0 - r))
-        err = float(inc[-1] * r / (1.0 - r))
     else:
         deltas = 1.0 - (1.0 - np.asarray(eps_values, float)) ** 2
         tail = slice(-window if window else 0, None)
@@ -230,6 +224,9 @@ def _radial_panels(deltas, nodes_per_panel, coarse_splits):
                           np.searchsorted(ring_edges, b - 1e-15), dtype=np.int64))
     return np.concatenate(us), np.concatenate(ws), np.concatenate(rg)
 
+
+# the fixed radial panel breakpoints below the first truncation radius
+_COARSE_SPLITS = (0.25, 0.5, 0.75)
 
 # the exact halving ladder pi / 2^k of the graded angular panels, and the
 # floor on the finest panel (pi / 2^25 is the first rung below it)
@@ -285,17 +282,15 @@ class DiskGrid:
         return len(self.eps_values)
 
     @classmethod
-    def build(cls, alpha: float, eps_start: float = EPS_START,
-              eps_stop: float = EPS_STOP, n_angular: int = 256,
-              nodes_per_panel: int = 20,
-              coarse_splits=(0.25, 0.5, 0.75)) -> "DiskGrid":
+    def build(cls, alpha: float, eps_stop: float = EPS_STOP,
+              n_angular: int = 256, nodes_per_panel: int = 20) -> "DiskGrid":
         """Product grid: radial GL panels times a uniform angular rule
         (angles offset by half a spacing so no node sits on the real axis)."""
         if not alpha > -1:
             raise ParameterError("weight alpha must exceed -1")
-        eps = eps_sequence(eps_start, eps_stop)
+        eps = eps_sequence(EPS_START, eps_stop)
         deltas = 1.0 - (1.0 - eps) ** 2
-        u, wu, rg = _radial_panels(deltas, nodes_per_panel, coarse_splits)
+        u, wu, rg = _radial_panels(deltas, nodes_per_panel, _COARSE_SPLITS)
         wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
         th = np.exp(2j * np.pi * (np.arange(n_angular) + 0.5) / n_angular)
         nodes = (np.sqrt(u)[:, None] * th[None, :]).ravel()
@@ -305,17 +300,16 @@ class DiskGrid:
                    alpha, "uniform")
 
     @classmethod
-    def build_graded(cls, alpha: float, eps_start: float = EPS_START,
-                     eps_stop: float = EPS_STOP, nodes_per_panel: int = 12,
-                     theta_per_panel: int = 6,
-                     coarse_splits=(0.25, 0.5, 0.75)) -> "DiskGrid":
+    def build_graded(cls, alpha: float, eps_stop: float = EPS_STOP,
+                     nodes_per_panel: int = 12,
+                     theta_per_panel: int = 6) -> "DiskGrid":
         """Variant with angular GL panels dyadically refined toward the
         positive real axis, for integrands peaking at z = 1.
 
         At radius r the panels halve from pi until the finest one is at
         most max((1 - r)/4, 1e-7) wide, so the angular rule depends only
         on the halving count m.  Radii are built one class of equal m at
-        a time (22 classes for the 252 radii of the Forelli-Rudin grid at
+        a time (22 classes for the 200 radii of the Forelli-Rudin grid at
         |z| = 0.99999), each as one outer product of its radii and
         its rule; a 19,128-node grid builds in ~0.9 ms, a 47,100-node
         one in ~1.5 ms (one thread, 2-core Xeon).
@@ -329,9 +323,9 @@ class DiskGrid:
         the lifted-norm pair pass."""
         if not alpha > -1:
             raise ParameterError("weight alpha must exceed -1")
-        eps = eps_sequence(eps_start, eps_stop)
+        eps = eps_sequence(EPS_START, eps_stop)
         deltas = 1.0 - (1.0 - eps) ** 2
-        u, wu, rg = _radial_panels(deltas, nodes_per_panel, coarse_splits)
+        u, wu, rg = _radial_panels(deltas, nodes_per_panel, _COARSE_SPLITS)
         wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
         r = np.sqrt(u)
         m = _halving_counts(np.maximum((1.0 - r) / 4.0, _T_FLOOR))
@@ -370,18 +364,16 @@ class DiskGrid:
                          ladder, rtol, rule, window)
 
 
-def grid_for(f: HoloFunction | None, alpha: float, **kw) -> DiskGrid:
+def grid_for(f: HoloFunction | None, alpha: float) -> DiskGrid:
     """Disk grid matched to the integrand: for a Taylor polynomial of
     degree d, 4d + 16 uniform angles integrate |f|^2 exactly; the closed
     forms blow up at z = 1, where only the angularly graded rule resolves
     the peak at every truncation depth."""
     if isinstance(f, TaylorPoly):
-        kw.setdefault("n_angular", 4 * f.degree + 16)
-        return DiskGrid.build(alpha, **kw)
+        return DiskGrid.build(alpha, n_angular=4 * f.degree + 16)
     if f is not None:
-        kw.pop("n_angular", None)
-        return DiskGrid.build_graded(alpha, **kw)
-    return DiskGrid.build(alpha, **kw)
+        return DiskGrid.build_graded(alpha)
+    return DiskGrid.build(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +479,7 @@ class BallGrid:
     """Scrambled-Sobol rejection sample of the ball with dv_alpha weights."""
 
     def __init__(self, n: int, alpha: float, log2_count: int = 20,
-                 eps_start: float = EPS_START, eps_stop: float = 2.0 ** -15,
-                 seed: int = 0):
+                 eps_stop: float = 2.0 ** -15, seed: int = 0):
         if not alpha > -1:
             raise ParameterError("weight alpha must exceed -1")
         import math
@@ -497,7 +488,7 @@ class BallGrid:
 
         self.n = int(n)
         self.alpha = float(alpha)
-        self.eps_values = eps_sequence(eps_start, eps_stop)
+        self.eps_values = eps_sequence(EPS_START, eps_stop)
         self.eps_values.flags.writeable = False
         raw = 2.0 * qmc.Sobol(d=2 * n, scramble=True, seed=seed).random_base2(log2_count) - 1.0
         keep = np.sum(raw * raw, axis=1) < 1.0
@@ -579,8 +570,7 @@ def membership(f: HoloFunction, wp: WeightParams,
 def derivative_seminorm(f: HoloFunction, wp: WeightParams, grid: DiskGrid,
                         rtol: float = 0.05) -> NormResult:
     """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha."""
-    vals = ((1.0 - np.abs(grid.nodes) ** 2)
-            * np.abs(f.derivative_at(grid.nodes))) ** wp.p
+    vals = (grid.one_minus_u * np.abs(f.derivative_at(grid.nodes))) ** wp.p
     head = float(np.abs(f(np.array(0j))) ** wp.p)
     return grid.integrate_protocol(vals, rtol=rtol, shift=head)
 
@@ -623,8 +613,9 @@ def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
     By rotation invariance only |z| = x matters.  The grid is angularly
     graded (the kernel peaks at w = 1), carries dA = dA_0 with
     (1-|w|^2)^s in the integrand, formed from the grid's exact
-    ``one_minus_u``, and its eps-sequence passes under the kernel scale
-    1 - x.
+    ``one_minus_u``.  Its eps-sequence runs down to (1 - x)/256, far
+    enough under the kernel scale 1 - x that the tail is the weight's,
+    so it is extrapolated with ``disk_ladder(s)``.
     """
     for s, _ in st_pairs:
         if not s > -1:
@@ -634,13 +625,13 @@ def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
             raise ParameterError("|z| must lie in [0, 1)")
     out = {st: [] for st in st_pairs}
     for x in radii:
-        eps_stop = min(EPS_STOP, (1.0 - x) / 16.0)
-        grid = DiskGrid.build_graded(0.0, eps_stop=eps_stop)
+        eps_stop = min(EPS_STOP, (1.0 - x) / 256.0)
+        grid = DiskGrid.build_graded(0.0, eps_stop=eps_stop,
+                                     nodes_per_panel=8, theta_per_panel=4)
         for s, t in st_pairs:
             vals = grid.one_minus_u ** s * np.abs(1.0 - x * grid.nodes) ** (-(2.0 + s + t))
-            out[(s, t)].append(grid.integrate_protocol(vals, rtol=rtol,
-                                                       ladder=None,
-                                                       rule="scan"))
+            out[(s, t)].append(grid.integrate_protocol(
+                vals, rtol=rtol, ladder=disk_ladder(s)))
     return out
 
 

@@ -343,24 +343,30 @@ def _suite_lemma10(cfg: SuiteConfig, rep: ExperimentReport):
     def results(st, radii):
         return [scan[st][all_radii.index(x)] for x in radii]
 
-    rows = []
+    rows, slope_converged = [], {}
     for s, t in st_slope:
         res = results((s, t), slope_radii)
+        flags = slope_converged[f"s{s}_t{t}"] = [bool(r.converged)
+                                                 for r in res]
         Is = [r.value for r in res]
         slope = fit_growth_exponent(zip(slope_radii, Is))
-        # the fit does not gate on convergence; the flags, verdicts and
-        # error estimates show how far to trust each of its points
+        # the fit does not gate on convergence (slope_points_all_converged
+        # does); the verdicts and error estimates show how far to trust
+        # each of its points
         rep.checks.append(check(f"slope_error_s{s}_t{t}", abs(slope - t),
                                 0.05, "<=",
                                 info={"slope": slope,
                                       "radii": list(slope_radii),
-                                      "converged": [bool(r.converged)
-                                                    for r in res],
+                                      "converged": flags,
                                       "verdict": [r.verdict for r in res],
                                       "estimated_error": [
                                           r.estimated_error for r in res]}))
         rows += [[s, t, x, I, -np.log(1 - x ** 2), np.log(I)]
                  for x, I in zip(slope_radii, Is)]
+    rep.checks.append(check_true(
+        "slope_points_all_converged",
+        all(all(flags) for flags in slope_converged.values()),
+        info={"radii": list(slope_radii), "converged": slope_converged}))
     rep.csv_blocks["growth"] = (
         ["s", "t", "abs_z", "I", "neg_log_one_minus_z2", "log_I"], rows)
 
@@ -509,7 +515,7 @@ def _suite_a2_diverge(cfg: SuiteConfig, rep: ExperimentReport):
     # extrapolate only from levels with k * delta small
     grid = DiskGrid.build(0.0, eps_stop=2.0 ** -18, n_angular=16)
     u = np.abs(grid.nodes) ** 2
-    logw = np.log(1.0 / (1.0 - u))
+    logw = -np.log(grid.one_minus_u)
     a2k = divergence_coefficients(100)
     H = harmonic_numbers(101)
     ratios = []

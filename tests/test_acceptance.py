@@ -94,7 +94,11 @@ class TestCriterion6GrowthExponents:
                 assert len(c.info["estimated_error"]) == n
                 assert all(v in ("member", "non-member", "undecided")
                            for v in c.info["verdict"])
-        assert _emit(rep, only=slope_checks)
+        # and every fitted point is a converged protocol value
+        conv = next(c for c in rep.checks
+                    if c.name == "slope_points_all_converged")
+        assert len(conv.info["converged"]) == 6
+        assert _emit(rep, only=slope_checks + ["slope_points_all_converged"])
 
     def test_bounded_case_variation_as_stated(self):
         # quadrature within 1e-3 of 2F1(3/4, 3/4; 2; x^2), and under 5%

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bergman.errors import ParameterError
 from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
@@ -189,6 +190,18 @@ class TestLiftingScan:
         assert res.all_converged
         for row in res.rows:
             assert np.isfinite(row.ratio) and row.ratio > 0
+
+    @pytest.mark.parametrize("mode,p,s_values", [
+        ("thm11", 1.0, (0.5, 1.0, 1.5)), ("thm12", 4.0, (0.1, 0.3, 0.45))])
+    def test_source_norms_match_gamma_ratio(self, mode, p, s_values):
+        # int |1-z|^(-ps) dA = Gamma(2) Gamma(2-ps) / Gamma(2-ps/2)^2
+        res = lifting_scan(s_values, p, 0.0, mode)
+        for row in res.rows:
+            ps = p * row.s
+            exact = np.exp(gammaln(2.0) + gammaln(2.0 - ps)
+                           - 2.0 * gammaln(2.0 - ps / 2.0))
+            np.testing.assert_allclose(row.norm_f, exact, rtol=1e-4,
+                                       err_msg=f"s={row.s}")
 
     def test_mode_preconditions(self):
         with pytest.raises(ParameterError):

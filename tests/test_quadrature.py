@@ -350,6 +350,22 @@ class TestDerivativeSeminorm:
                                   grids[0.0])
         np.testing.assert_allclose(res.value, oracle, rtol=1e-8)
 
+    def test_weight_taken_from_exact_one_minus_u(self):
+        # (1 - |z|^2) comes from the grid's exact 1 - u, not the nodes
+        f = PowerSingularity(0.9)
+        wp = WeightParams(2, 0.0)
+        g = DiskGrid.build_graded(0.0, eps_stop=1e-5 / 16)
+        res = derivative_seminorm(f, wp, g)
+        head = float(np.abs(f(np.array(0j))) ** 2)
+        dabs = np.abs(f.derivative_at(g.nodes))
+        want = g.integrate_protocol((g.one_minus_u * dabs) ** 2, shift=head)
+        rounded = g.integrate_protocol(
+            ((1.0 - np.abs(g.nodes) ** 2) * dabs) ** 2, shift=head)
+        assert res.converged
+        assert res.value == want.value
+        assert np.array_equal(res.partials, want.partials)
+        assert res.value != rounded.value
+
     def test_singular_family_ratio_finite(self):
         f = PowerSingularity(0.4)
         wp = WeightParams(2, 0.0)
@@ -404,21 +420,29 @@ class TestForelliRudin:
             forelli_rudin_scan([0.5, 1.0], [(0.0, 0.0)])
 
     def test_closed_form_matches_quadrature(self):
-        # the growing cases carry ~1e-3 of truncated-tail extrapolation
-        for x, s, t in ((0.5, 0.0, -0.5), (0.9, 0.5, 1.0), (0.99, 0.0, 0.5)):
-            np.testing.assert_allclose(
-                forelli_rudin_integral(x, s, t).value,
-                forelli_rudin_exact(x, s, t), rtol=5e-3)
+        # every radius and (s, t) of the growth benchmark, bounded and
+        # growing alike, converges to the 2F1 closed form
+        radii = (0.5, 0.9, 0.99, 0.995, 0.999, 0.9995, 0.9999, 0.99999)
+        pairs = [(s, t) for s in (0.0, 0.5)
+                 for t in (-0.5, 0.0, 0.5, 1.0, 2.0)]
+        scan = forelli_rudin_scan(radii, pairs)
+        for s, t in pairs:
+            for x, res in zip(radii, scan[(s, t)]):
+                assert res.verdict == "member", (x, s, t)
+                np.testing.assert_allclose(
+                    res.value, forelli_rudin_exact(x, s, t), rtol=1e-5,
+                    err_msg=f"x={x} s={s} t={t}")
 
     def test_weight_taken_from_exact_one_minus_u(self):
         # near the boundary 1 - |w|^2 from the rounded nodes moves the
         # value; the scan must take the exact 1 - u the grid stores
         x, s, t = 0.99999, -0.5, 0.3
-        g = DiskGrid.build_graded(0.0, eps_stop=(1.0 - x) / 16.0)
+        g = DiskGrid.build_graded(0.0, eps_stop=(1.0 - x) / 256.0,
+                                  nodes_per_panel=8, theta_per_panel=4)
         kernel = np.abs(1.0 - x * g.nodes) ** (-(2.0 + s + t))
         exact, rounded = (
-            g.integrate_protocol(omu ** s * kernel, ladder=None,
-                                 rule="scan").value
+            g.integrate_protocol(omu ** s * kernel,
+                                 ladder=disk_ladder(s)).value
             for omu in (g.one_minus_u, 1.0 - np.abs(g.nodes) ** 2))
         assert exact != rounded
         assert forelli_rudin_integral(x, s, t).value == exact
