@@ -288,13 +288,19 @@ class LiftingScanResult:
                           "ratio": r.ratio, "converged": r.converged}
                          for r in self.rows]}
 
+    def csv_block(self) -> tuple[list, list]:
+        """(header, rows) of the scan table, with ``converged`` as 0/1."""
+        return (["s", "norm_f", "norm_Lf", "ratio", "converged"],
+                [[r.s, r.norm_f, r.norm_lf, r.ratio, int(r.converged)]
+                 for r in self.rows])
+
     def to_csv(self, path) -> Path:
         path = Path(path)
+        header, rows = self.csv_block()
         with path.open("w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["s", "norm_f", "norm_Lf", "ratio", "converged"])
-            for r in self.rows:
-                wr.writerow([r.s, r.norm_f, r.norm_lf, r.ratio, r.converged])
+            wr.writerow(header)
+            wr.writerows(rows)
         return path
 
 

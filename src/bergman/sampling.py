@@ -46,46 +46,39 @@ def sobol_ball(n: int, count: int, seed: int = 0) -> np.ndarray:
     return pts[:, :n] + 1j * pts[:, n:]
 
 
-def disk_pairs_stratified(seed: int, n_pairs: int, r: float):
-    """Deterministic (z, w) pairs: the first half has rho(z, w) < r, the
-    second half rho(z, w) >= r (rejection sampled)."""
+def _pairs_stratified(seed: int, n_pairs: int, r: float, sample, phi,
+                      distance):
+    """(z, w) pairs from ``sample(rng, size, rmax)``: the first half has
+    w = phi(z, e) with |e| < r, so distance(z, w) < r; the second half
+    is rejection sampled to distance(z, w) >= r."""
     if n_pairs < 1:
         raise ParameterError("need at least one pair")
     rng = _rng(seed)
-    z = sample_disk(rng, n_pairs)
+    z = sample(rng, n_pairs, 1.0)
     n_near = n_pairs // 2
-    zeta = sample_disk(rng, n_near, rmax=r)
-    w_near = mobius(z[:n_near], zeta)
-    n_far = n_pairs - n_near
-    w_far = np.empty(n_far, dtype=complex)
-    got = 0
-    while got < n_far:
-        cand = sample_disk(rng, n_far - got)
-        ok = rho(z[n_near + got:n_near + got + len(cand)], cand,
-                 validate=False) >= r
-        sel = cand[ok]
-        w_far[got:got + len(sel)] = sel
-        got += len(sel)
-    return z, np.concatenate([w_near, w_far])
+    w = np.empty_like(z)
+    w[:n_near] = phi(z[:n_near], sample(rng, n_near, r))
+    # each candidate is kept beside the z it was tested against
+    todo = np.arange(n_near, n_pairs)
+    while todo.size:
+        cand = sample(rng, todo.size, 1.0)
+        ok = distance(z[todo], cand) >= r
+        w[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+    return z, w
+
+
+def disk_pairs_stratified(seed: int, n_pairs: int, r: float):
+    """Deterministic (z, w) pairs: the first half has rho(z, w) < r, the
+    second half rho(z, w) >= r (rejection sampled)."""
+    return _pairs_stratified(
+        seed, n_pairs, r, sample_disk, mobius,
+        lambda z, w: rho(z, w, validate=False))
 
 
 def ball_pairs_stratified(seed: int, n_pairs: int, r: float, n: int = 2):
     """Ball analogue of :func:`disk_pairs_stratified`."""
-    if n_pairs < 1:
-        raise ParameterError("need at least one pair")
-    rng = _rng(seed)
-    z = sample_ball(rng, n_pairs, n)
-    n_near = n_pairs // 2
-    e = sample_ball(rng, n_near, n, rmax=r)
-    w_near = ball_phi(z[:n_near], e)
-    n_far = n_pairs - n_near
-    w_far = np.empty((n_far, n), dtype=complex)
-    got = 0
-    while got < n_far:
-        cand = sample_ball(rng, n_far - got, n)
-        ok = ball_metric(z[n_near + got:n_near + got + len(cand)], cand,
-                         kind="rho", validate=False) >= r
-        sel = cand[ok]
-        w_far[got:got + len(sel)] = sel
-        got += len(sel)
-    return z, np.concatenate([w_near, w_far])
+    return _pairs_stratified(
+        seed, n_pairs, r,
+        lambda rng, size, rmax: sample_ball(rng, size, n, rmax), ball_phi,
+        lambda z, w: ball_metric(z, w, kind="rho", validate=False))

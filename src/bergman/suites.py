@@ -22,8 +22,9 @@ from .quadrature import BallGrid, DiskGrid, WeightParams, ball_norm_p, \
     forelli_rudin_sup, grid_for, log_ladder, monomial_norm_exact, norm_p
 from .reporting import ExperimentReport, check, check_true
 from .sampling import sample_ball, sample_disk
-from .witness import build_witness, build_witness_ball, \
-    derivative_bound_check, verify_lipschitz, witness_integrability
+from .witness import ball_witness_constant, build_witness, \
+    build_witness_ball, derivative_bound_check, verify_lipschitz, \
+    witness_integrability
 
 WITNESS_RADIUS = 0.5
 SECTION_DEGREE = 50
@@ -459,10 +460,7 @@ def _suite_thm11(cfg: SuiteConfig, rep: ExperimentReport):
     rep.checks.append(check_true("scan_p1_alpha0_all_converged",
                                  scan.all_converged,
                                  info=scan.to_json()))
-    rep.csv_blocks["scan"] = (
-        ["s", "norm_f", "norm_Lf", "ratio", "converged"],
-        [[r.s, r.norm_f, r.norm_lf, r.ratio, int(r.converged)]
-         for r in scan.rows])
+    rep.csv_blocks["scan"] = scan.csv_block()
 
 
 def _suite_thm12(cfg: SuiteConfig, rep: ExperimentReport):
@@ -471,10 +469,7 @@ def _suite_thm12(cfg: SuiteConfig, rep: ExperimentReport):
     rep.checks.append(check("target_weight_beta", scan.beta, 1.0, "=="))
     rep.checks.append(check_true("scan_p4_alpha0_beta1_all_converged",
                                  scan.all_converged, info=scan.to_json()))
-    rep.csv_blocks["scan"] = (
-        ["s", "norm_f", "norm_Lf", "ratio", "converged"],
-        [[r.s, r.norm_f, r.norm_lf, r.ratio, int(r.converged)]
-         for r in scan.rows])
+    rep.csv_blocks["scan"] = scan.csv_block()
     # sharpness probe: the same family against lighter target weights,
     # reported without an assertion
     trend = {}
@@ -535,29 +530,27 @@ def _suite_a2_diverge(cfg: SuiteConfig, rep: ExperimentReport):
 # ---------------------------------------------------------------------------
 
 def _ball_family():
-    calib = [("z1", BallPoly(2, {(1, 0): 1.0})),
-             ("z1z2", BallPoly(2, {(1, 1): 1.0})),
-             ("z1sq_plus_z2sq", BallPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))]
-    held = [("z2", BallPoly(2, {(0, 1): 1.0})),
+    return [("z1", BallPoly(2, {(1, 0): 1.0})),
+            ("z1z2", BallPoly(2, {(1, 1): 1.0})),
+            ("z1sq_plus_z2sq", BallPoly(2, {(2, 0): 1.0, (0, 2): 1.0})),
+            ("z2", BallPoly(2, {(0, 1): 1.0})),
             ("mixed_quadratic",
              BallPoly(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 2): 0.3}))]
-    return calib, held
 
 
 def _suite_ball_thm13(cfg: SuiteConfig, rep: ExperimentReport):
     n_pairs = int(cfg.opt("n_pairs", 10_000))
-    calib, held = _ball_family()
+    family = _ball_family()
     details = {}
     worst = -np.inf
-    for name, f in calib + held:
+    for name, f in family:
         w = build_witness_ball(f, WITNESS_RADIUS)
         vrep = verify_lipschitz(f, w, n_pairs=n_pairs, seed=cfg.seed)
         details[name] = vrep.max_violation
         worst = max(worst, vrep.max_violation)
     rep.checks.append(check("ball_max_lipschitz_violation", worst, 0.0,
                             "<=", info=details))
-    rep.notes["witness_constant"] = build_witness_ball(
-        calib[0][1], WITNESS_RADIUS).C
+    rep.notes["witness_constant"] = ball_witness_constant(2, WITNESS_RADIUS)
 
     # derivative-notion p-integrals comparable across the family
     grid = BallGrid(2, 0.0, log2_count=int(cfg.opt("ball_log2", 20)),
@@ -566,7 +559,7 @@ def _suite_ball_thm13(cfg: SuiteConfig, rep: ExperimentReport):
     ratios = {}
     worst_ratio = 0.0
     conv_all = True
-    for name, f in calib + held:
+    for name, f in family:
         base = ball_norm_p(f, WeightParams(2, 0.0), grid)
         head = float(np.abs(f(np.zeros(2, dtype=complex))) ** 2)
         quantities = {
@@ -620,6 +613,6 @@ SUITES = {
                    "borderline p = 2: divergence of the lifted series "
                    "against the convergent source series"),
     "ball-thm13": (_suite_ball_thm13,
-                   "ball witnesses with calibrated constant plus "
+                   "ball witnesses with the closed-form constant plus "
                    "derivative-norm equivalence"),
 }

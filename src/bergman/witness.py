@@ -6,8 +6,8 @@ the construction is g = |f|/r + h with h a guarded local sup of
 (1 - |u|^2)|f'(u)| over pseudo-hyperbolic disks; the Euclidean-metric
 witness divides the whole of g by (1 - |z|).  On the ball, h is a local
 sup of the invariant gradient |grad(f o phi_u)(0)|, taken in its closed
-form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), with a constant
-calibrated per radius.
+form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), with the closed-form
+constant 1/(1 - r^2) (see :func:`ball_witness_constant`).
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ _UNIT_GRID = EuclideanDisk(0j, 1.0).polar_grid(*SUP_GRID)
 _H_CACHE: OrderedDict = OrderedDict()
 _H_CACHE_MAX = 64  # sized so one full witness-suite family stays resident
 _BALL_SAMPLES: dict = {}
-_BALL_CONSTANTS: dict = {}
 
 
 def disk_constant(r: float) -> float:
@@ -96,15 +95,17 @@ class Witness:
     safety: float = SAFETY
 
     def g_values(self, z) -> np.ndarray:
+        """g = |f|/r + safety * C * h, with h the local sup of the disk or
+        ball; the euclid witness is then divided by (1 - |z|)."""
         if self.metric == "ball-rho":
-            z2 = np.atleast_2d(np.asarray(z, dtype=complex))
-            base = np.abs(self.f(z2)) / self.r
-            return base + self.C * _ball_sup_values(self.f, z2, self.r)
-        z1 = np.atleast_1d(np.asarray(z, dtype=complex))
-        g = np.abs(self.f(z1)) / self.r \
-            + self.safety * self.C * _cached_local_sup(self.f, z1, self.r)
+            z = np.atleast_2d(np.asarray(z, dtype=complex))
+            h = _ball_sup_values(self.f, z, self.r)
+        else:
+            z = np.atleast_1d(np.asarray(z, dtype=complex))
+            h = _cached_local_sup(self.f, z, self.r)
+        g = np.abs(self.f(z)) / self.r + self.safety * self.C * h
         if self.metric == "euclid":
-            g = g / (1.0 - np.abs(z1))
+            g = g / (1.0 - np.abs(z))
         return g
 
     def __call__(self, z):
@@ -199,11 +200,16 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
 def witness_integrability(w: Witness, p: float, alpha: float,
                           grid=None) -> NormResult:
     """Protocol integral of g^p against dA_alpha (rho/beta witnesses) or
-    dA_(p+alpha) (euclid witnesses); ball witnesses use dv_alpha."""
+    dA_(p+alpha) (euclid witnesses); ball witnesses use dv_alpha, and a
+    given ``BallGrid`` must match f's dimension and alpha."""
     wp = WeightParams(p, alpha)
     if w.metric == "ball-rho":
         if grid is None:
             grid = BallGrid(w.f.n, alpha)
+        elif grid.n != w.f.n or abs(grid.alpha - alpha) > 1e-12:
+            raise ParameterError(
+                f"ball grid (n={grid.n}, alpha={grid.alpha}) does not match "
+                f"the request (n={w.f.n}, alpha={alpha})")
         vals = w.g_values(grid.nodes) ** p
         return grid.integrate_protocol(vals)
     measure_alpha = alpha + (p if w.metric == "euclid" else 0.0)
@@ -234,62 +240,33 @@ def derivative_bound_check(f: HoloFunction, w: Witness,
 # ball witnesses
 # ---------------------------------------------------------------------------
 
-def _ball_calibration_family(n: int):
-    if n == 2:
-        return [BallPoly(2, {(1, 0): 1.0}),
-                BallPoly(2, {(1, 1): 1.0}),
-                BallPoly(2, {(2, 0): 1.0, (0, 2): 1.0})]
-    return [BallPoly(3, {(1, 0, 0): 1.0}),
-            BallPoly(3, {(1, 1, 0): 1.0}),
-            BallPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})]
-
-
-def _smallest_passing(num, den) -> float:
-    """Least C >= 1e-6, up to rounding, with num - C den <= 0 on every
-    pair, in closed form: the largest num / den over pairs with den > 0,
-    stepped up one ulp at a time while rounding makes that quotient fail
-    its own check."""
-    if not np.all(np.isfinite(num) & np.isfinite(den)) \
-            or np.any((den <= 0.0) & (num > 0.0)):
-        raise ParameterError("no finite C passes every pair")
-    pos = den > 0.0
-    C = float(np.max(num[pos] / den[pos], initial=1e-6))
-    while not np.all(num - C * den <= 0.0):
-        C = float(np.nextafter(C, np.inf))
-    return C
-
-
-def _min_passing_constant(f: BallPoly, r: float, n_pairs: int,
-                          seed: int) -> float:
-    """Smallest C with zero violations on the seeded pair set (the
-    residual num - C den is decreasing in C on every pair)."""
-    z, w = ball_pairs_stratified(seed, n_pairs, r, n=f.n)
-    fz, fw = f(z), f(w)
-    Sz = _ball_sup_values(f, z, r)
-    Sw = _ball_sup_values(f, w, r)
-    rr = ball_metric(z, w, kind="rho", validate=False)
-    num = np.abs(fz - fw) - rr * (np.abs(fz) + np.abs(fw)) / r
-    return _smallest_passing(num, rr * (Sz + Sw))
-
-
 def ball_witness_constant(n: int, r: float, n_pairs: int = 10_000,
                           seed: int = 202) -> float:
-    """Per-radius constant: smallest C passing verification on the
-    calibration family, then doubled; cached."""
-    key = (n, round(r, 12), n_pairs, seed)
-    if key not in _BALL_CONSTANTS:
-        cs = [_min_passing_constant(f, r, n_pairs, seed)
-              for f in _ball_calibration_family(n)]
-        _BALL_CONSTANTS[key] = 2.0 * max(cs)
-    return _BALL_CONSTANTS[key]
+    """The constant 1/(1 - r^2) of the ball witness, the same for every n.
+
+    Let F = f o phi_z and rho = rho(z, w) < r.  Then
+    |f(z) - f(w)| = |F(0) - F(phi_z(w))| <= rho sup_{|b| <= rho} |grad F(b)|.
+    Since |RF(b)| <= |b| |grad F(b)|, the invariant gradient satisfies
+    |grad~ F(b)|^2 = (1 - |b|^2)(|grad F(b)|^2 - |RF(b)|^2)
+    >= (1 - |b|^2)^2 |grad F(b)|^2, with 1 - |b|^2 > 1 - r^2, and it is
+    Moebius invariant: |grad~ F(b)| = |grad~ f(phi_z(b))|.  So
+    |f(z) - f(w)| <= rho / (1 - r^2) * sup over D(z, r) of |grad~ f|.
+    Pairs with rho >= r are covered by the |f|/r term of the witness.
+
+    ``n_pairs`` and ``seed`` are ignored; they are kept for callers of the
+    former pair-sampled calibration.
+    """
+    return 1.0 / (1.0 - r ** 2)
 
 
 def build_witness_ball(f: BallPoly, r: float) -> Witness:
-    """Ball witness g = |f|/r + C sup of the invariant gradient over the
-    quasi-random image sample of D(z, r)."""
+    """Ball witness g = |f|/r + safety * C * sup of the invariant gradient
+    over the quasi-random image sample of D(z, r), with the closed-form
+    C = 1/(1 - r^2) of :func:`ball_witness_constant`; the default safety
+    covers the sampled sup's undershoot, as on the disk."""
     if not isinstance(f, BallPoly):
         raise TypeError("ball witness requires a ball variant")
     if not 0.0 < r < 1.0:
         raise ParameterError("radius must lie in (0, 1)")
     return Witness(f=f, metric="ball-rho", r=r,
-                   C=ball_witness_constant(f.n, r), safety=1.0)
+                   C=ball_witness_constant(f.n, r))

@@ -219,6 +219,11 @@ class TestLiftingScan:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "s,norm_f,norm_Lf,ratio,converged"
         assert len(lines) == 2
+        # the same block the suites write, with converged as 0/1
+        header, rows = res.csv_block()
+        assert lines[0].split(",") == header
+        assert lines[1].split(",") == [str(v) for v in rows[0]]
+        assert lines[1].split(",")[-1] == str(int(res.rows[0].converged))
 
 
 class TestNormAgainstSourceNorm:

@@ -1,5 +1,6 @@
 """Tests for Lipschitz witness construction and verification."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,9 +10,10 @@ from bergman import witness
 from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
     TaylorPoly
-from bergman.geometry import ball_phi, pseudo_disk_params
+from bergman.geometry import ball_metric, ball_phi, pseudo_disk_params, rho
 from bergman.quadrature import BallGrid
-from bergman.sampling import sample_ball, sample_disk
+from bergman.sampling import ball_pairs_stratified, disk_pairs_stratified, \
+    sample_ball, sample_disk
 from bergman.witness import (SAFETY, Witness, build_witness,
                              build_witness_ball, ball_witness_constant,
                              derivative_bound_check, disk_constant,
@@ -145,6 +147,28 @@ class TestVerifyLipschitz:
         assert "max_violation" in obj
 
 
+class TestStratifiedPairs:
+    @pytest.mark.parametrize("kind", ["disk", "ball2", "ball3"])
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_near_then_far_and_replay(self, kind, r):
+        for seed in range(4):
+            for n_pairs in (1, 2, 501, 2000):
+                if kind == "disk":
+                    z, w = disk_pairs_stratified(seed, n_pairs, r)
+                    z2, w2 = disk_pairs_stratified(seed, n_pairs, r)
+                    d = rho(z, w)
+                else:
+                    n = int(kind[-1])
+                    z, w = ball_pairs_stratified(seed, n_pairs, r, n=n)
+                    z2, w2 = ball_pairs_stratified(seed, n_pairs, r, n=n)
+                    assert z.shape == w.shape == (n_pairs, n)
+                    d = ball_metric(z, w, kind="rho")
+                assert np.array_equal(z, z2) and np.array_equal(w, w2)
+                assert len(d) == n_pairs
+                assert np.all(d[:n_pairs // 2] < r)
+                assert np.all(d[n_pairs // 2:] >= r)
+
+
 class TestDerivativeBound:
     def test_constant_function(self):
         w = build_witness(TaylorPoly([1.5]), "rho", 0.5)
@@ -197,9 +221,60 @@ class TestIntegrability:
 
 
 class TestBallWitness:
-    def test_constant_is_positive(self):
-        constant = ball_witness_constant(2, 0.5, n_pairs=4000, seed=202)
-        assert 0.0 < constant < 100.0
+    def test_constant_is_closed_form(self):
+        # n_pairs and seed are ignored
+        for n, r in itertools.product((2, 3), (0.2, 0.5, 0.8)):
+            for k, seed in ((200, 202), (1000, 0), (10_000, 7)):
+                assert ball_witness_constant(n, r, n_pairs=k, seed=seed) \
+                    == 1.0 / (1.0 - r ** 2)
+            assert ball_witness_constant(n, r) == 1.0 / (1.0 - r ** 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_near_pairs_within_closed_form_bound(self, n, r):
+        # |f(z) - f(w)| <= rho C sup_{D(z, r)} |invariant gradient| for
+        # rho(z, w) < r, with the sampled sup and no safety factor
+        mons = [m for m in itertools.product(range(6), repeat=n)
+                if sum(m) <= 5]
+        for k in range(4):
+            rng = np.random.default_rng([n, k])
+            idx = rng.choice(len(mons), 10, replace=False)
+            f = BallPoly(n, {mons[i]: complex(*rng.normal(size=2))
+                             for i in idx})
+            z, w = ball_pairs_stratified(k, 1000, r, n=n)
+            z, w = z[:500], w[:500]
+            d = ball_metric(z, w, kind="rho")
+            bound = d * witness._ball_sup_values(f, z, r) \
+                * ball_witness_constant(n, r)
+            assert np.all(np.abs(f(z) - f(w)) <= bound)
+
+    def test_held_out_cubic_verifies(self):
+        # a degree-3 polynomial without constant term that needed C = 0.295
+        # on 250 pairs under the former pair-sampled calibration, more than
+        # the 0.283 that calibration gave on 1,000 pairs
+        rng = np.random.default_rng(16)
+        f = BallPoly(2, {(i, j): complex(*rng.normal(size=2))
+                         for i in range(4) for j in range(4)
+                         if 1 <= i + j <= 3})
+        w = build_witness_ball(f, 0.5)
+        for seed, n_pairs in ((4, 250), (5, 4000)):
+            assert verify_lipschitz(f, w, n_pairs=n_pairs,
+                                    seed=seed).max_violation <= 0.0
+
+    def test_build_uses_closed_form_and_safety(self):
+        w = build_witness_ball(BallPoly(3, {(1, 0, 0): 1.0}), 0.5)
+        assert w.C == 4.0 / 3.0 and w.safety == SAFETY
+
+    def test_safety_scales_sup_term(self):
+        f = BallPoly(2, {(1, 1): 1.0, (2, 0): 0.5j})
+        z = sample_ball(3, 50, 2, rmax=0.9)
+        base = np.abs(f(z)) / 0.5
+        g1 = Witness(f=f, metric="ball-rho", r=0.5, C=1.0,
+                     safety=1.0).g_values(z)
+        g2 = Witness(f=f, metric="ball-rho", r=0.5, C=1.0,
+                     safety=2.0).g_values(z)
+        assert np.all(g1 > base)
+        np.testing.assert_allclose(g2 - base, 2.0 * (g1 - base), rtol=1e-12)
 
     def test_constant_function(self):
         f = BallPoly(2, {(0, 0): 2.0 + 1.0j})
@@ -224,6 +299,21 @@ class TestBallWitness:
                                     grid=BallGrid(2, 0.0, log2_count=16))
         assert res.converged
 
+    @pytest.mark.parametrize("grid_n,grid_alpha", [(2, 0.0), (3, 1.0)])
+    def test_integrability_rejects_mismatched_grid(self, grid_n, grid_alpha,
+                                                   monkeypatch):
+        # the request is n = 2, alpha = 1: a dv_0 grid, or a grid of C^3,
+        # is refused before the witness is evaluated
+        w = build_witness_ball(BallPoly(2, {(1, 0): 1.0}), 0.5)
+        grid = BallGrid(grid_n, grid_alpha, log2_count=8)
+
+        def no_eval(self, z):
+            raise AssertionError("witness evaluated on a mismatched grid")
+
+        monkeypatch.setattr(Witness, "g_values", no_eval)
+        with pytest.raises(ParameterError, match="does not match"):
+            witness_integrability(w, 2, 1.0, grid=grid)
+
     def test_sup_values_match_finite_differences(self):
         # max over the images phi_z(r e) of |grad(f o phi_u)(0)| taken by
         # central differences along each coordinate axis, step 1e-5
@@ -242,35 +332,6 @@ class TestBallWitness:
             acc += np.abs((gp - gm) / (2.0 * h)) ** 2
         np.testing.assert_allclose(witness._ball_sup_values(f, z, r),
                                    np.sqrt(acc).max(axis=1), rtol=1e-8)
-
-    def test_calibration_constant_is_the_largest_quotient(self):
-        rng = np.random.default_rng(14)
-        num = rng.normal(size=500)
-        den = rng.uniform(0.0, 2.0, 500)
-        den[:20] = 0.0
-        num[:20] = -np.abs(num[:20])  # no C can fail a pair with den = 0
-        C = witness._smallest_passing(num, den)
-        pos = den > 0
-        q = np.max(num[pos] / den[pos])
-        assert np.all(num - C * den <= 0.0)
-        # q itself, or the first float above q that passes
-        below = np.nextafter(C, 0.0)
-        assert C == q or (below >= q and np.any(num - below * den > 0.0))
-
-    def test_calibration_constant_passes_its_own_check(self):
-        # fl(1 / 49) * 49 rounds below 1, so the quotient itself fails
-        num, den = np.array([1.0, -1.0]), np.array([49.0, 2.0])
-        assert num[0] - (num[0] / den[0]) * den[0] > 0.0
-        C = witness._smallest_passing(num, den)
-        assert C == np.nextafter(1.0 / 49.0, np.inf)
-        assert np.all(num - C * den <= 0.0)
-
-    def test_calibration_constant_floor_and_failure(self):
-        num, den = np.array([1e-9, -1.0]), np.array([1.0, 0.0])
-        assert witness._smallest_passing(num, den) == 1e-6
-        with pytest.raises(ParameterError):
-            witness._smallest_passing(np.array([1e-9, 1e-3]),
-                                      np.array([1.0, 0.0]))
 
     def test_metadata_round_trip(self):
         f = BallPoly(2, {(1, 0): 1.0})
