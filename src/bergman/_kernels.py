@@ -5,17 +5,26 @@ passes sized by one element budget, ``_BUDGET`` = 2^16 sample points
 (or node pairs) per pass, so that a pass's temporaries (1 MB each in
 complex128) stay in cache.
 
-The two local-sup kernels push a fixed sample of the unit disk (ball)
-onto each local disk and take the max of a quantity that the function
-classes compute: (1 - |u|^2) |f'(u)| through ``derivative_at``, and the
-invariant gradient through ``BallPoly.invariant_gradient_at``.  A pass
-takes max(1, _BUDGET // len(sample)) centres (points): 65 centres of the
-993-point disk sample, 64 points of the 1,024-point ball sample.  The
-budget is measured, one thread on a 2-core Xeon: the 16 kernel calls of
-one ``disk-witness`` benchmark round (15,216 centres) take 0.69, 0.71,
-0.63, 0.64, 0.62 and 1.02 s at budgets 2^12 through 2^17, against 1.46 s
-at 2,048 centres per pass, where every Horner step streams two 32 MB
-temporaries.
+The two local-sup kernels take the max, over a fixed sample of the unit
+disk (ball) mapped onto each local disk, of a quantity that the function
+classes compute.  On the disk it is (1 - |u|^2) |f'(u)| at u = c + R e,
+with f' from ``f.local_derivative`` on a pass of local disks and a table
+``f.local_derivative_table(sample)`` formed once per call.  A
+``TaylorPoly`` takes f' through its Taylor coefficients about each
+centre: beta = V(c) @ M, scaled by R^k, times the sample's power table
+E[k] = e^k, two BLAS products in place of a Horner loop over the pushed
+sample.  The closed forms push the sample through ``derivative_at``.  In
+the ball it is the invariant gradient, through
+``BallPoly.invariant_gradient_at``.  Rounding in the shifted f' is
+bounded by about D eps sum_j |a'_j| (|c| + R)^j for D coefficients a'_j,
+which is Horner's bound at |u| <= |c| + R (see ``local_sup_poly``).
+
+A pass takes max(1, _BUDGET // len(sample)) centres (points): 65 centres
+of the 993-point disk sample, 64 points of the 1,024-point ball sample.
+The budget is measured, one thread on a 2-core Xeon: the 48 kernel calls
+of three ``disk-witness`` benchmark rounds (seed 101, 45,648 centres)
+take 0.42, 0.27, 0.22, 0.19, 0.20, 0.20 and 0.23 s per round at budgets
+2^12 through 2^18, against 0.79 s per round for the Horner loop at 2^16.
 
 The pair sum of the lifted closed forms visits each mirror orbit of node
 pairs once.  When the nodes below the real axis are exact mirror images
@@ -53,14 +62,39 @@ def _passes(n, inner):
 # ---------------------------------------------------------------------------
 
 def local_sup_poly(centers, radii, grid, f):
-    """For each center/radius, max over u = center + radius*grid of
-    (1 - |u|^2) |f'(u)|."""
+    """For each center c and radius R, max over u = c + R e, e in
+    ``grid``, of (1 - |u|^2) |f'(u)|.
+
+    f' comes from ``f.local_derivative`` in passes of the element budget,
+    with the per-call table ``f.local_derivative_table(grid)``: two BLAS
+    products through the shifted coefficients for a ``TaylorPoly``,
+    ``derivative_at`` of the pushed sample for the closed forms.  The
+    weight 1 - |u|^2 = (1 - |c|^2) - 2R Re c Re e - 2R Im c Im e - R^2 |e|^2
+    is one real product of per-centre and per-sample rows of four, taken
+    by ``einsum``, whose sums do not depend on the rows of the pass as a
+    BLAS product's blocking does.  Each pass keeps the max of
+    w^2 |f'|^2; the square root is taken at the end.
+
+    Rounding: the shifted sum bounds the error in f'(u) by about
+    D eps sum_j |a'_j| (|c| + R)^j, since sum_k |beta_k| R^k <=
+    sum_j |a'_j| (|c| + R)^j; that is Horner's bound at |u| <= |c| + R, so
+    the binomials (C(50, 25) ~ 1.3e14) do not enlarge it.  The weight
+    carries an absolute error of a few eps from 1 - |c|^2.
+    """
+    table = f.local_derivative_table(grid)
+    e_terms = np.stack([np.ones(len(grid)), grid.real, grid.imag,
+                        grid.real ** 2 + grid.imag ** 2])
     out = np.empty(len(centers))
     for k in _passes(len(centers), len(grid)):
-        u = centers[k, None] + radii[k, None] * grid[None, :]
-        out[k] = ((1.0 - np.abs(u) ** 2)
-                  * np.abs(f.derivative_at(u))).max(axis=1)
-    return out
+        c, R = centers[k], radii[k]
+        w = np.einsum("ci,is->cs", np.stack(
+            [1.0 - (c.real ** 2 + c.imag ** 2), -2.0 * R * c.real,
+             -2.0 * R * c.imag, -R * R], axis=1), e_terms)
+        d = f.local_derivative(c, R, table)
+        w *= w
+        w *= d.real ** 2 + d.imag ** 2
+        out[k] = w.max(axis=1)
+    return np.sqrt(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import BALL_DIMS
 
+SHIFT_MAX_DEGREE = 512  # C(m+k, k) < 2^512 ~ 1e154, far below float64 overflow
+
 
 class HoloFunction:
     """Base class; concrete variants implement ``__call__`` and, on the
@@ -24,6 +26,19 @@ class HoloFunction:
 
     def derivative_at(self, z):
         raise NotImplementedError
+
+    def local_derivative_table(self, grid):
+        """What ``local_derivative`` needs of the unit-disk sample
+        ``grid``, formed once per batch of local disks: here the sample
+        itself."""
+        return np.asarray(grid, dtype=complex)
+
+    def local_derivative(self, centers, radii, table):
+        """f'(c + R e) for each centre c and radius R (rows) and each
+        sample point e (columns), given ``local_derivative_table(grid)``;
+        here ``derivative_at`` of the pushed sample."""
+        return self.derivative_at(centers[:, None]
+                                  + radii[:, None] * table[None, :])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -44,7 +59,8 @@ class HoloFunction:
 
 
 class TaylorPoly(HoloFunction):
-    """Finite Taylor polynomial sum a_k z^k, evaluated by Horner."""
+    """Finite Taylor polynomial sum a_k z^k, evaluated by Horner; f' on
+    batches of local disks goes through its shifted coefficients."""
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -71,6 +87,42 @@ class TaylorPoly(HoloFunction):
 
     def derivative_at(self, z):
         return self.differentiated()(z)
+
+    def local_derivative_table(self, grid):
+        """The shift matrix M and the power table E of the sample e.
+
+        With a'_j (j < D) the coefficients of f', the Taylor coefficients
+        of f' about c are beta_k(c) = sum_m C(m+k, k) a'_(m+k) c^m, the
+        rows of V(c) @ M for the powers V(c)[m] = c^m and
+        M[m, k] = C(m+k, k) a'_(m+k) where m + k < D, 0 elsewhere.
+        E[k] = e^k, shape (D, len(grid)).  The degree is capped at
+        SHIFT_MAX_DEGREE, so that M and beta stay far from overflow (the
+        binomials alone overflow from D = 1,031 on)."""
+        if self.degree > SHIFT_MAX_DEGREE:
+            raise ParameterError(f"local sups take degrees up to "
+                                 f"{SHIFT_MAX_DEGREE}, not {self.degree}")
+        da = self.differentiated().coeffs
+        D = len(da)
+        binom = np.zeros((D, D))  # Pascal's triangle, exact below 2^53
+        binom[:, 0] = 1.0
+        for j in range(1, D):
+            binom[j, 1:] = binom[j - 1, 1:] + binom[j - 1, :-1]
+        m, k = np.indices((D, D))
+        j = m + k
+        inside = j < D
+        M = np.zeros((D, D), dtype=complex)
+        M[inside] = binom[j[inside], k[inside]] * da[j[inside]]
+        grid = np.asarray(grid, dtype=complex)
+        return M, np.ascontiguousarray(np.vander(grid, D, increasing=True).T)
+
+    def local_derivative(self, centers, radii, table):
+        """f'(c + R e) = sum_k beta_k(c) R^k e^k by two matrix products,
+        (V(c) @ M) R^k @ E, with M and E from ``local_derivative_table``."""
+        M, E = table
+        D = len(M)
+        beta = np.vander(centers, D, increasing=True) @ M
+        beta *= np.vander(radii, D, increasing=True)
+        return beta @ E
 
     def to_json(self) -> dict:
         return {"variant": "taylor",

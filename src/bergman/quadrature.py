@@ -21,7 +21,9 @@ passes:
 
 - disk: ``disk_ladder(alpha)`` = alpha+1, alpha+2, ..., or the caller's;
 - log weight log(1/(1-|z|^2)) dA: ``log_ladder()`` = 1, 1, 2, 2, ...;
-- bidisk: ``bidisk_ladder(alpha)``, the merged alpha+1+m and 2(alpha+1)+m;
+- bidisk: ``bidisk_ladder(alpha)``, the merged alpha+1+m and 2(alpha+1)+m,
+  after the edge and corner exponents of (1-z)^(-s) for its lifted norms
+  (``BidiskGrid.lifted_power_norm``);
 - ball: the one exponent alpha+1 (a second stage would amplify the
   quasi-Monte-Carlo noise of the outer rings);
 - Forelli-Rudin integrals: ``disk_ladder(s)`` for their (1-|w|^2)^s
@@ -40,7 +42,6 @@ from scipy.special import gammaln, hyp2f1
 
 from .errors import ParameterError
 from .functions import BallPoly, HoloFunction, TaylorPoly
-from .geometry import EuclideanDisk
 from . import _kernels
 
 EPS_START = 2.0 ** -4
@@ -401,19 +402,41 @@ class BidiskGrid:
         return np.cumsum(np.cumsum(block, axis=0), axis=1).diagonal().copy()
 
     def protocol_from_block(self, block, rtol: float = 0.05,
-                            rule: str = "scan") -> NormResult:
+                            rule: str = "scan", ladder=None) -> NormResult:
+        """The protocol on the diagonal partials of ring blocks, with the
+        tail exponents ``ladder``, by default ``bidisk_ladder(alpha)``."""
+        if ladder is None:
+            ladder = bidisk_ladder(self.alpha)
         return _protocol(self.block_partials(block), self.factor.eps_values,
-                         bidisk_ladder(self.alpha), rtol, rule)
+                         ladder, rtol, rule)
 
     def lifted_power_norm(self, s: float, p: float, variant: int = 0,
                           rtol: float = 0.05) -> NormResult:
         """Protocol integral of |(f(z)-f(w))/(z-w)|^p over the tensor grid
-        for f = (1-z)^(-s) (variant 0) or log(1/(1-z)) (variant 1)."""
+        for f = (1-z)^(-s) (variant 0) or log(1/(1-z)) (variant 1).
+
+        Tail exponents of variant 0, in delta ~ 2 eps.  Under the scaling
+        z = 1 - delta zeta, w = 1 - delta omega, (1-z)^(-s) - (1-w)^(-s)
+        = delta^(-s) (zeta^(-s) - omega^(-s)) and z - w = delta (omega -
+        zeta), so |Lf| ~ delta^(-(s+1)) near the corner (1, 1), on a region
+        of dA_beta x dA_beta measure delta^(beta+2) delta^(beta+2): the
+        corner adds a tail in delta^(2 beta + 4 - p (s+1)).  Along an
+        edge, z near 1 and w away from it, |Lf| ~ |f(z)| ~ delta^(-s) on a
+        region of measure delta^(beta+2) times O(1): a tail in
+        delta^(beta + 2 - p s).  The ladder puts these two before the
+        weight's own ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are
+        2 - 2s, and the repeated exponent absorbs the delta^(2-2s) log
+        delta of the series 2 sum |a_k|^2 H_k / (k+1).  Variant 1 keeps
+        ``bidisk_ladder(beta)``."""
         g = self.factor
         f = (1.0 - g.nodes) ** (-s) if variant == 0 else -np.log(1.0 - g.nodes)
         block = _kernels.pair_block_sums(g.nodes, f, g.weights, g.ring,
                                          g.n_levels, p, s, variant)
-        return self.protocol_from_block(block, rtol=rtol, rule="scan")
+        b = self.alpha
+        ladder = ([b + 2.0 - p * s, 2.0 * b + 4.0 - p * (s + 1.0),
+                   *bidisk_ladder(b)] if variant == 0 else None)
+        return self.protocol_from_block(block, rtol=rtol, rule="scan",
+                                        ladder=ladder)
 
     def ring_moments(self, d1: int, d2: int) -> np.ndarray:
         """Per-ring monomial moments M[a, k, l] = sum_(i in ring a)
@@ -648,16 +671,3 @@ def fit_growth_exponent(samples) -> float:
     xs = np.array([-np.log(1.0 - a * a) for a, _ in good])
     ys = np.array([np.log(b) for _, b in good])
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def region_integral(values_fn, disk: EuclideanDisk, n_radial: int = 48,
-                    n_angular: int = 64) -> float:
-    """Integral of a function over a Euclidean disk against the normalized
-    area measure of the unit disk (area / pi)."""
-    gx, gw = _gauss_legendre(n_radial)
-    u = 0.5 + 0.5 * gx
-    wu = 0.5 * gw
-    th = np.exp(2j * np.pi * (np.arange(n_angular) + 0.5) / n_angular)
-    pts = disk.center + disk.radius * np.sqrt(u)[:, None] * th[None, :]
-    vals = values_fn(pts.ravel()).reshape(pts.shape)
-    return float(disk.radius ** 2 * np.sum(wu[:, None] * vals.real / n_angular))

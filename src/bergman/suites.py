@@ -279,6 +279,7 @@ def _witness_suite(cfg: SuiteConfig, rep: ExperimentReport, metric: str,
     worst_violation = -np.inf
     worst_bound = -np.inf
     details = {}
+    cases = {}
     conv_all = True
     for name, f in fam:
         w = build_witness(f, metric, WITNESS_RADIUS)
@@ -289,12 +290,15 @@ def _witness_suite(cfg: SuiteConfig, rep: ExperimentReport, metric: str,
         details[name] = {"max_violation": vrep.max_violation,
                          "derivative_bound_residual": bound}
         if integrability:
-            conv = {}
+            conv, cases[name] = {}, {}
             for p, alpha in INTEGRABILITY_CASES:
                 measure = alpha + (p if metric == "euclid" else 0.0)
                 res = witness_integrability(w, p, alpha,
                                             grid=_integrability_grid(measure))
                 conv[f"p{p}_alpha{alpha}"] = bool(res.converged)
+                cases[name][f"p{p}_alpha{alpha}"] = {
+                    "verdict": res.verdict,
+                    "estimated_error": res.estimated_error}
                 conv_all = conv_all and res.converged
             details[name]["integrability_converged"] = conv
     rep.checks.append(check(f"{metric}_max_lipschitz_violation",
@@ -303,7 +307,7 @@ def _witness_suite(cfg: SuiteConfig, rep: ExperimentReport, metric: str,
                             worst_bound, 0.0, "<="))
     if integrability:
         rep.checks.append(check_true(f"{metric}_integrability_all_converged",
-                                     conv_all))
+                                     conv_all, info=cases))
     # empirical witness-to-function norm ratio (finiteness only)
     name, f = fam[-1]
     w = build_witness(f, metric, WITNESS_RADIUS)

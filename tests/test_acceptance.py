@@ -14,7 +14,7 @@ growth factor from N = 100 to 10^4 is held to the bound that law gives
 import numpy as np
 import pytest
 
-from bergman.suites import SuiteConfig, run_suite
+from bergman.suites import INTEGRABILITY_CASES, SuiteConfig, run_suite
 
 SEED = 42
 _CACHE = {}
@@ -70,15 +70,32 @@ class TestCriterion4SeminormEquivalence:
         assert _emit(rep)
 
 
+def _check_integrability_cases(rep, metric):
+    """Every (function, p, alpha) case of the integrability check carries
+    its protocol verdict and error estimate."""
+    conv = next(c for c in rep.checks
+                if c.name == f"{metric}_integrability_all_converged")
+    assert len(conv.info) == 6  # the witness family
+    for cases in conv.info.values():
+        assert set(cases) == {f"p{p}_alpha{a}" for p, a in INTEGRABILITY_CASES}
+        for case in cases.values():
+            assert case["verdict"] == "member"
+            assert 0.0 <= case["estimated_error"] < np.inf
+
+
 class TestCriterion5Witnesses:
     def test_rho_witnesses(self):
-        assert _emit(suite("thm6"))
+        rep = suite("thm6")
+        _check_integrability_cases(rep, "rho")
+        assert _emit(rep)
 
     def test_beta_witnesses(self):
         assert _emit(suite("thm7"))
 
     def test_euclid_witnesses(self):
-        assert _emit(suite("thm8"))
+        rep = suite("thm8")
+        _check_integrability_cases(rep, "euclid")
+        assert _emit(rep)
 
 
 class TestCriterion6GrowthExponents:

@@ -1,14 +1,17 @@
-"""Tests for the kernels' passes of the element budget, and for the
+"""Tests for the kernels' passes of the element budget, for the local
+sups of Taylor polynomials against a 30-digit reference, and for the
 ring-block pair sums of the lifted closed forms against their defining
 double sum, on unmirrored and mirrored node sets, and of the mirror
 layout of the graded grids that the pair sums rely on."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from bergman import _kernels, witness
-from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
-    TaylorPoly
+from bergman.errors import ParameterError
+from bergman.functions import SHIFT_MAX_DEGREE, BallPoly, LogKernel, \
+    PowerSingularity, TaylorPoly
 from bergman.geometry import EuclideanDisk, pseudo_disk_params
 from bergman.lifting import default_scan_bidisk_grid
 from bergman.quadrature import DiskGrid
@@ -46,11 +49,12 @@ def pass_sizes(monkeypatch):
     """Records the number of sample points each kernel pass evaluates:
     centres x disk samples, or points x ball samples."""
     sizes = []
-    for cls, name in [(TaylorPoly, "derivative_at"),
+    for cls, name in [(TaylorPoly, "local_derivative"),
                       (BallPoly, "invariant_gradient_at")]:
-        def recording(self, u, _method=getattr(cls, name)):
-            sizes.append(int(np.prod(np.shape(u)[:2])))
-            return _method(self, u)
+        def recording(self, *args, _method=getattr(cls, name)):
+            out = _method(self, *args)
+            sizes.append(out.size)
+            return out
 
         monkeypatch.setattr(cls, name, recording)
     return sizes
@@ -59,12 +63,17 @@ def pass_sizes(monkeypatch):
 @pytest.mark.parametrize("budget", [1024, 3000, 1 << 20])
 @pytest.mark.parametrize("name", DISK_FUNCTIONS)
 def test_local_sup_is_budget_invariant(disks, monkeypatch, budget, name):
+    """Bit-identical for the closed forms; a Taylor polynomial's f' is a
+    BLAS product, whose blocking follows the pass's row count."""
     centers, radii = disks
     f = DISK_FUNCTIONS[name]
     want = _kernels.local_sup_poly(centers, radii, witness._UNIT_GRID, f)
     monkeypatch.setattr(_kernels, "_BUDGET", budget)
     got = _kernels.local_sup_poly(centers, radii, witness._UNIT_GRID, f)
-    assert np.array_equal(got, want)
+    if isinstance(f, TaylorPoly):
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+    else:
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("budget", [1024, 3000, 16 * 1024, 1 << 20])
@@ -117,6 +126,73 @@ def test_default_pass_sizes():
     assert len(witness._UNIT_GRID) == 993
     assert len(witness._ball_sup_sample(2)) == 1024
     assert _kernels._BUDGET // 993 == 65 and _kernels._BUDGET // 1024 == 64
+
+
+# ---------------------------------------------------------------------------
+# the shifted-coefficient path near the boundary, against 30 digits
+# ---------------------------------------------------------------------------
+
+BOUNDARY_POLYS = {
+    "seeded50": TaylorPoly(np.random.default_rng(41).normal(size=(51, 2))
+                           @ [1, 1j]),
+    "section50": PowerSingularity(0.6).taylor_section(50),
+}
+BOUNDARY_SAMPLE = EuclideanDisk(0j, 1.0).polar_grid(9, 16)  # 129 points
+
+
+@pytest.fixture(scope="module")
+def boundary_disks():
+    """D(z, 1/2) at |z| in {0.9, ..., 0.9999} and angles 0, pi and 2; the
+    section of (1 - z)^-0.6 cancels in its sums near z = -1."""
+    z = np.array([a * np.exp(1j * t) for a in (0.9, 0.99, 0.999, 0.9999)
+                  for t in (0.0, np.pi, 2.0)])
+    return pseudo_disk_params(z, 0.5)
+
+
+def _local_sup_30_digits(f, centers, radii, grid):
+    """max over u = c + R e of (1 - |u|^2) |f'(u)| by Horner at 30 digits,
+    from the exact values of the float inputs and of f's float f'."""
+    with mpmath.workdps(30):
+        da = [mpmath.mpc(complex(a)) for a in f.differentiated().coeffs[::-1]]
+        sample = [mpmath.mpc(complex(e)) for e in grid]
+        out = []
+        for c, R in zip(centers, radii):
+            c, R, best = mpmath.mpc(complex(c)), mpmath.mpf(float(R)), 0
+            for e in sample:
+                u = c + R * e
+                v = da[0]
+                for a in da[1:]:
+                    v = v * u + a
+                best = max(best, (1 - (u.real ** 2 + u.imag ** 2)) ** 2
+                           * (v.real ** 2 + v.imag ** 2))
+            out.append(float(mpmath.sqrt(best)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", BOUNDARY_POLYS)
+def test_local_sup_matches_30_digit_reference(boundary_disks, name):
+    centers, radii = boundary_disks
+    f = BOUNDARY_POLYS[name]
+    got = _kernels.local_sup_poly(centers, radii, BOUNDARY_SAMPLE, f)
+    want = _local_sup_30_digits(f, centers, radii, BOUNDARY_SAMPLE)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [[2.0], [0.5, 1j], [1, -2, 3j]])
+def test_low_degree_local_derivative_is_horner(disks, coeffs):
+    centers, radii = disks
+    f = TaylorPoly(coeffs)
+    grid = witness._UNIT_GRID
+    got = f.local_derivative(centers, radii, f.local_derivative_table(grid))
+    u = centers[:, None] + radii[:, None] * grid[None, :]
+    np.testing.assert_allclose(got, f.derivative_at(u), rtol=1e-14,
+                               atol=1e-14)
+
+
+def test_local_derivative_degree_cap():
+    f = TaylorPoly(np.ones(SHIFT_MAX_DEGREE + 2))
+    with pytest.raises(ParameterError):
+        f.local_derivative_table(witness._UNIT_GRID)
 
 
 # ---------------------------------------------------------------------------

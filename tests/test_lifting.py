@@ -13,7 +13,7 @@ from bergman.lifting import (LiftedFunction, TensorPoly, bidisk_norm,
                              lift_norm_series_A2, lifting_scan,
                              log_weighted_norm, monomial_log_norm_exact,
                              default_poly_bidisk_grid)
-from bergman.quadrature import WeightParams, grid_for, norm_p
+from bergman.quadrature import WeightParams, grid_for, norm_p, richardson
 from bergman.sampling import sample_disk
 
 
@@ -183,6 +183,82 @@ class TestDivergenceDemo:
             divergence_demo([])
 
 
+def _power_coefficients(s, n):
+    """a_k = (s)_k / k! of (1 - z)^(-s), k < n."""
+    k = np.arange(n, dtype=float)
+    return np.exp(gammaln(k + s) - gammaln(s) - gammaln(k + 1.0))
+
+
+def _lifted_series_of_power(s, n_terms=2 ** 20):
+    """int int |Lf|^2 dA dA = 2 sum_k |a_k|^2 H_k / (k+1) for (1-z)^(-s),
+    0 < s < 1: ``n_terms`` terms plus the integral of the asymptotic tail
+    2 k^(2s-3) (log k + gamma) / Gamma(s)^2."""
+    head = lift_norm_series_A2(_power_coefficients(s, n_terms))
+    K, e = float(n_terms), 2.0 - 2.0 * s
+    return head + 2.0 * np.exp(-2.0 * gammaln(s)) * K ** (-e) * (
+        (np.log(K) + np.euler_gamma) / e + 1.0 / e ** 2)
+
+
+def _lifted_square_partials(s, beta, degrees):
+    """Partial sums over i + j < N, for N in ``degrees``, of
+    int int |Lf|^4 dA_beta dA_beta for f = (1-z)^(-s), the norm of
+    (Lf)^2 = sum d_ij z^i w^j: sum |d_ij|^2 B(i) B(j), with
+    B(k) = Gamma(beta+2) k! / Gamma(k+beta+2).
+
+    Lf = sum_m b_m h_m with b_m = a_(m+1) and h_m = sum_(i+j=m) z^i w^j, so
+    for i + j = M, d_ij = sum_t g_t #{i1 <= min(t, i), i1 >= t - j} with
+    g_t = b_t b_(M-t), that is sum_t g_t (t + 1 - (t-i)_+ - (t-j)_+): one
+    weighted sum less two ramp sums R(k) = sum_(t>k) (t-k) g_t."""
+    N = max(degrees)
+    b = _power_coefficients(s, N + 1)[1:]
+    k = np.arange(N, dtype=float)
+    B = np.exp(gammaln(beta + 2.0) + gammaln(k + 1.0)
+               - gammaln(k + beta + 2.0))
+    terms = np.empty(N)
+    for M in range(N):
+        t = np.arange(M + 1)
+        g = b[:M + 1] * b[M::-1]
+        above = np.append(np.cumsum(g[::-1])[::-1][1:], 0.0)
+        t_above = np.append(np.cumsum((t * g)[::-1])[::-1][1:], 0.0)
+        ramp = t_above - t * above
+        d = np.sum((t + 1) * g) - ramp - ramp[::-1]
+        terms[M] = np.sum(d * d * B[:M + 1] * B[M::-1])
+    return np.cumsum(terms)[np.asarray(degrees) - 1]
+
+
+def _lifted_square_series(s, beta, degrees=(128, 256, 512, 1024, 2048)):
+    """The partial sums extrapolated in 1/N with the exponents e, e + 1
+    and 1, where e = 2 beta + 4 - 4 (s+1)."""
+    e = 2.0 * beta + 4.0 - 4.0 * (s + 1.0)
+    return richardson(1.0 / np.asarray(degrees, float),
+                      _lifted_square_partials(s, beta, degrees),
+                      [e, e + 1.0, 1.0])[0]
+
+
+@pytest.fixture(scope="module")
+def thm12_scan():
+    return lifting_scan((0.1, 0.3, 0.45), 4.0, 0.0, "thm12")
+
+
+def test_lifted_square_series_is_the_convolution():
+    # the ramp sums against the 2-d convolution of c_ij = a_(i+j+1),
+    # summed over i + j < N without extrapolation
+    s, beta, N = 0.3, 1.0, 12
+    a = _power_coefficients(s, 2 * N + 2)
+    c = a[np.add.outer(np.arange(N), np.arange(N)) + 1]
+    d = np.zeros((2 * N - 1, 2 * N - 1))
+    for i in range(N):
+        for j in range(N):
+            d[i:i + N, j:j + N] += c[i, j] * c
+    k = np.arange(2 * N - 1, dtype=float)
+    B = np.exp(gammaln(beta + 2.0) + gammaln(k + 1.0)
+               - gammaln(k + beta + 2.0))
+    inside = np.add.outer(k, k) < N
+    want = np.sum((d ** 2 * np.outer(B, B))[inside])
+    np.testing.assert_allclose(_lifted_square_partials(s, beta, [N]), [want],
+                               rtol=1e-13)
+
+
 class TestLiftingScan:
     def test_thm11_mode_converges(self):
         res = lifting_scan([0.5, 1.0], 1.0, 0.0, "thm11")
@@ -202,6 +278,25 @@ class TestLiftingScan:
                            - 2.0 * gammaln(2.0 - ps / 2.0))
             np.testing.assert_allclose(row.norm_f, exact, rtol=1e-4,
                                        err_msg=f"s={row.s}")
+
+    @pytest.mark.parametrize("s,rtol", [(0.1, 2e-5), (0.3, 1e-3),
+                                        (0.45, 1e-2)])
+    def test_p4_lifted_norms_match_even_p_series(self, thm12_scan, s, rtol):
+        # the series is settled to about 1e-6, 4e-5 and 2e-4 of itself;
+        # without the edge and corner exponents the errors are 2.4e-4,
+        # 1.9e-2 and 0.40
+        row = next(r for r in thm12_scan.rows if r.s == s)
+        assert row.converged
+        np.testing.assert_allclose(row.norm_lf, _lifted_square_series(s, 1.0),
+                                   rtol=rtol)
+
+    @pytest.mark.parametrize("s", [0.2, 0.4, 0.6])
+    def test_p2_lifted_norms_match_series(self, s):
+        # without the ladder the errors are 1.8e-4, 2.2e-3 and 2.4e-2
+        res = bidisk_norm(lift(PowerSingularity(s)), 2, 0.0)
+        assert res.converged
+        np.testing.assert_allclose(res.value, _lifted_series_of_power(s),
+                                   rtol=1e-5)
 
     def test_mode_preconditions(self):
         with pytest.raises(ParameterError):
