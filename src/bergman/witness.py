@@ -23,7 +23,7 @@ from .errors import ParameterError
 from .functions import BallPoly, HoloFunction, TaylorPoly
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
-from .quadrature import BallGrid, NormResult, WeightParams, grid_for
+from .quadrature import NormResult, WeightParams, ball_grid_for, grid_for
 from .sampling import ball_pairs_stratified, disk_pairs_stratified, sobol_ball
 
 SAFETY = 1.05          # covers sampled-sup undershoot on smooth families
@@ -202,22 +202,14 @@ def witness_integrability(w: Witness, p: float, alpha: float,
     """Protocol integral of g^p against dA_alpha (rho/beta witnesses) or
     dA_(p+alpha) (euclid witnesses); ball witnesses use dv_alpha, and a
     given ``BallGrid`` must match f's dimension and alpha."""
-    wp = WeightParams(p, alpha)
-    if w.metric == "ball-rho":
-        if grid is None:
-            grid = BallGrid(w.f.n, alpha)
-        elif grid.n != w.f.n or abs(grid.alpha - alpha) > 1e-12:
-            raise ParameterError(
-                f"ball grid (n={grid.n}, alpha={grid.alpha}) does not match "
-                f"the request (n={w.f.n}, alpha={alpha})")
-        vals = w.g_values(grid.nodes) ** p
-        return grid.integrate_protocol(vals)
+    WeightParams(p, alpha)
     measure_alpha = alpha + (p if w.metric == "euclid" else 0.0)
-    if grid is None or abs(grid.alpha - measure_alpha) > 1e-12:
+    if w.metric == "ball-rho":
+        grid = ball_grid_for(w.f.n, alpha, grid)
+    elif grid is None or abs(grid.alpha - measure_alpha) > 1e-12:
         grid = grid_for(w.f if isinstance(w.f, TaylorPoly) else None,
                         measure_alpha)
-    vals = w.g_values(grid.nodes) ** p
-    return grid.integrate_protocol(vals)
+    return grid.integrate_protocol(w.g_values(grid.nodes) ** p)
 
 
 def derivative_bound_check(f: HoloFunction, w: Witness,

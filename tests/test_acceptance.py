@@ -157,9 +157,27 @@ class TestCriterion9Ball:
         rep = suite("ball-thm13")
         assert _emit(rep)
 
+    def test_every_ball_integral_recorded(self):
+        # the convergence check reads all four integrals of each function,
+        # and records each one's verdict and error estimate
+        rep = suite("ball-thm13")
+        conv = next(c for c in rep.checks
+                    if c.name == "ball_norm_integrals_converged")
+        ratios = next(c for c in rep.checks if c.name ==
+                      "derivative_norm_equivalence_empirical_constant")
+        assert set(conv.info) == set(ratios.info) and len(conv.info) == 5
+        for cases in conv.info.values():
+            assert set(cases) == {"base", "radial", "gradient",
+                                  "invariant_gradient"}
+            for case in cases.values():
+                assert case["verdict"] == "member"
+                assert np.isfinite(case["estimated_error"])
+        assert _emit(rep, only=["ball_norm_integrals_converged"])
+
 
 def test_total_runtime_report():
     total = sum(rep.wall_time_s for rep in _CACHE.values())
     print(f"[INFO] total suite wall time: {total:.1f}s "
           f"across {len(_CACHE)} suites")
     assert total > 0
+

@@ -1,16 +1,20 @@
 """Tests for the weighted quadrature grids, the eps protocol, membership
 decisions and the growth-exponent machinery."""
 
+import importlib.util
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bergman import quadrature
+from bergman import quadrature, suites
 from bergman.errors import ParameterError
-from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
+from bergman.functions import BallPoly, LogKernel, PowerSingularity, TaylorPoly
 from bergman.geometry import pseudo_disk
 from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
-                                bidisk_ladder, classify_partials,
+                                ball_norm_p, bidisk_ladder, classify_partials,
                                 derivative_seminorm, disk_ladder,
                                 fit_growth_exponent, forelli_rudin_exact,
                                 forelli_rudin_integral, forelli_rudin_scan,
@@ -20,6 +24,18 @@ from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
 from bergman.sampling import sample_disk
 
 ALPHAS = (-0.5, 0.0, 1.0, 2.5)
+
+
+def _load_reference():
+    """perfbench's closed-form oracle, which imports nothing of bergman."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+reference = _load_reference()
 
 
 @pytest.fixture(scope="module")
@@ -60,15 +76,11 @@ def _loop_halvings(t_min):
 
 
 def _graded_by_radius(alpha, eps_stop, nodes_per_panel=12,
-                      theta_per_panel=6, coarse_splits=(0.25, 0.5, 0.75)):
+                      theta_per_panel=6):
     """Reference graded layout, one radius at a time: the angular panels
     halve from pi down to max((1 - r)/4, 1e-7), then mirror to negative
     angles.  Returns (nodes, weights, ring)."""
-    eps = quadrature.eps_sequence(quadrature.EPS_START, eps_stop)
-    deltas = 1.0 - (1.0 - eps) ** 2
-    u, wu, rg = quadrature._radial_panels(deltas, nodes_per_panel,
-                                          coarse_splits)
-    wu = wu * (alpha + 1.0) * (1.0 - u) ** alpha
+    _, u, wu, rg = quadrature._radial_rule(alpha, eps_stop, nodes_per_panel)
     gx, gw = np.polynomial.legendre.leggauss(theta_per_panel)
     nodes, weights, ring = [], [], []
     for ui, wi, gi in zip(u, wu, rg):
@@ -145,9 +157,7 @@ class TestGradedGrid:
     def test_one_minus_u_is_exact(self, graded):
         # 1 - u from the Gauss node in u, repeated over each radius's angles
         eps_stop = 1e-5 / 16
-        eps = quadrature.eps_sequence(quadrature.EPS_START, eps_stop)
-        u = quadrature._radial_panels(1.0 - (1.0 - eps) ** 2, 12,
-                                      (0.25, 0.5, 0.75))[0]
+        u = quadrature._radial_rule(0.3, eps_stop, 12)[1]
         if graded:
             g = DiskGrid.build_graded(0.3, eps_stop=eps_stop)
             counts = [12 * (_loop_halvings(max((1.0 - np.sqrt(x)) / 4.0,
@@ -166,7 +176,7 @@ class TestGradedGrid:
         ref = np.polynomial.legendre.leggauss(6)
         assert np.array_equal(gx, ref[0]) and np.array_equal(gw, ref[1])
         g = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -6)
-        for arr in (gx, gw, g.eps_values, BallGrid(2, 0.0, 8).eps_values):
+        for arr in (gx, gw, g.eps_values, BallGrid(2, 0.0).eps_values):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -213,17 +223,17 @@ class TestProtocol:
         value, _ = richardson(d, F, log_ladder())
         np.testing.assert_allclose(value, 1.7, rtol=1e-12)
 
-    def test_ball_extrapolates_one_stage(self):
-        g = BallGrid(2, 1.5, log2_count=14)
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5])
+    def test_ball_extrapolates_with_disk_ladder(self, alpha):
+        g = BallGrid(2, alpha)
         vals = np.abs(g.nodes[:, 0]) ** 2
         res = g.integrate_protocol(vals)
+        want = quadrature._protocol(g.partials(vals), g.eps_values,
+                                    disk_ladder(alpha), 0.02, "scan")
         assert res.converged
-        F = g.partials(vals)
-        d = 1.0 - (1.0 - g.eps_values) ** 2
-        one_stage = F[-1] + (F[-1] - F[-2]) / ((d[-2] / d[-1]) ** 2.5 - 1.0)
-        np.testing.assert_allclose(res.value, one_stage, rtol=1e-14)
-        np.testing.assert_allclose(res.estimated_error,
-                                   abs(one_stage - F[-1]), rtol=1e-12)
+        assert res.value == want.value
+        assert res.estimated_error == want.estimated_error
+        assert np.array_equal(res.partials, want.partials)
 
     def test_window_extrapolates_from_deepest_levels(self, grids):
         g = grids[0.0]
@@ -539,30 +549,101 @@ class TestCoefficientNorm:
 
 @pytest.fixture(scope="module")
 def ball_grid():
-    return BallGrid(2, 0.0, log2_count=18)
+    return BallGrid(2, 0.0)
+
+
+# measured worst relative errors of the moments: 4.0e-10, 1.3e-14 and
+# 2.2e-11 (n = 2); 1.6e-8, 5.9e-14 and 2.7e-9 (n = 3)
+BALL_MOMENT_RTOL = {(2, -0.5): 1e-9, (2, 0.0): 1e-13, (2, 1.5): 1e-10,
+                    (3, -0.5): 5e-8, (3, 0.0): 3e-13, (3, 1.5): 1e-8}
 
 
 class TestBallGrid:
+    """The product rule against the closed-form moments of dv_alpha."""
 
     def test_normalization(self, ball_grid):
         res = ball_grid.integrate_protocol(np.ones(ball_grid.node_count))
-        np.testing.assert_allclose(res.value, 1.0, atol=1e-3)
+        np.testing.assert_allclose(res.value, 1.0, rtol=0, atol=1e-13)
 
     def test_monomial_moment(self, ball_grid):
         # int |z_1|^2 dv over the 2-ball is 1/3
         vals = np.abs(ball_grid.nodes[:, 0]) ** 2
         res = ball_grid.integrate_protocol(vals)
-        np.testing.assert_allclose(res.value, 1.0 / 3.0, rtol=1e-2)
+        np.testing.assert_allclose(res.value, 1.0 / 3.0, rtol=1e-13)
 
     def test_weighted_monomial_moment(self):
-        g = BallGrid(2, 1.5, log2_count=18)
-        # exact: m! Gamma(n+alpha+1) / Gamma(n+|m|+alpha+1), m = (1, 0)
-        from scipy.special import gammaln
-        expect = np.exp(gammaln(2) + gammaln(2 + 1.5 + 1)
-                        - gammaln(2 + 1 + 1.5 + 1))
+        g = BallGrid(2, 1.5)
         vals = np.abs(g.nodes[:, 0]) ** 2
         res = g.integrate_protocol(vals)
-        np.testing.assert_allclose(res.value, expect, rtol=1e-2)
+        np.testing.assert_allclose(
+            res.value, reference.ball_moment((1, 0), 1.5), rtol=1e-10)
+
+    @pytest.mark.parametrize("n,alpha", sorted(BALL_MOMENT_RTOL))
+    def test_moments_match_closed_form(self, n, alpha):
+        # every m with m_k <= 3 (n = 2) or m_k <= 2 (n = 3)
+        g = BallGrid(n, alpha)
+        top = 3 if n == 2 else 2
+        for m in itertools.product(range(top + 1), repeat=n):
+            vals = np.prod(np.abs(g.nodes) ** (2 * np.array(m)), axis=1)
+            res = g.integrate_protocol(vals)
+            assert res.verdict == "member"
+            np.testing.assert_allclose(
+                res.value, reference.ball_moment(m, alpha),
+                rtol=BALL_MOMENT_RTOL[n, alpha], err_msg=f"m = {m}")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cross_moments_vanish(self, n):
+        # int z^m conj(z^m') dv_alpha = 0 for m != m', each phase axis
+        g = BallGrid(n, 0.5)
+        top = 3 if n == 2 else 2
+        Z = np.stack([np.prod(g.nodes ** np.array(m), axis=1)
+                      for m in itertools.product(range(top + 1), repeat=n)],
+                     axis=1)
+        gram = (Z * g.weights[:, None]).T @ np.conj(Z)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-15
+
+    def test_log2_count_and_seed_are_ignored(self, ball_grid):
+        g = BallGrid(2, 0.0, log2_count=12, seed=7)
+        for attr in ("nodes", "weights", "ring", "one_minus_u"):
+            assert np.array_equal(getattr(g, attr), getattr(ball_grid, attr))
+        assert g.node_count == 6 * 12 * 4 * 7 ** 2
+
+    def test_one_minus_u_matches_nodes(self):
+        g = BallGrid(3, 0.0)
+        np.testing.assert_allclose(
+            g.one_minus_u, 1.0 - np.sum(np.abs(g.nodes) ** 2, axis=1),
+            rtol=0, atol=1e-15)
+        # every node lies inside the deepest truncation radius
+        assert g.one_minus_u.min() > 1.0 - (1.0 - g.eps_values[-1]) ** 2
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    def test_thm13_integrals_match_moment_sums(self, alpha):
+        # the radial, gradient and invariant-gradient integrands of the
+        # ball-thm13 suite, against sums of closed-form moments
+        g = BallGrid(2, alpha)
+        z, om = g.nodes, g.one_minus_u
+        for name, f in suites._ball_family():
+            want = reference.ball_quantities(f.terms, alpha)
+            got = {
+                "norm": ball_norm_p(f, WeightParams(2, alpha), g),
+                "radial": g.integrate_protocol(
+                    (om * np.abs(f.radial_derivative_at(z))) ** 2),
+                "gradient": g.integrate_protocol(
+                    (om * f.gradient_norm_at(z)) ** 2),
+                "invariant_gradient": g.integrate_protocol(
+                    f.invariant_gradient_at(z) ** 2)}
+            for key, res in got.items():
+                assert res.verdict == "member"
+                np.testing.assert_allclose(res.value, want[key], rtol=1e-9,
+                                           err_msg=f"{name} {key}")
+
+    @pytest.mark.parametrize("grid_n,grid_alpha", [(2, 0.0), (3, 1.0)])
+    def test_norm_refuses_mismatched_grid(self, grid_n, grid_alpha):
+        # a dv_0 grid would give the dv_0 moment 1/3 for the dv_1 request,
+        # and a grid of C^3 a number for neither
+        f = BallPoly(2, {(1, 0): 1.0})
+        with pytest.raises(ParameterError, match="does not match"):
+            ball_norm_p(f, WeightParams(2, 1.0), BallGrid(grid_n, grid_alpha))
 
 
 class TestNormResultSerialization:

@@ -296,7 +296,7 @@ class TestBallWitness:
         f = BallPoly(2, {(1, 0): 1.0})
         w = build_witness_ball(f, 0.5)
         res = witness_integrability(w, 2, 0.0,
-                                    grid=BallGrid(2, 0.0, log2_count=16))
+                                    grid=BallGrid(2, 0.0))
         assert res.converged
 
     @pytest.mark.parametrize("grid_n,grid_alpha", [(2, 0.0), (3, 1.0)])
@@ -305,7 +305,7 @@ class TestBallWitness:
         # the request is n = 2, alpha = 1: a dv_0 grid, or a grid of C^3,
         # is refused before the witness is evaluated
         w = build_witness_ball(BallPoly(2, {(1, 0): 1.0}), 0.5)
-        grid = BallGrid(grid_n, grid_alpha, log2_count=8)
+        grid = BallGrid(grid_n, grid_alpha)
 
         def no_eval(self, z):
             raise AssertionError("witness evaluated on a mismatched grid")
