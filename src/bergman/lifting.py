@@ -1,5 +1,11 @@
 """Symmetric lifting to the bidisk, diagonal restriction, exact series
-norms, the log-weight asymptotic, and the boundedness scans."""
+norms, the log-weight asymptotic, and the boundedness scans.
+
+The lift Lf(z, w) = (f(z) - f(w))/(z - w) has one representation per
+kind of f: a Taylor polynomial sum a_k z^k lifts to the ``TensorPoly``
+sum a_(i+j+1) z^i w^j, and a closed form ((1-z)^(-s), log(1/(1-z))) to
+the ``LiftedFunction`` quotient, whose lifted norms come from the pair
+kernel ``_kernels.pair_block_sums``."""
 from __future__ import annotations
 
 import csv
@@ -8,66 +14,40 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import DIAG_SWITCH
+from . import _kernels
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    disk_ladder, log_ladder
-
-
-def _divided_difference_matrix(coeffs) -> np.ndarray:
-    """c[i, j] = a_(i+j+1), so that sum c_ij z^i w^j = (f(z)-f(w))/(z-w)."""
-    a = np.asarray(coeffs, dtype=complex)
-    d = len(a) - 1
-    if d < 1:
-        return np.zeros((1, 1), dtype=complex)
-    c = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d - i):
-            c[i, j] = a[i + j + 1]
-    return c
+    bidisk_ladder, disk_ladder, log_ladder, matching_grid
 
 
 class LiftedFunction:
-    """L(f)(z, w) = (f(z) - f(w))/(z - w) as a bidisk function.
-
-    Taylor polynomials evaluate through the divided-difference coefficient
-    form, which is cancellation-free and valid on the diagonal; closed
-    forms use the quotient with a derivative switchover near z = w.
-    """
+    """L(f)(z, w) = (f(z) - f(w))/(z - w) as a quotient, the lift of a
+    closed form.  Where |z - w|^2 < ``_kernels._DIAG_TOL2`` it takes f' at
+    the midpoint, the pair kernel's rule."""
 
     def __init__(self, f: HoloFunction):
         if f.domain != "disk":
             raise TypeError("lifting requires a disk variant")
         self.f = f
-        self._cmat = (_divided_difference_matrix(f.coeffs)
-                      if isinstance(f, TaylorPoly) else None)
 
     def __call__(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        if self._cmat is not None:
-            return np.polynomial.polynomial.polyval2d(z, w, self._cmat)
         diff = z - w
-        near = np.abs(diff) < DIAG_SWITCH
-        safe = np.where(near, 1.0, diff)
-        out = (self.f(z) - self.f(w)) / safe
-        if np.any(near):
-            mid = 0.5 * (z + w)
-            out = np.where(near, self.f.derivative_at(mid), out)
-        return out
+        near = diff.real ** 2 + diff.imag ** 2 < _kernels._DIAG_TOL2
+        out = (self.f(z) - self.f(w)) / np.where(near, 1.0, diff)
+        return np.where(near, self.f.derivative_at(0.5 * (z + w)), out)
 
     def diagonal(self, z):
-        """Delta(L f)(z) = f'(z); exact for Taylor polynomials."""
+        """Delta(L f)(z) = f'(z)."""
         return self.f.derivative_at(np.asarray(z, dtype=complex))
-
-    @property
-    def coefficient_matrix(self):
-        return self._cmat
 
 
 class TensorPoly:
-    """Bidisk polynomial sum c_ij z^i w^j from a coefficient matrix."""
+    """Bidisk polynomial sum c_ij z^i w^j from a coefficient matrix; the
+    lift of a Taylor polynomial, cancellation-free and exact on the
+    diagonal."""
 
     def __init__(self, cmat):
         self.cmat = np.atleast_2d(np.asarray(cmat, dtype=complex))
@@ -78,21 +58,27 @@ class TensorPoly:
             self.cmat)
 
     def diagonal(self, z):
-        z = np.asarray(z, dtype=complex)
-        dz, dw = self.cmat.shape
-        coeffs = np.zeros(dz + dw - 1, dtype=complex)
-        for i in range(dz):
-            for j in range(dw):
-                coeffs[i + j] += self.cmat[i, j]
-        return np.polynomial.polynomial.polyval(z, coeffs)
+        """F(z, z) = sum_m (sum_(i+j=m) c_ij) z^m."""
+        i, j = np.indices(self.cmat.shape)
+        coeffs = np.zeros(sum(self.cmat.shape) - 1, dtype=complex)
+        np.add.at(coeffs, i + j, self.cmat)
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
+                                                coeffs)
 
 
-def lift(f: HoloFunction) -> LiftedFunction:
-    return LiftedFunction(f)
+def lift(f: HoloFunction):
+    """Lf for a disk function f: for f = sum_(k<=d) a_k z^k the d x d
+    ``TensorPoly`` c_ij = a_(i+j+1) (1 x 1 and zero for d = 0), otherwise
+    the ``LiftedFunction`` quotient."""
+    if not isinstance(f, TaylorPoly):
+        return LiftedFunction(f)
+    a = np.concatenate([f.coeffs, np.zeros(len(f.coeffs))])
+    k = np.arange(max(f.degree, 1))
+    return TensorPoly(a[np.add.outer(k, k) + 1])
 
 
 def lift_eval(f: HoloFunction, z, w):
-    return LiftedFunction(f)(z, w)
+    return lift(f)(z, w)
 
 
 def diagonal(F, z):
@@ -101,13 +87,10 @@ def diagonal(F, z):
 
 
 def homogeneous_lift_component(k: int) -> TensorPoly:
-    """The degree-(k-1) block sum_{i+j=k-1} z^i w^j (the lift of z^k)."""
+    """The degree-(k-1) block sum_{i+j=k-1} z^i w^j, the lift of z^k."""
     if k < 1:
         raise ParameterError("component index must be at least 1")
-    c = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        c[i, k - 1 - i] = 1.0
-    return TensorPoly(c)
+    return lift(TaylorPoly([0.0] * k + [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -132,56 +115,72 @@ def default_scan_bidisk_grid(alpha: float) -> BidiskGrid:
     return BidiskGrid(factor)
 
 
+def _closed_form_norm(f, p: float, grid: BidiskGrid,
+                      rtol: float) -> NormResult:
+    """Protocol integral of |(f(z)-f(w))/(z-w)|^p over the tensor grid
+    for f = (1-z)^(-s) or log(1/(1-z)), by the pair kernel.
+
+    Tail exponents of (1-z)^(-s), in delta ~ 2 eps.  Under the scaling
+    z = 1 - delta zeta, w = 1 - delta omega, (1-z)^(-s) - (1-w)^(-s)
+    = delta^(-s) (zeta^(-s) - omega^(-s)) and z - w = delta (omega -
+    zeta), so |Lf| ~ delta^(-(s+1)) near the corner (1, 1), on a region
+    of dA_beta x dA_beta measure delta^(beta+2) delta^(beta+2): the
+    corner adds a tail in delta^(2 beta + 4 - p (s+1)).  Along an
+    edge, z near 1 and w away from it, |Lf| ~ |f(z)| ~ delta^(-s) on a
+    region of measure delta^(beta+2) times O(1): a tail in
+    delta^(beta + 2 - p s).  The ladder puts these two before the
+    weight's own ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are
+    2 - 2s, and the repeated exponent absorbs the delta^(2-2s) log
+    delta of the series 2 sum |a_k|^2 H_k / (k+1).  The log kernel
+    keeps ``bidisk_ladder(beta)``."""
+    g, b = grid.factor, grid.alpha
+    power = isinstance(f, PowerSingularity)
+    s = f.s if power else 0.0
+    block = _kernels.pair_block_sums(g.nodes, f(g.nodes), g.weights, g.ring,
+                                     g.n_levels, p, s, 0 if power else 1)
+    ladder = ([b + 2.0 - p * s, 2.0 * b + 4.0 - p * (s + 1.0),
+               *bidisk_ladder(b)] if power else None)
+    return grid.protocol_from_block(block, rtol=rtol, rule="scan",
+                                    ladder=ladder)
+
+
 def bidisk_norm(F, p: float, alpha: float, grid: BidiskGrid | None = None,
                 rtol: float = 0.05) -> NormResult:
-    """Protocol integral of |F|^p dA_alpha x dA_alpha on the bidisk."""
+    """Protocol integral of |F|^p dA_alpha x dA_alpha on the bidisk, for a
+    ``TensorPoly`` or the lift of a closed form; a given grid must carry
+    alpha."""
     WeightParams(p, alpha)
     if isinstance(F, TensorPoly):
-        if grid is None:
-            grid = default_poly_bidisk_grid(alpha, max(F.cmat.shape) - 1)
+        grid = matching_grid(grid, lambda: default_poly_bidisk_grid(
+            alpha, max(max(F.cmat.shape) - 1, 1)), alpha)
         return grid.coefficient_norm(F.cmat, p, rtol=rtol)
-    if isinstance(F, LiftedFunction):
-        if F.coefficient_matrix is not None:
-            if grid is None:
-                grid = default_poly_bidisk_grid(
-                    alpha, max(F.coefficient_matrix.shape[0] - 1, 1))
-            return grid.coefficient_norm(F.coefficient_matrix, p, rtol=rtol)
-        if grid is None:
-            grid = default_scan_bidisk_grid(alpha)
-        if isinstance(F.f, PowerSingularity):
-            return grid.lifted_power_norm(F.f.s, p, variant=0, rtol=rtol)
-        if isinstance(F.f, LogKernel):
-            return grid.lifted_power_norm(0.0, p, variant=1, rtol=rtol)
+    if isinstance(F, LiftedFunction) and isinstance(
+            F.f, (PowerSingularity, LogKernel)):
+        grid = matching_grid(grid, lambda: default_scan_bidisk_grid(alpha),
+                             alpha)
+        return _closed_form_norm(F.f, p, grid, rtol)
     raise TypeError(f"unsupported bidisk function {type(F).__name__}")
-
-
-def _coefficient_matrix_of(F):
-    if isinstance(F, TensorPoly):
-        return F.cmat
-    if isinstance(F, LiftedFunction) and F.coefficient_matrix is not None:
-        return F.coefficient_matrix
-    raise TypeError("pairing needs coefficient-matrix bidisk functions")
 
 
 def bidisk_pairing(F, G, grid: BidiskGrid) -> complex:
     """Weighted inner product int int F conj(G) over the tensor grid.
 
-    Both functions must carry coefficient matrices; the double node sum
-    then factors exactly through the per-ring monomial moments
+    Both functions must be ``TensorPoly``; the double node sum then
+    factors exactly through the per-ring monomial moments
     M_a[k, l] = sum_(i in ring a) w_i z_i^k conj(z_i)^l shared with
     ``BidiskGrid.coefficient_norm`` at p = 2, so no pairwise pass is
     needed: the pairing is the sum of ``grid.pairing_block(A, B)``."""
-    A = _coefficient_matrix_of(F)
-    B = _coefficient_matrix_of(G)
-    return complex(grid.pairing_block(A, B).sum())
+    if not (isinstance(F, TensorPoly) and isinstance(G, TensorPoly)):
+        raise TypeError("pairing needs coefficient-matrix bidisk functions")
+    return complex(grid.pairing_block(F.cmat, G.cmat).sum())
 
 
 def diagonal_norm(F, p: float, alpha: float, grid: DiskGrid | None = None,
                   rtol: float = 0.05) -> NormResult:
-    """Protocol integral of |F(z, z)|^p dA_alpha on the disk."""
-    if grid is None or abs(grid.alpha - alpha) > 1e-12:
-        grid = DiskGrid.build(alpha, eps_stop=2.0 ** -8, n_angular=256,
-                              nodes_per_panel=10)
+    """Protocol integral of |F(z, z)|^p dA_alpha on the disk; a given
+    grid must carry alpha."""
+    grid = matching_grid(grid, lambda: DiskGrid.build(
+        alpha, eps_stop=2.0 ** -8, n_angular=256, nodes_per_panel=10), alpha)
     vals = np.abs(F.diagonal(grid.nodes)) ** p
     return grid.integrate_protocol(vals, rtol=rtol)
 
@@ -341,7 +340,7 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
         nf = src_grid.integrate_protocol(
             np.abs(f(src_grid.nodes)) ** p, rule="scan",
             ladder=[alpha + 2.0 - p * s, *disk_ladder(alpha)])
-        nlf = tensor.lifted_power_norm(s, p)
+        nlf = bidisk_norm(lift(f), p, beta_t, grid=tensor)
         ratio = nlf.value / nf.value if nf.value > 0 else float("inf")
         out.rows.append(LiftingScanRow(s=float(s), norm_f=nf.value,
                                        norm_lf=nlf.value, ratio=float(ratio),

@@ -23,8 +23,8 @@ passes:
 - ball: ``disk_ladder(alpha)``, as its radial factor is the disk's;
 - log weight log(1/(1-|z|^2)) dA: ``log_ladder()`` = 1, 1, 2, 2, ...;
 - bidisk: ``bidisk_ladder(alpha)``, the merged alpha+1+m and 2(alpha+1)+m,
-  after the edge and corner exponents of (1-z)^(-s) for its lifted norms
-  (``BidiskGrid.lifted_power_norm``);
+  or the caller's (``lifting`` puts the edge and corner exponents of
+  (1-z)^(-s) first for its lifted norms);
 - Forelli-Rudin integrals: ``disk_ladder(s)`` for their (1-|w|^2)^s
   weight, on graded grids down to eps = (1-x)/256.
 
@@ -338,7 +338,7 @@ class DiskGrid:
                            minlength=self.n_levels)
         return np.cumsum(sums)
 
-    def integrate_protocol(self, values, rtol: float = 0.05, ladder="alpha",
+    def integrate_protocol(self, values, rtol: float = 0.05, ladder=None,
                            rule: str = "strict", shift: float = 0.0,
                            window: int | None = None) -> NormResult:
         """Protocol integral of ``values`` + ``shift`` with the weight's
@@ -348,7 +348,7 @@ class DiskGrid:
         (useful when the integrand is concentrated near the boundary and
         the shallow truncations sit outside the tail's asymptotic regime).
         """
-        if ladder == "alpha":
+        if ladder is None:
             ladder = disk_ladder(self.alpha)
         return _protocol(self.partials(values) + shift, self.eps_values,
                          ladder, rtol, rule, window)
@@ -398,34 +398,6 @@ class BidiskGrid:
             ladder = bidisk_ladder(self.alpha)
         return _protocol(self.block_partials(block), self.factor.eps_values,
                          ladder, rtol, rule)
-
-    def lifted_power_norm(self, s: float, p: float, variant: int = 0,
-                          rtol: float = 0.05) -> NormResult:
-        """Protocol integral of |(f(z)-f(w))/(z-w)|^p over the tensor grid
-        for f = (1-z)^(-s) (variant 0) or log(1/(1-z)) (variant 1).
-
-        Tail exponents of variant 0, in delta ~ 2 eps.  Under the scaling
-        z = 1 - delta zeta, w = 1 - delta omega, (1-z)^(-s) - (1-w)^(-s)
-        = delta^(-s) (zeta^(-s) - omega^(-s)) and z - w = delta (omega -
-        zeta), so |Lf| ~ delta^(-(s+1)) near the corner (1, 1), on a region
-        of dA_beta x dA_beta measure delta^(beta+2) delta^(beta+2): the
-        corner adds a tail in delta^(2 beta + 4 - p (s+1)).  Along an
-        edge, z near 1 and w away from it, |Lf| ~ |f(z)| ~ delta^(-s) on a
-        region of measure delta^(beta+2) times O(1): a tail in
-        delta^(beta + 2 - p s).  The ladder puts these two before the
-        weight's own ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are
-        2 - 2s, and the repeated exponent absorbs the delta^(2-2s) log
-        delta of the series 2 sum |a_k|^2 H_k / (k+1).  Variant 1 keeps
-        ``bidisk_ladder(beta)``."""
-        g = self.factor
-        f = (1.0 - g.nodes) ** (-s) if variant == 0 else -np.log(1.0 - g.nodes)
-        block = _kernels.pair_block_sums(g.nodes, f, g.weights, g.ring,
-                                         g.n_levels, p, s, variant)
-        b = self.alpha
-        ladder = ([b + 2.0 - p * s, 2.0 * b + 4.0 - p * (s + 1.0),
-                   *bidisk_ladder(b)] if variant == 0 else None)
-        return self.protocol_from_block(block, rtol=rtol, rule="scan",
-                                        ladder=ladder)
 
     def ring_moments(self, d1: int, d2: int) -> np.ndarray:
         """Per-ring monomial moments M[a, k, l] = sum_(i in ring a)
@@ -546,15 +518,17 @@ class BallGrid:
                          disk_ladder(self.alpha), rtol, rule)
 
 
-def ball_grid_for(n: int, alpha: float, grid: BallGrid | None = None):
-    """``grid``, or a new ``BallGrid(n, alpha)`` if it is None; a grid of
-    another dimension or alpha is refused."""
+def matching_grid(grid, build, alpha: float, **fixed):
+    """``grid``, or ``build()`` if it is None.  A grid whose alpha, or any
+    attribute named in ``fixed``, differs from the request is refused,
+    never replaced."""
     if grid is None:
-        return BallGrid(n, alpha)
-    if grid.n != n or abs(grid.alpha - alpha) > 1e-12:
-        raise ParameterError(
-            f"ball grid (n={grid.n}, alpha={grid.alpha}) does not match "
-            f"the request (n={n}, alpha={alpha})")
+        return build()
+    want = {**fixed, "alpha": alpha}
+    have = {k: getattr(grid, k) for k in want}
+    if any(abs(have[k] - v) > 1e-12 for k, v in want.items()):
+        raise ParameterError(f"{type(grid).__name__} {have} does not match "
+                             f"the request {want}")
     return grid
 
 
@@ -586,17 +560,18 @@ def ball_norm_p(f: BallPoly, wp: WeightParams, grid: BallGrid,
     """Protocol integral of |f|^p dv_alpha on a grid of f's n and alpha."""
     if not isinstance(f, BallPoly):
         raise TypeError("ball norm requires a ball variant")
-    grid = ball_grid_for(f.n, wp.alpha, grid)
+    grid = matching_grid(grid, lambda: BallGrid(f.n, wp.alpha), wp.alpha,
+                         n=f.n)
     return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p, rtol=rtol)
 
 
 def membership(f: HoloFunction, wp: WeightParams,
                grid: DiskGrid | None = None):
     """Decide f in A^p_alpha from the increment decay of the truncated
-    integrals; returns (verdict, NormResult)."""
-    if grid is None or abs(grid.alpha - wp.alpha) > 1e-12:
-        grid = grid_for(f, wp.alpha)
-    res = norm_p(f, wp, grid)
+    integrals; returns (verdict, NormResult).  A given grid must carry
+    alpha."""
+    res = norm_p(f, wp, matching_grid(grid, lambda: grid_for(f, wp.alpha),
+                                      wp.alpha))
     return res.verdict, res
 
 

@@ -23,7 +23,8 @@ from .errors import ParameterError
 from .functions import BallPoly, HoloFunction, TaylorPoly
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
-from .quadrature import NormResult, WeightParams, ball_grid_for, grid_for
+from .quadrature import BallGrid, NormResult, WeightParams, grid_for, \
+    matching_grid
 from .sampling import ball_pairs_stratified, disk_pairs_stratified, sobol_ball
 
 SAFETY = 1.05          # covers sampled-sup undershoot on smooth families
@@ -200,15 +201,17 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
 def witness_integrability(w: Witness, p: float, alpha: float,
                           grid=None) -> NormResult:
     """Protocol integral of g^p against dA_alpha (rho/beta witnesses) or
-    dA_(p+alpha) (euclid witnesses); ball witnesses use dv_alpha, and a
-    given ``BallGrid`` must match f's dimension and alpha."""
+    dA_(p+alpha) (euclid witnesses); ball witnesses use dv_alpha.  A given
+    grid must carry that measure's alpha, and a ``BallGrid`` f's n."""
     WeightParams(p, alpha)
     measure_alpha = alpha + (p if w.metric == "euclid" else 0.0)
     if w.metric == "ball-rho":
-        grid = ball_grid_for(w.f.n, alpha, grid)
-    elif grid is None or abs(grid.alpha - measure_alpha) > 1e-12:
-        grid = grid_for(w.f if isinstance(w.f, TaylorPoly) else None,
-                        measure_alpha)
+        grid = matching_grid(grid, lambda: BallGrid(w.f.n, alpha), alpha,
+                             n=w.f.n)
+    else:
+        grid = matching_grid(grid, lambda: grid_for(
+            w.f if isinstance(w.f, TaylorPoly) else None, measure_alpha),
+            measure_alpha)
     return grid.integrate_protocol(w.g_values(grid.nodes) ** p)
 
 

@@ -13,7 +13,9 @@ from bergman.lifting import (LiftedFunction, TensorPoly, bidisk_norm,
                              lift_norm_series_A2, lifting_scan,
                              log_weighted_norm, monomial_log_norm_exact,
                              default_poly_bidisk_grid)
-from bergman.quadrature import WeightParams, grid_for, norm_p, richardson
+from bergman import _kernels
+from bergman.quadrature import (DiskGrid, WeightParams, grid_for,
+                                monomial_norm_exact, norm_p, richardson)
 from bergman.sampling import sample_disk
 
 
@@ -47,6 +49,40 @@ class TestLiftEval:
         np.testing.assert_allclose(lift_eval(f, z, z + 1e-9),
                                    f.derivative_at(z), rtol=1e-6)
 
+    @pytest.mark.parametrize("f", [PowerSingularity(0.4), LogKernel()],
+                             ids=["power", "log"])
+    def test_closed_form_switchover_is_the_kernels(self, f):
+        # the pair kernel's rule (tests/test_kernels.py ``_direct``): f' at
+        # the midpoint where |z - w|^2 < _DIAG_TOL2 = 1e-12, the quotient
+        # elsewhere.  |z - w| = 5e-7 is under it, 2e-6 above it; a rule on
+        # |z - w| itself would take the quotient at 5e-7, ~1e-10 off.
+        z = np.array([0.4 + 0.2j, -0.3 + 0.5j, 0.9 - 0.1j])
+        for h, near in ((5e-7, True), (2e-6, False)):
+            w = z + h * np.exp(0.7j)
+            assert np.all((np.abs(z - w) ** 2 < _kernels._DIAG_TOL2) == near)
+            want = (f.derivative_at(0.5 * (z + w)) if near
+                    else (f(z) - f(w)) / (z - w))
+            np.testing.assert_allclose(lift_eval(f, z, w), want, rtol=1e-15)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 20])
+    def test_taylor_lift_is_hankel(self, degree):
+        a = np.random.default_rng(degree).normal(size=degree + 1) + 1j
+        F = lift(TaylorPoly(a))
+        assert isinstance(F, TensorPoly)
+        d = max(degree, 1)
+        want = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                if i + j + 1 <= degree:
+                    want[i, j] = a[i + j + 1]
+        assert np.array_equal(F.cmat, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_homogeneous_component_is_lift_of_monomial(self, k):
+        want = np.fliplr(np.eye(k))  # ones on the antidiagonal i + j = k-1
+        assert np.array_equal(homogeneous_lift_component(k).cmat, want)
+        assert np.array_equal(lift(TaylorPoly([0] * k + [1])).cmat, want)
+
     def test_linearity(self):
         rng = np.random.default_rng(3)
         c1 = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -66,17 +102,31 @@ class TestDiagonal:
         F = TensorPoly([[1.0]])
         np.testing.assert_allclose(diagonal(F, 0.77), 1.0)
 
+    def test_tensor_sums_antidiagonals(self):
+        # against the double loop over a non-square matrix, in the same
+        # order of accumulation
+        c = np.random.default_rng(8).normal(size=(3, 5)) + 0.5j
+        coeffs = np.zeros(7, dtype=complex)
+        for i in range(3):
+            for j in range(5):
+                coeffs[i + j] += c[i, j]
+        z = np.array([0.3 - 0.2j, -0.7j, 0.95])
+        assert np.array_equal(diagonal(TensorPoly(c), z),
+                              np.polynomial.polynomial.polyval(z, coeffs))
+
     def test_lifted_quartic(self):
         assert diagonal(lift(TaylorPoly([0, 0, 0, 0, 1])),
                         0.5) == pytest.approx(0.5)
 
     def test_matches_derivative_everywhere(self):
         rng = np.random.default_rng(4)
-        c = rng.normal(size=15) + 1j * rng.normal(size=15)
-        f = TaylorPoly(c)
-        z = sample_disk(rng, 1000)
-        np.testing.assert_allclose(diagonal(lift(f), z), f.derivative_at(z),
-                                   rtol=1e-12)
+        for degree in (14, 20, 0):
+            c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            f = TaylorPoly(c)
+            z = sample_disk(rng, 1000)
+            np.testing.assert_allclose(diagonal(lift(f), z),
+                                       f.derivative_at(z), rtol=1e-12,
+                                       err_msg=f"degree {degree}")
 
 
 class TestBidiskNorm:
@@ -107,6 +157,29 @@ class TestBidiskNorm:
             val = bidisk_pairing(homogeneous_lift_component(k),
                                  homogeneous_lift_component(m), grid)
             assert abs(val) < 1e-10
+
+    def test_only_coefficient_lifts_pair(self):
+        grid = default_poly_bidisk_grid(0.0, 4)
+        with pytest.raises(TypeError):
+            bidisk_pairing(lift(PowerSingularity(0.4)),
+                           lift(TaylorPoly([0, 1])), grid)
+
+    def test_taylor_quotient_has_no_norm(self):
+        # a Taylor polynomial's lift is its TensorPoly; the quotient form
+        # is for the closed forms only
+        with pytest.raises(TypeError):
+            bidisk_norm(LiftedFunction(TaylorPoly([0, 1, 2])), 2, 0.0)
+
+    def test_refuses_mismatched_grid(self):
+        F = lift(TaylorPoly([0, 1, 2]))
+        with pytest.raises(ParameterError, match="does not match"):
+            bidisk_norm(F, 2, 1.0, grid=default_poly_bidisk_grid(0.0, 4))
+        with pytest.raises(ParameterError, match="does not match"):
+            diagonal_norm(F, 2, 2.0, grid=DiskGrid.build(0.0, n_angular=16))
+        # a matching grid is used as given: |F(z, z)|^2 = |1 + 4z|^2
+        res = diagonal_norm(F, 2, 2.0, grid=DiskGrid.build(2.0, n_angular=16))
+        np.testing.assert_allclose(
+            res.value, 1.0 + 16.0 * monomial_norm_exact(1, 2.0), rtol=1e-10)
 
     def test_diagonal_map_bounded_into_heavier_weight(self):
         # empirical boundedness of F -> F(z, z) from dA_0 x dA_0 into
@@ -146,7 +219,6 @@ class TestLogWeightedNorm:
         np.testing.assert_allclose(res.value, 1.0, rtol=1e-6)
 
     def test_monomials_match_harmonic_formula(self):
-        from bergman.quadrature import DiskGrid
         grid = DiskGrid.build(0.0, n_angular=16)
         for k in (0, 3, 10, 25):
             f = TaylorPoly([0] * k + [1])

@@ -244,6 +244,9 @@ class TestProtocol:
         assert res.verdict == "member"
         assert res.value == richardson(d[-4:], F[-4:], disk_ladder(0.0))[0]
         assert res.value != g.integrate_protocol(vals).value
+        # a ladder may be any sequence, a numpy array included
+        assert g.integrate_protocol(vals, window=4, ladder=np.array(
+            disk_ladder(0.0))).value == res.value
         assert np.array_equal(res.partials, F)
         assert len(res.eps_values) == g.n_levels
 
@@ -345,6 +348,21 @@ class TestMembership:
     def test_log_kernel_member(self):
         verdict, _ = membership(LogKernel(), WeightParams(2, 0.0))
         assert verdict == "member"
+
+    def test_refuses_mismatched_grid(self, monkeypatch):
+        # a dA_0 grid for a dA_1 request is refused, not replaced by a
+        # freshly built dA_1 grid
+        def no_build(*args, **kwargs):
+            raise AssertionError("a grid was built in place of the given one")
+
+        monkeypatch.setattr(quadrature, "grid_for", no_build)
+        with pytest.raises(ParameterError, match="does not match"):
+            membership(PowerSingularity(0.4), WeightParams(2, 1.0),
+                       grid=DiskGrid.build(0.0, n_angular=16))
+        g = DiskGrid.build(1.0, n_angular=16)
+        _, res = membership(TaylorPoly([1.0, 2.0]), WeightParams(2, 1.0), g)
+        np.testing.assert_allclose(
+            res.value, 1.0 + 4.0 * monomial_norm_exact(1, 1.0), rtol=1e-10)
 
 
 class TestDerivativeSeminorm:

@@ -11,7 +11,7 @@ from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
     TaylorPoly
 from bergman.geometry import ball_metric, ball_phi, pseudo_disk_params, rho
-from bergman.quadrature import BallGrid
+from bergman.quadrature import BallGrid, DiskGrid
 from bergman.sampling import ball_pairs_stratified, disk_pairs_stratified, \
     sample_ball, sample_disk
 from bergman.witness import (SAFETY, Witness, build_witness,
@@ -210,6 +210,23 @@ class TestIntegrability:
         w = build_witness(PowerSingularity(0.4), "euclid", 0.5)
         res = witness_integrability(w, 2, 0.0)
         assert res.converged
+
+    @pytest.mark.parametrize("metric,grid_alpha", [("rho", 0.0),
+                                                   ("euclid", 1.0)])
+    def test_disk_integrability_rejects_mismatched_grid(
+            self, metric, grid_alpha, monkeypatch):
+        # the request is p = 2, alpha = 1: rho integrates against dA_1 and
+        # euclid against dA_3, so these grids are refused before the
+        # witness is evaluated, and no other grid is built in their place
+        w = build_witness(TaylorPoly([1, 0.5, -0.25]), metric, 0.5)
+
+        def no_eval(self, z):
+            raise AssertionError("witness evaluated on a mismatched grid")
+
+        monkeypatch.setattr(Witness, "g_values", no_eval)
+        with pytest.raises(ParameterError, match="does not match"):
+            witness_integrability(w, 2, 1.0,
+                                  grid=DiskGrid.build(grid_alpha, n_angular=16))
 
     def test_norm_ratio_finite(self, section_04):
         from bergman.quadrature import WeightParams, grid_for, norm_p
