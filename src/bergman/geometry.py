@@ -113,7 +113,7 @@ class EuclideanDisk:
         th = 2.0 * np.pi * np.arange(n) / n
         return self.center + self.radius * np.exp(1j * th)
 
-    def polar_grid(self, n_radial: int = 32, n_angular: int = 32) -> np.ndarray:
+    def polar_grid(self, n_radial: int, n_angular: int) -> np.ndarray:
         """Flattened polar sample of the closed disk: the center once,
         then ``n_angular`` angles offset off the axes on each of the
         radii linspace(0, 1, n_radial)[1:], boundary ring included;

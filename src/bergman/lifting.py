@@ -18,7 +18,7 @@ from . import _kernels
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    bidisk_ladder, disk_ladder, log_ladder, matching_grid
+    bidisk_ladder, disk_ladder, grid_for, log_ladder, matching_grid
 
 
 class LiftedFunction:
@@ -115,8 +115,7 @@ def default_scan_bidisk_grid(alpha: float) -> BidiskGrid:
     return BidiskGrid(factor)
 
 
-def _closed_form_norm(f, p: float, grid: BidiskGrid,
-                      rtol: float) -> NormResult:
+def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
     """Protocol integral of |(f(z)-f(w))/(z-w)|^p over the tensor grid
     for f = (1-z)^(-s) or log(1/(1-z)), by the pair kernel.
 
@@ -140,12 +139,11 @@ def _closed_form_norm(f, p: float, grid: BidiskGrid,
                                      g.n_levels, p, s, 0 if power else 1)
     ladder = ([b + 2.0 - p * s, 2.0 * b + 4.0 - p * (s + 1.0),
                *bidisk_ladder(b)] if power else None)
-    return grid.protocol_from_block(block, rtol=rtol, rule="scan",
-                                    ladder=ladder)
+    return grid.protocol_from_block(block, rule="scan", ladder=ladder)
 
 
-def bidisk_norm(F, p: float, alpha: float, grid: BidiskGrid | None = None,
-                rtol: float = 0.05) -> NormResult:
+def bidisk_norm(F, p: float, alpha: float,
+                grid: BidiskGrid | None = None) -> NormResult:
     """Protocol integral of |F|^p dA_alpha x dA_alpha on the bidisk, for a
     ``TensorPoly`` or the lift of a closed form; a given grid must carry
     alpha."""
@@ -153,12 +151,12 @@ def bidisk_norm(F, p: float, alpha: float, grid: BidiskGrid | None = None,
     if isinstance(F, TensorPoly):
         grid = matching_grid(grid, lambda: default_poly_bidisk_grid(
             alpha, max(max(F.cmat.shape) - 1, 1)), alpha)
-        return grid.coefficient_norm(F.cmat, p, rtol=rtol)
+        return grid.coefficient_norm(F.cmat, p)
     if isinstance(F, LiftedFunction) and isinstance(
             F.f, (PowerSingularity, LogKernel)):
         grid = matching_grid(grid, lambda: default_scan_bidisk_grid(alpha),
                              alpha)
-        return _closed_form_norm(F.f, p, grid, rtol)
+        return _closed_form_norm(F.f, p, grid)
     raise TypeError(f"unsupported bidisk function {type(F).__name__}")
 
 
@@ -175,14 +173,14 @@ def bidisk_pairing(F, G, grid: BidiskGrid) -> complex:
     return complex(grid.pairing_block(F.cmat, G.cmat).sum())
 
 
-def diagonal_norm(F, p: float, alpha: float, grid: DiskGrid | None = None,
-                  rtol: float = 0.05) -> NormResult:
+def diagonal_norm(F, p: float, alpha: float,
+                  grid: DiskGrid | None = None) -> NormResult:
     """Protocol integral of |F(z, z)|^p dA_alpha on the disk; a given
     grid must carry alpha."""
     grid = matching_grid(grid, lambda: DiskGrid.build(
         alpha, eps_stop=2.0 ** -8, n_angular=256, nodes_per_panel=10), alpha)
     vals = np.abs(F.diagonal(grid.nodes)) ** p
-    return grid.integrate_protocol(vals, rtol=rtol)
+    return grid.integrate_protocol(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +211,15 @@ def monomial_log_norm_exact(k: int) -> float:
     return float(H[k + 1] / (k + 1))
 
 
-def log_weighted_norm(f: HoloFunction, grid: DiskGrid | None = None,
-                      rtol: float = 0.05) -> NormResult:
+def log_weighted_norm(f: HoloFunction,
+                      grid: DiskGrid | None = None) -> NormResult:
     """Protocol integral of |f|^2 log(1/(1 - |z|^2)) dA; the tail carries
-    log factors, handled by a repeated-exponent extrapolation ladder."""
-    if grid is None:
-        grid = DiskGrid.build(0.0, n_angular=(4 * f.degree + 16)
-                              if isinstance(f, TaylorPoly) else 256)
+    log factors, handled by a repeated-exponent extrapolation ladder.  A
+    given grid must carry alpha = 0."""
+    grid = matching_grid(grid, lambda: grid_for(
+        f if isinstance(f, TaylorPoly) else None, 0.0), 0.0)
     vals = np.abs(f(grid.nodes)) ** 2 * -np.log(grid.one_minus_u)
-    return grid.integrate_protocol(vals, rtol=rtol, ladder=log_ladder())
+    return grid.integrate_protocol(vals, ladder=log_ladder())
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +264,10 @@ class LiftingScanRow:
     norm_lf: float
     ratio: float
     converged: bool
+    verdict_f: str
+    verdict_lf: str
+    estimated_error_f: float
+    estimated_error_lf: float
 
 
 @dataclass
@@ -284,7 +286,10 @@ class LiftingScanResult:
         return {"mode": self.mode, "p": self.p, "alpha": self.alpha,
                 "beta": self.beta,
                 "rows": [{"s": r.s, "norm_f": r.norm_f, "norm_Lf": r.norm_lf,
-                          "ratio": r.ratio, "converged": r.converged}
+                          "ratio": r.ratio, "converged": r.converged,
+                          "verdict_f": r.verdict_f, "verdict_Lf": r.verdict_lf,
+                          "estimated_error_f": r.estimated_error_f,
+                          "estimated_error_Lf": r.estimated_error_lf}
                          for r in self.rows]}
 
     def csv_block(self) -> tuple[list, list]:
@@ -342,8 +347,10 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
             ladder=[alpha + 2.0 - p * s, *disk_ladder(alpha)])
         nlf = bidisk_norm(lift(f), p, beta_t, grid=tensor)
         ratio = nlf.value / nf.value if nf.value > 0 else float("inf")
-        out.rows.append(LiftingScanRow(s=float(s), norm_f=nf.value,
-                                       norm_lf=nlf.value, ratio=float(ratio),
-                                       converged=bool(nf.converged
-                                                      and nlf.converged)))
+        out.rows.append(LiftingScanRow(
+            s=float(s), norm_f=nf.value, norm_lf=nlf.value, ratio=float(ratio),
+            converged=bool(nf.converged and nlf.converged),
+            verdict_f=nf.verdict, verdict_lf=nlf.verdict,
+            estimated_error_f=nf.estimated_error,
+            estimated_error_lf=nlf.estimated_error))
     return out

@@ -28,8 +28,11 @@ passes:
 - Forelli-Rudin integrals: ``disk_ladder(s)`` for their (1-|w|^2)^s
   weight, on graded grids down to eps = (1-x)/256.
 
-Convergence / membership verdicts come from the decay pattern of the
-partial-integral increments, never from the extrapolated number alone.
+Verdicts come from the increment decay of the partials alone, never
+from the extrapolated number, by one rule per family: disk grids use
+``classify_partials``'s ``strict`` rule, except ``lifting_scan``'s
+source norm, which uses ``scan``; the ball uses ``scan``; Taylor lifts
+use ``strict`` and closed-form lifts ``scan``.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ EPS_STOP = 2.0 ** -12
 MEMBER_RATIO = 0.9    # increments must decay faster than this, last 4 ratios
 DIVERGE_RATIO = 1.05  # geometric-mean ratio at/above this flags divergence
 SCAN_RATIO = 0.95     # lenient final-ratio bound for slowly decaying tails
+LADDER_LEN = 8        # tail exponents per extrapolation ladder
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class NormResult:
     eps_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     partials: np.ndarray = field(default_factory=lambda: np.empty(0))
     estimated_error: float = float("inf")
-    rtol: float = 0.05
     verdict: str = ""
 
     def to_json(self) -> dict:
@@ -85,31 +88,28 @@ class NormResult:
                 "eps": list(map(float, self.eps_values)),
                 "partials": list(map(float, self.partials)),
                 "estimated_error": self.estimated_error,
-                "rtol": self.rtol, "verdict": self.verdict}
+                "verdict": self.verdict}
 
 
-def disk_ladder(alpha: float, n: int = 8):
-    return [alpha + 1.0 + m for m in range(n)]
+def disk_ladder(alpha: float):
+    return [alpha + 1.0 + m for m in range(LADDER_LEN)]
 
 
-def bidisk_ladder(alpha: float, n: int = 8):
-    cand = sorted({round(alpha + 1.0 + m, 12) for m in range(n)}
-                  | {round(2.0 * (alpha + 1.0) + m, 12) for m in range(n)})
+def bidisk_ladder(alpha: float):
+    a = alpha + 1.0
+    cand = sorted({round(e, 12) for m in range(LADDER_LEN)
+                   for e in (a + m, 2.0 * a + m)})
     out = []
-    for a in cand:
-        if not out or a - out[-1] > 1e-9:
-            out.append(a)
-    return out[:n]
+    for e in cand:
+        if not out or e - out[-1] > 1e-9:
+            out.append(e)
+    return out[:LADDER_LEN]
 
 
-def log_ladder(n: int = 8):
-    """Repeated integer exponents; each repeat absorbs one log factor."""
-    out = []
-    m = 1
-    while len(out) < n:
-        out.extend([float(m), float(m)])
-        m += 1
-    return out[:n]
+def log_ladder():
+    """Repeated integer exponents 1, 1, 2, 2, ...; each repeat absorbs
+    one log factor."""
+    return [float(1 + m // 2) for m in range(LADDER_LEN)]
 
 
 def richardson(deltas, partials, ladder):
@@ -138,8 +138,9 @@ def richardson(deltas, partials, ladder):
     return float(T[-1]), float(abs(T[-1] - prev_last))
 
 
-def classify_partials(partials, rtol: float = 0.05, rule: str = "strict"):
-    """Verdict from the increment decay pattern.
+def classify_partials(partials, rule: str = "strict"):
+    """Verdict from the increment decay pattern; member if every
+    increment is zero to rounding.
 
     ``strict``: member iff the last 4 increment ratios all fall below
     MEMBER_RATIO; non-member iff increments grow (geometric-mean ratio at
@@ -155,9 +156,8 @@ def classify_partials(partials, rtol: float = 0.05, rule: str = "strict"):
     pos = np.maximum(inc, 1e-300)
     ratios = pos[1:] / pos[:-1]
     last = ratios[-4:] if len(ratios) >= 4 else ratios
-    settled = abs(inc[-1]) < rtol * scale and inc[-1] <= inc[0] + 1e-13 * scale
     gm = float(np.exp(np.mean(np.log(last))))
-    if np.all(last < MEMBER_RATIO) or (settled and gm < 1.0):
+    if np.all(last < MEMBER_RATIO):
         return "member", True
     if gm >= DIVERGE_RATIO or np.all(last >= 1.0):
         return "non-member", False
@@ -166,14 +166,14 @@ def classify_partials(partials, rtol: float = 0.05, rule: str = "strict"):
     return "undecided", False
 
 
-def _protocol(F, eps_values, ladder, rtol: float, rule: str,
+def _protocol(F, eps_values, ladder, rule: str,
               window: int | None = None) -> NormResult:
     """The truncation protocol shared by every grid family: verdict from
     the partials ``F`` at the levels ``eps_values``, then, if converged,
     the value extrapolated by ``richardson`` with the tail exponents
     ``ladder``.  ``window`` restricts the extrapolation to the deepest
     levels; the verdict always uses the whole sequence."""
-    verdict, conv = classify_partials(F, rtol=rtol, rule=rule)
+    verdict, conv = classify_partials(F, rule=rule)
     if not conv:
         value, err = float(F[-1]), float("inf")
     else:
@@ -182,7 +182,7 @@ def _protocol(F, eps_values, ladder, rtol: float, rule: str,
         value, err = richardson(deltas[tail], F[tail], ladder)
     return NormResult(value=value, converged=conv,
                       eps_values=eps_values, partials=np.asarray(F, float),
-                      estimated_error=err, rtol=rtol, verdict=verdict)
+                      estimated_error=err, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +338,8 @@ class DiskGrid:
                            minlength=self.n_levels)
         return np.cumsum(sums)
 
-    def integrate_protocol(self, values, rtol: float = 0.05, ladder=None,
-                           rule: str = "strict", shift: float = 0.0,
+    def integrate_protocol(self, values, ladder=None, rule: str = "strict",
+                           shift: float = 0.0,
                            window: int | None = None) -> NormResult:
         """Protocol integral of ``values`` + ``shift`` with the weight's
         ladder ``disk_ladder(alpha)`` unless the caller passes one.
@@ -351,7 +351,7 @@ class DiskGrid:
         if ladder is None:
             ladder = disk_ladder(self.alpha)
         return _protocol(self.partials(values) + shift, self.eps_values,
-                         ladder, rtol, rule, window)
+                         ladder, rule, window)
 
 
 def grid_for(f: HoloFunction | None, alpha: float) -> DiskGrid:
@@ -390,14 +390,14 @@ class BidiskGrid:
     def block_partials(self, block) -> np.ndarray:
         return np.cumsum(np.cumsum(block, axis=0), axis=1).diagonal().copy()
 
-    def protocol_from_block(self, block, rtol: float = 0.05,
-                            rule: str = "scan", ladder=None) -> NormResult:
+    def protocol_from_block(self, block, rule: str = "scan",
+                            ladder=None) -> NormResult:
         """The protocol on the diagonal partials of ring blocks, with the
         tail exponents ``ladder``, by default ``bidisk_ladder(alpha)``."""
         if ladder is None:
             ladder = bidisk_ladder(self.alpha)
         return _protocol(self.block_partials(block), self.factor.eps_values,
-                         ladder, rtol, rule)
+                         ladder, rule)
 
     def ring_moments(self, d1: int, d2: int) -> np.ndarray:
         """Per-ring monomial moments M[a, k, l] = sum_(i in ring a)
@@ -425,8 +425,7 @@ class BidiskGrid:
         P = A @ Mw @ np.conj(B).T
         return np.einsum("akl,bkl->ab", Mz, P)
 
-    def coefficient_norm(self, cmat, p: float = 2.0, rtol: float = 0.05,
-                         rule: str = "strict") -> NormResult:
+    def coefficient_norm(self, cmat, p: float) -> NormResult:
         """Protocol integral of |sum_ij c_ij z^i w^j|^p.
 
         At p = 2 the node double sum factors exactly by ring through the
@@ -438,14 +437,14 @@ class BidiskGrid:
         cmat = np.asarray(cmat, dtype=complex)
         if p == 2.0:
             block = self.pairing_block(cmat, cmat).real
-            return self.protocol_from_block(block, rtol=rtol, rule=rule)
+            return self.protocol_from_block(block, rule="strict")
         g = self.factor
         zp = _powers(g.nodes, cmat.shape[0])
         right = cmat @ _powers(g.nodes, cmat.shape[1]).T
         block = _kernels.ring_block_sums(
             lambda lo, hi: np.abs(zp[lo:hi] @ right) ** p,
             g.weights, g.ring, g.n_levels)
-        return self.protocol_from_block(block, rtol=rtol, rule=rule)
+        return self.protocol_from_block(block, rule="strict")
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +511,9 @@ class BallGrid:
     def partials(self, values) -> np.ndarray:
         return DiskGrid.partials(self, values)
 
-    def integrate_protocol(self, values, rtol: float = 0.02,
-                           rule: str = "scan") -> NormResult:
+    def integrate_protocol(self, values) -> NormResult:
         return _protocol(self.partials(values), self.eps_values,
-                         disk_ladder(self.alpha), rtol, rule)
+                         disk_ladder(self.alpha), "scan")
 
 
 def matching_grid(grid, build, alpha: float, **fixed):
@@ -546,23 +544,23 @@ def monomial_norm_exact(k: int, alpha: float) -> float:
                         - gammaln(k + alpha + 2)))
 
 
-def norm_p(f: HoloFunction, wp: WeightParams, grid: DiskGrid,
-           rtol: float = 0.05) -> NormResult:
-    """Protocol integral of |f|^p against the grid's dA_alpha."""
+def norm_p(f: HoloFunction, wp: WeightParams,
+           grid: DiskGrid | None) -> NormResult:
+    """Protocol integral of |f|^p dA_alpha on a grid of alpha, or on
+    ``grid_for(f, alpha)`` if ``grid`` is None."""
     if isinstance(f, BallPoly):
         raise TypeError("disk norm requires a disk variant")
-    values = np.abs(f(grid.nodes)) ** wp.p
-    return grid.integrate_protocol(values, rtol=rtol)
+    grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
+    return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p)
 
 
-def ball_norm_p(f: BallPoly, wp: WeightParams, grid: BallGrid,
-                rtol: float = 0.02) -> NormResult:
+def ball_norm_p(f: BallPoly, wp: WeightParams, grid: BallGrid) -> NormResult:
     """Protocol integral of |f|^p dv_alpha on a grid of f's n and alpha."""
     if not isinstance(f, BallPoly):
         raise TypeError("ball norm requires a ball variant")
     grid = matching_grid(grid, lambda: BallGrid(f.n, wp.alpha), wp.alpha,
                          n=f.n)
-    return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p, rtol=rtol)
+    return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p)
 
 
 def membership(f: HoloFunction, wp: WeightParams,
@@ -570,28 +568,27 @@ def membership(f: HoloFunction, wp: WeightParams,
     """Decide f in A^p_alpha from the increment decay of the truncated
     integrals; returns (verdict, NormResult).  A given grid must carry
     alpha."""
-    res = norm_p(f, wp, matching_grid(grid, lambda: grid_for(f, wp.alpha),
-                                      wp.alpha))
+    res = norm_p(f, wp, grid)
     return res.verdict, res
 
 
-def derivative_seminorm(f: HoloFunction, wp: WeightParams, grid: DiskGrid,
-                        rtol: float = 0.05) -> NormResult:
+def derivative_seminorm(f: HoloFunction, wp: WeightParams,
+                        grid: DiskGrid | None) -> NormResult:
     """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha."""
+    grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
     vals = (grid.one_minus_u * np.abs(f.derivative_at(grid.nodes))) ** wp.p
     head = float(np.abs(f(np.array(0j))) ** wp.p)
-    return grid.integrate_protocol(vals, rtol=rtol, shift=head)
+    return grid.integrate_protocol(vals, shift=head)
 
 
 # ---------------------------------------------------------------------------
 # Forelli-Rudin growth integrals and exponent fitting
 # ---------------------------------------------------------------------------
 
-def forelli_rudin_integral(x: float, s: float, t: float,
-                           rtol: float = 0.05) -> NormResult:
+def forelli_rudin_integral(x: float, s: float, t: float) -> NormResult:
     """I(x) = int (1-|w|^2)^s / |1 - x w|^(2+s+t) dA(w) for 0 <= x < 1,
     the one-radius ``forelli_rudin_scan``."""
-    return forelli_rudin_scan([x], [(s, t)], rtol=rtol)[(s, t)][0]
+    return forelli_rudin_scan([x], [(s, t)])[(s, t)][0]
 
 
 def forelli_rudin_exact(x: float, s: float, t: float) -> float:
@@ -614,7 +611,7 @@ def forelli_rudin_sup(s: float, t: float) -> float:
                         - 2.0 * gammaln(1.0 + (s - t) / 2.0)))
 
 
-def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
+def forelli_rudin_scan(radii, st_pairs) -> dict:
     """I(x) for every |z| in ``radii`` and (s, t) in ``st_pairs``, sharing
     one graded grid per radius; returns {(s, t): [NormResult, ...]}.
 
@@ -639,7 +636,7 @@ def forelli_rudin_scan(radii, st_pairs, rtol: float = 0.05) -> dict:
         for s, t in st_pairs:
             vals = grid.one_minus_u ** s * np.abs(1.0 - x * grid.nodes) ** (-(2.0 + s + t))
             out[(s, t)].append(grid.integrate_protocol(
-                vals, rtol=rtol, ladder=disk_ladder(s)))
+                vals, ladder=disk_ladder(s)))
     return out
 
 

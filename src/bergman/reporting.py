@@ -1,6 +1,7 @@
 """Structured experiment reports with JSON and CSV emission."""
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,28 +89,22 @@ class ExperimentReport:
         return lines
 
 
-def emit_report(report: ExperimentReport, out_dir, formats=("json", "csv")):
+def emit_report(report: ExperimentReport, out_dir):
     """Write <suite>.json and one CSV file per recorded data block;
     returns the written paths."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        if "json" in formats:
-            p = out_dir / f"{report.suite}.json"
-            p.write_text(json.dumps(report.to_json(), indent=2,
-                                    default=float))
+        p = out_dir / f"{report.suite}.json"
+        p.write_text(json.dumps(report.to_json(), indent=2, default=float))
+        paths = [p]
+        for name, (header, rows) in report.csv_blocks.items():
+            p = out_dir / f"{report.suite}_{name}.csv"
+            with p.open("w", newline="") as fh:
+                wr = csv.writer(fh)
+                wr.writerow(header)
+                wr.writerows(rows)
             paths.append(p)
-        if "csv" in formats:
-            import csv as _csv
-
-            for name, (header, rows) in report.csv_blocks.items():
-                p = out_dir / f"{report.suite}_{name}.csv"
-                with p.open("w", newline="") as fh:
-                    wr = _csv.writer(fh)
-                    wr.writerow(header)
-                    wr.writerows(rows)
-                paths.append(p)
         return paths
     except OSError as exc:
         raise OSError(f"cannot write report under {out_dir}: {exc}") from exc

@@ -338,6 +338,11 @@ class TestLiftingScan:
         assert res.all_converged
         for row in res.rows:
             assert np.isfinite(row.ratio) and row.ratio > 0
+        # each row records both integrals' verdicts and error estimates
+        for row in res.to_json()["rows"]:
+            assert row["verdict_f"] == row["verdict_Lf"] == "member"
+            assert 0 <= row["estimated_error_f"] < 1e-3 * row["norm_f"]
+            assert 0 <= row["estimated_error_Lf"] < 1e-3 * row["norm_Lf"]
 
     @pytest.mark.parametrize("mode,p,s_values", [
         ("thm11", 1.0, (0.5, 1.0, 1.5)), ("thm12", 4.0, (0.1, 0.3, 0.45))])

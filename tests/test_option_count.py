@@ -1,0 +1,53 @@
+"""The library's settable values, counted from its source: every
+parameter with a default in a ``def`` or ``lambda`` under ``src/bergman``,
+and every distinct suite option read through ``cfg.opt``.  A new option
+changes a total here, so it shows up in the diff that adds it."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bergman"
+
+DEFAULTED_PARAMETERS = 53
+SUITE_OPTIONS = 10
+
+
+def _trees():
+    return [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+
+
+def _functions():
+    return [node for tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda))]
+
+
+def _defaulted(args: ast.arguments) -> list:
+    pos = args.posonlyargs + args.args
+    return ([a.arg for a in pos[len(pos) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _suite_options() -> set:
+    return {node.args[0].value for tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "opt"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "cfg"}
+
+
+def test_defaulted_parameter_count():
+    assert sum(len(_defaulted(f.args)) for f in _functions()) \
+        == DEFAULTED_PARAMETERS
+
+
+def test_suite_option_count():
+    assert len(_suite_options()) == SUITE_OPTIONS
+
+
+def test_no_tolerance_parameter():
+    # the verdict rule has no tolerance; nothing may take one
+    names = {a.arg for f in _functions()
+             for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs)}
+    assert "rtol" not in names

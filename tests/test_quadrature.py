@@ -13,6 +13,7 @@ from bergman import quadrature, suites
 from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, TaylorPoly
 from bergman.geometry import pseudo_disk
+from bergman.lifting import log_weighted_norm
 from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
                                 ball_norm_p, bidisk_ladder, classify_partials,
                                 derivative_seminorm, disk_ladder,
@@ -229,7 +230,7 @@ class TestProtocol:
         vals = np.abs(g.nodes[:, 0]) ** 2
         res = g.integrate_protocol(vals)
         want = quadrature._protocol(g.partials(vals), g.eps_values,
-                                    disk_ladder(alpha), 0.02, "scan")
+                                    disk_ladder(alpha), "scan")
         assert res.converged
         assert res.value == want.value
         assert res.estimated_error == want.estimated_error
@@ -263,11 +264,32 @@ class TestProtocol:
 
     @pytest.mark.parametrize("ratio,strict,scan", [
         (0.5, "member", "member"), (1.1, "non-member", "non-member"),
-        (0.93, "undecided", "member")])
+        (0.93, "undecided", "member"), (1.0, "non-member", "non-member"),
+        (0.0, "member", "member")])
     def test_classify_geometric_increments(self, ratio, strict, scan):
         F = np.cumsum(ratio ** np.arange(9))
         assert classify_partials(F, rule="strict")[0] == strict
         assert classify_partials(F, rule="scan")[0] == scan
+
+    @pytest.mark.parametrize("rule", ["strict", "scan"])
+    def test_classify_oscillating_growth(self, rule):
+        # ratios alternate 0.8 and 5: not all >= 1, but their geometric
+        # mean of 2 says the increments grow
+        F = np.cumsum(2.0 ** np.arange(9) * np.where(np.arange(9) % 2, 0.4, 1.0))
+        assert classify_partials(F, rule=rule) == ("non-member", False)
+
+    @pytest.mark.parametrize("rule", ["strict", "scan"])
+    def test_slow_tail_is_undecided(self, rule):
+        # increments 0.3 * 0.98^k from F_0 = 10 tend to 25; nine levels
+        # show too little of the tail to extrapolate, which would read
+        # 12.65 with an estimated error of 1e-3
+        F = 10.0 + np.concatenate([[0.0], np.cumsum(0.3 * 0.98 ** np.arange(8))])
+        eps = quadrature.EPS_START / 2.0 ** np.arange(9)
+        res = quadrature._protocol(F, eps, disk_ladder(0.0), rule)
+        assert res.verdict == "undecided"
+        assert not res.converged
+        assert res.value == F[-1]
+        assert res.estimated_error == float("inf")
 
 
 class TestMonomialExactness:
@@ -363,6 +385,22 @@ class TestMembership:
         _, res = membership(TaylorPoly([1.0, 2.0]), WeightParams(2, 1.0), g)
         np.testing.assert_allclose(
             res.value, 1.0 + 4.0 * monomial_norm_exact(1, 1.0), rtol=1e-10)
+        # the norm, the seminorm and the log-weighted norm refuse a grid
+        # of another alpha too: on it they read 0.5, 1/3 and 0.2778 where
+        # the answers are 1/3, 1/2 and 3/4
+        z, wp1 = TaylorPoly([0.0, 1.0]), WeightParams(2, 1.0)
+        g0 = DiskGrid.build(0.0, n_angular=16)
+        for call in (lambda: norm_p(z, wp1, g0),
+                     lambda: derivative_seminorm(z, wp1, g0),
+                     lambda: log_weighted_norm(z, grid=g)):
+            with pytest.raises(ParameterError, match="does not match"):
+                call()
+        np.testing.assert_allclose(norm_p(z, wp1, g).value, 1.0 / 3.0,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(derivative_seminorm(z, wp1, g).value, 0.5,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(log_weighted_norm(z, grid=g0).value, 0.75,
+                                   rtol=1e-6)
 
 
 class TestDerivativeSeminorm:
