@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (beta as beta_function, gammaln, hyp2f1,
@@ -78,10 +78,10 @@ class NormResult:
 
     value: float
     converged: bool
-    eps_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    partials: np.ndarray = field(default_factory=lambda: np.empty(0))
-    estimated_error: float = float("inf")
-    verdict: str = ""
+    eps_values: np.ndarray
+    partials: np.ndarray
+    estimated_error: float
+    verdict: str
 
     def to_json(self) -> dict:
         return {"value": self.value, "converged": self.converged,
@@ -390,7 +390,7 @@ class BidiskGrid:
     def block_partials(self, block) -> np.ndarray:
         return np.cumsum(np.cumsum(block, axis=0), axis=1).diagonal().copy()
 
-    def protocol_from_block(self, block, rule: str = "scan",
+    def protocol_from_block(self, block, rule: str,
                             ladder=None) -> NormResult:
         """The protocol on the diagonal partials of ring blocks, with the
         tail exponents ``ladder``, by default ``bidisk_ladder(alpha)``."""

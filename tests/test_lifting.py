@@ -14,8 +14,9 @@ from bergman.lifting import (LiftedFunction, TensorPoly, bidisk_norm,
                              log_weighted_norm, monomial_log_norm_exact,
                              default_poly_bidisk_grid)
 from bergman import _kernels
-from bergman.quadrature import (DiskGrid, WeightParams, grid_for,
-                                monomial_norm_exact, norm_p, richardson)
+from bergman.quadrature import (BidiskGrid, DiskGrid, WeightParams,
+                                grid_for, monomial_norm_exact, norm_p,
+                                richardson)
 from bergman.sampling import sample_disk
 
 
@@ -374,6 +375,19 @@ class TestLiftingScan:
         assert res.converged
         np.testing.assert_allclose(res.value, _lifted_series_of_power(s),
                                    rtol=1e-5)
+
+    @pytest.mark.parametrize("s,p,beta", [(1.5, 1.0, 0.0), (0.6, 2.0, 0.0),
+                                          (0.1, 4.0, 1.0)])
+    def test_scan_grid_resolves_closed_form_lifts(self, s, p, beta):
+        # the default scan grid (6 x 5 panels) against the 12 x 6 graded
+        # grid: deviations 2.1e-8 to 3.3e-8; with 4 x 5 panels up to
+        # 4.0e-7, with 6 x 4 up to 1.2e-6
+        fine = BidiskGrid(DiskGrid.build_graded(
+            beta, eps_stop=2.0 ** -10, nodes_per_panel=12, theta_per_panel=6))
+        F = lift(PowerSingularity(s))
+        np.testing.assert_allclose(bidisk_norm(F, p, beta).value,
+                                   bidisk_norm(F, p, beta, grid=fine).value,
+                                   rtol=1e-7)
 
     def test_mode_preconditions(self):
         with pytest.raises(ParameterError):
