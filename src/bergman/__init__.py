@@ -17,8 +17,8 @@ from .quadrature import (BallGrid, BidiskGrid, DiskGrid, NormResult,
 from .witness import (ViolationReport, Witness, build_witness,
                       build_witness_ball, derivative_bound_check,
                       local_sup_h, verify_lipschitz, witness_integrability)
-from .lifting import (LiftedFunction, TensorPoly, bidisk_norm, diagonal,
-                      divergence_demo, lift, lift_eval, lift_norm_series_A2,
+from .lifting import (LiftedFunction, TensorPoly, bidisk_norm,
+                      divergence_demo, lift, lift_norm_series_A2,
                       lifting_scan, log_weighted_norm)
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "ViolationReport", "Witness", "build_witness", "build_witness_ball",
     "derivative_bound_check", "local_sup_h", "verify_lipschitz",
     "witness_integrability",
-    "LiftedFunction", "TensorPoly", "bidisk_norm", "diagonal",
-    "divergence_demo", "lift", "lift_eval", "lift_norm_series_A2",
+    "LiftedFunction", "TensorPoly", "bidisk_norm",
+    "divergence_demo", "lift", "lift_norm_series_A2",
     "lifting_scan", "log_weighted_norm",
 ]

@@ -1,30 +1,47 @@
 """Hot inner loops of the witness and lifting layers, in numpy.
 
 All kernels are single-threaded and deterministic, and each works in
-passes sized by one element budget, ``_BUDGET`` = 2^16 sample points
-(or node pairs) per pass, so that a pass's temporaries (1 MB each in
+passes sized by one element budget, ``_BUDGET`` = 2^14 sample points
+(or node pairs) per pass, so that a pass's temporaries (256 KB each in
 complex128) stay in cache.
 
 The two local-sup kernels take the max, over a fixed sample of the unit
 disk (ball) mapped onto each local disk, of a quantity that the function
-classes compute.  On the disk it is (1 - |u|^2) |f'(u)| at u = c + R e,
-with f' from ``f.local_derivative`` on a pass of local disks and a table
-``f.local_derivative_table(sample)`` formed once per call.  A
-``TaylorPoly`` takes f' through its Taylor coefficients about each
-centre: beta = V(c) @ M, scaled by R^k, times the sample's power table
-E[k] = e^k, two BLAS products in place of a Horner loop over the pushed
-sample.  The closed forms push the sample through ``derivative_at``.  In
-the ball it is the invariant gradient, through
-``BallPoly.invariant_gradient_at``.  Rounding in the shifted f' is
-bounded by about D eps sum_j |a'_j| (|c| + R)^j for D coefficients a'_j,
-which is Horner's bound at |u| <= |c| + R (see ``local_sup_poly``).
+classes compute on a pass of local disks.  On the disk it is
+(1 - |u|^2)^2 |f'(u)|^2 at u = c + R e, with |f'|^2 from
+``f.local_derivative_sq`` and a table ``f.local_derivative_table(sample)``
+formed once per call.  A ``TaylorPoly`` takes f' through its Taylor
+coefficients about each centre: beta = V(c) @ M, scaled by R^k, times the
+sample's power table E[k] = e^k, two BLAS products in place of a Horner
+loop over the pushed sample.  The closed forms take |f'|^2 in real
+arithmetic from |1 - u|^2: s^2 |1 - u|^(-2s-2) and 1 / |1 - u|^2.
+Rounding in the shifted f' is bounded by about
+D eps sum_j |a'_j| (|c| + R)^j for D coefficients a'_j, which is
+Horner's bound at |u| <= |c| + R (see ``local_sup_poly``).  In the ball
+it is the squared invariant gradient at u = phi_a(r e), the sample pushed
+in closed form (see ``ball_sup_invgrad``), from
+``BallPoly.invariant_gradient_sq`` and its per-coordinate power tables.
+Both kernels take one square root per centre (point), after the max.
 
-A pass takes max(1, _BUDGET // len(sample)) centres (points): 65 centres
-of the 993-point disk sample, 64 points of the 1,024-point ball sample.
-The budget is measured, one thread on a 2-core Xeon: the 48 kernel calls
-of three ``disk-witness`` benchmark rounds (seed 101, 45,648 centres)
-take 0.42, 0.27, 0.22, 0.19, 0.20, 0.20 and 0.23 s per round at budgets
-2^12 through 2^18, against 0.79 s per round for the Horner loop at 2^16.
+A pass takes max(1, _BUDGET // len(sample)) centres (points): 16 centres
+of the 993-point disk sample, 16 points of the 1,024-point ball sample.
+The budget is measured, one thread on a 2-core Xeon, as the median
+kernel time per benchmark round (seed 101; 10 rounds, 6 for lifting;
+budgets interleaved round by round in one process):
+
+    budget             2^12   2^13   2^14   2^15   2^16
+    disk-witness (s)   0.415  0.297  0.254  0.238  0.461
+    ball-witness (s)   0.069  0.058  0.057  0.076  0.099
+    lifting (s)        0.543  0.411  0.333  0.334  0.340
+
+The ball kernel keeps about a dozen (points, samples) temporaries per
+pass and slows above 2^14; at 2^16 the ``ball-witness`` benchmark's peak
+RSS was also 119.9 MB against 110.8 MB at 2^14.  At 2^16 the disk kernel
+lost time to the allocator: 3,000 degree-50 centres took 0.10 s, and
+0.06 s with glibc's trim and mmap thresholds raised.  Long passes suit the shifted coefficients of a
+high-degree Taylor polynomial, whose power table E is read once per
+pass: the ``thm6`` suite (witnesses of degree up to 50 on 100,000
+pairs) took 18-23 s at 2^14 against 16-18 s at 2^16.
 
 The pair sum of the lifted closed forms visits each mirror orbit of node
 pairs once.  When the nodes below the real axis are exact mirror images
@@ -43,11 +60,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ball_phi
-
 HAVE_NUMBA = False  # read only by two warm-up branches of perfbench/workloads.py
 
-_BUDGET = 1 << 16  # elements per temporary of every kernel pass
+_BUDGET = 1 << 14  # elements per temporary of every kernel pass
 
 
 def _passes(n, inner):
@@ -65,10 +80,10 @@ def local_sup_poly(centers, radii, grid, f):
     """For each center c and radius R, max over u = c + R e, e in
     ``grid``, of (1 - |u|^2) |f'(u)|.
 
-    f' comes from ``f.local_derivative`` in passes of the element budget,
-    with the per-call table ``f.local_derivative_table(grid)``: two BLAS
-    products through the shifted coefficients for a ``TaylorPoly``,
-    ``derivative_at`` of the pushed sample for the closed forms.  The
+    |f'|^2 comes from ``f.local_derivative_sq`` in passes of the element
+    budget, with the per-call table ``f.local_derivative_table(grid)``:
+    two BLAS products through the shifted coefficients for a
+    ``TaylorPoly``, real arithmetic on |1 - u|^2 for the closed forms.  The
     weight 1 - |u|^2 = (1 - |c|^2) - 2R Re c Re e - 2R Im c Im e - R^2 |e|^2
     is one real product of per-centre and per-sample rows of four, taken
     by ``einsum``, whose sums do not depend on the rows of the pass as a
@@ -84,15 +99,14 @@ def local_sup_poly(centers, radii, grid, f):
     table = f.local_derivative_table(grid)
     e_terms = np.stack([np.ones(len(grid)), grid.real, grid.imag,
                         grid.real ** 2 + grid.imag ** 2])
+    c_terms = np.stack([1.0 - (centers.real ** 2 + centers.imag ** 2),
+                        -2.0 * radii * centers.real,
+                        -2.0 * radii * centers.imag, -radii * radii], axis=1)
     out = np.empty(len(centers))
     for k in _passes(len(centers), len(grid)):
-        c, R = centers[k], radii[k]
-        w = np.einsum("ci,is->cs", np.stack(
-            [1.0 - (c.real ** 2 + c.imag ** 2), -2.0 * R * c.real,
-             -2.0 * R * c.imag, -R * R], axis=1), e_terms)
-        d = f.local_derivative(c, R, table)
+        w = np.einsum("ci,is->cs", c_terms[k], e_terms)
         w *= w
-        w *= d.real ** 2 + d.imag ** 2
+        w *= f.local_derivative_sq(centers[k], radii[k], table)
         out[k] = w.max(axis=1)
     return np.sqrt(out)
 
@@ -265,10 +279,39 @@ def pair_block_sums(z, f, w, ring, n_rings, p, s, variant):
 # ---------------------------------------------------------------------------
 
 def ball_sup_invgrad(zpts, esamp, f, r):
-    """Per point z: max over u = phi_z(r * e), e in ``esamp``, of the
-    invariant gradient of the ball polynomial ``f``."""
+    """Per point a: max over u = phi_a(r e), e in ``esamp``, of the
+    invariant gradient of the ball polynomial ``f``.
+
+    The sample is pushed in closed form.  With t = <r e, a> and
+    s = sqrt(1 - |a|^2), the automorphism of ``geometry.ball_phi`` is
+    u_j = (a_j (1 - t / (1 + s)) - s r e_j) / (1 - t), since its
+    (1 - s) / |a|^2 equals 1 / (1 + s); so a = 0 needs no branch.  t is
+    one BLAS product of the pass's points against the per-call rows
+    r e_j, 1 / (1 - t) is conj(1 - t) / |1 - t|^2 in real arithmetic, and
+    each u_j is its own contiguous (points, samples) array.  The weight is
+    1 - |u|^2 = (1 - |a|^2)(1 - |r e|^2) / |1 - t|^2 (Rudin, Function
+    Theory in the Unit Ball of C^n, 1980, 2.2), not 1 - sum |u_j|^2.
+    ``f.invariant_gradient_sq`` gives the squared invariant gradient from
+    per-coordinate power tables of the u_j; each pass keeps its max per
+    point, and the square root is taken at the end.
+    """
+    zpts = np.asarray(zpts, dtype=complex)
+    re = r * np.asarray(esamp, dtype=complex)
+    rows = np.ascontiguousarray(re.T)
+    e_weight = 1.0 - np.sum(re.real ** 2 + re.imag ** 2, axis=1)
     out = np.empty(len(zpts))
-    for k in _passes(len(zpts), len(esamp)):
-        u = ball_phi(zpts[k, None, :], r * esamp[None, :, :], validate=False)
-        out[k] = f.invariant_gradient_at(u).max(axis=1)
-    return out
+    for k in _passes(len(zpts), len(re)):
+        a = zpts[k]
+        aa = np.sum(a.real ** 2 + a.imag ** 2, axis=1)
+        s = np.sqrt(1.0 - aa)[:, None]
+        t = a.conj() @ rows  # <r e, a>
+        inv = (1.0 - t).conj()
+        den2 = inv.real ** 2 + inv.imag ** 2  # |1 - t|^2
+        inv *= 1.0 / den2  # 1 / (1 - t), without a complex division
+        lam = 1.0 - t * (1.0 / (1.0 + s))
+        lam *= inv
+        inv *= s
+        u = [a[:, j, None] * lam - rows[j] * inv for j in range(len(rows))]
+        w = (1.0 - aa)[:, None] * e_weight / den2
+        out[k] = f.invariant_gradient_sq(u, w).max(axis=1)
+    return np.sqrt(out)

@@ -7,6 +7,8 @@ numpy arrays and round-trips through a small JSON encoding.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ParameterError
@@ -17,7 +19,8 @@ SHIFT_MAX_DEGREE = 512  # C(m+k, k) < 2^512 ~ 1e154, far below float64 overflow
 
 class HoloFunction:
     """Base class; concrete variants implement ``__call__`` and, on the
-    disk, ``derivative_at``."""
+    disk, ``derivative_at`` and either ``_derivative_sq`` (f' a function
+    of |1 - u|) or ``local_derivative_sq``."""
 
     domain = "disk"
 
@@ -28,17 +31,30 @@ class HoloFunction:
         raise NotImplementedError
 
     def local_derivative_table(self, grid):
-        """What ``local_derivative`` needs of the unit-disk sample
-        ``grid``, formed once per batch of local disks: here the sample
-        itself."""
-        return np.asarray(grid, dtype=complex)
+        """What ``local_derivative_sq`` needs of the unit-disk sample
+        ``grid``, formed once per batch of local disks: here the real and
+        imaginary parts of the sample."""
+        grid = np.asarray(grid, dtype=complex)
+        return grid.real.copy(), grid.imag.copy()
 
-    def local_derivative(self, centers, radii, table):
-        """f'(c + R e) for each centre c and radius R (rows) and each
-        sample point e (columns), given ``local_derivative_table(grid)``;
-        here ``derivative_at`` of the pushed sample."""
-        return self.derivative_at(centers[:, None]
-                                  + radii[:, None] * table[None, :])
+    def local_derivative_sq(self, centers, radii, table):
+        """|f'(c + R e)|^2 for each centre c and radius R (rows) and each
+        sample point e (columns), given ``local_derivative_table(grid)``.
+
+        Here f' depends on |1 - u| alone, as for both closed forms, and
+        ``_derivative_sq`` takes it from |1 - u|^2 =
+        (1 - Re c - R Re e)^2 + (Im c + R Im e)^2, in real arithmetic."""
+        er, ei = table
+        x = (1.0 - centers.real)[:, None] - radii[:, None] * er[None, :]
+        y = centers.imag[:, None] + radii[:, None] * ei[None, :]
+        x *= x
+        y *= y
+        x += y
+        return self._derivative_sq(x)
+
+    def _derivative_sq(self, q):
+        """|f'(u)|^2 as a function of q = |1 - u|^2."""
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -115,14 +131,16 @@ class TaylorPoly(HoloFunction):
         grid = np.asarray(grid, dtype=complex)
         return M, np.ascontiguousarray(np.vander(grid, D, increasing=True).T)
 
-    def local_derivative(self, centers, radii, table):
-        """f'(c + R e) = sum_k beta_k(c) R^k e^k by two matrix products,
-        (V(c) @ M) R^k @ E, with M and E from ``local_derivative_table``."""
+    def local_derivative_sq(self, centers, radii, table):
+        """|f'(c + R e)|^2, with f'(c + R e) = sum_k beta_k(c) R^k e^k by
+        two matrix products, (V(c) @ M) R^k @ E, with M and E from
+        ``local_derivative_table``."""
         M, E = table
         D = len(M)
         beta = np.vander(centers, D, increasing=True) @ M
         beta *= np.vander(radii, D, increasing=True)
-        return beta @ E
+        d = beta @ E
+        return d.real ** 2 + d.imag ** 2
 
     def to_json(self) -> dict:
         return {"variant": "taylor",
@@ -142,6 +160,12 @@ class PowerSingularity(HoloFunction):
 
     def derivative_at(self, z):
         return self.s * (1.0 - np.asarray(z, dtype=complex)) ** (-self.s - 1.0)
+
+    def _derivative_sq(self, q):
+        """|f'(u)|^2 = s^2 q^(-s-1), in place in q = |1 - u|^2."""
+        q **= -self.s - 1.0
+        q *= self.s * self.s
+        return q
 
     def taylor_section(self, degree: int) -> TaylorPoly:
         """Taylor polynomial of degree ``degree``; a_k = (s)_k / k!."""
@@ -163,6 +187,10 @@ class LogKernel(HoloFunction):
 
     def derivative_at(self, z):
         return 1.0 / (1.0 - np.asarray(z, dtype=complex))
+
+    def _derivative_sq(self, q):
+        """|f'(u)|^2 = 1 / q, in place in q = |1 - u|^2."""
+        return np.reciprocal(q, out=q)
 
     def taylor_section(self, degree: int) -> TaylorPoly:
         c = np.zeros(degree + 1, dtype=complex)
@@ -212,36 +240,68 @@ class BallPoly(HoloFunction):
                 terms[tuple(new)] = terms.get(tuple(new), 0.0) + c * idx[k]
         return BallPoly(self.n, terms)
 
+    @cached_property
+    def _partial_terms(self):
+        """The monomial tables of df/dz_k, k < n."""
+        return [self.partial(k).terms for k in range(self.n)]
+
+    def _partials(self, u):
+        """[df/du_k for k < n] at the points whose coordinates are the
+        arrays u[0], ..., u[n-1], from one table of powers u_j^e per
+        coordinate."""
+        parts = self._partial_terms
+        powers = []
+        for j in range(self.n):
+            top = max((idx[j] for terms in parts for idx in terms), default=0)
+            pj = [None, u[j]]
+            for _ in range(top - 1):
+                pj.append(pj[-1] * u[j])
+            powers.append(pj)
+        out = []
+        for terms in parts:
+            acc = np.zeros(np.shape(u[0]), dtype=complex)
+            for idx, c in terms.items():
+                t = c
+                for j, e in enumerate(idx):
+                    if e:
+                        t = t * powers[j][e]
+                acc += t
+            out.append(acc)
+        return out
+
+    @staticmethod
+    def _coords(z):
+        z = np.asarray(z, dtype=complex)
+        return [z[..., k] for k in range(z.shape[-1])]
+
     def radial_derivative_at(self, z):
         """Rf(z) = sum_k z_k df/dz_k."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for k in range(self.n):
-            out += z[..., k] * self.partial(k)(z)
-        return out
+        u = self._coords(z)
+        return sum(uk * dk for uk, dk in zip(u, self._partials(u)))
 
     def gradient_norm_at(self, z):
         """|grad f(z)| = sqrt(sum_k |df/dz_k|^2)."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape[:-1])
-        for k in range(self.n):
-            acc += np.abs(self.partial(k)(z)) ** 2
-        return np.sqrt(acc)
+        return np.sqrt(sum(d.real ** 2 + d.imag ** 2
+                           for d in self._partials(self._coords(z))))
+
+    def invariant_gradient_sq(self, u, one_minus):
+        """(1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2) at the points whose
+        coordinates are the arrays u[0], ..., u[n-1], given their weights
+        ``one_minus`` = 1 - |u|^2; the difference is >= 0 up to rounding
+        and is clipped there."""
+        d = self._partials(u)
+        grad2 = sum(dk.real ** 2 + dk.imag ** 2 for dk in d)
+        radial = sum(uk * dk for uk, dk in zip(u, d))
+        diff = grad2 - (radial.real ** 2 + radial.imag ** 2)
+        return one_minus * np.maximum(diff, 0.0)
 
     def invariant_gradient_at(self, z):
         """Moebius-invariant gradient |grad(f o phi_z)(0)|, in the closed
         form sqrt((1 - |z|^2)(|grad f(z)|^2 - |Rf(z)|^2)) (Zhu, Spaces of
         Holomorphic Functions in the Unit Ball, 2005)."""
         z = np.asarray(z, dtype=complex)
-        grad2 = np.zeros(z.shape[:-1])
-        radial = np.zeros(z.shape[:-1], dtype=complex)
-        for k in range(self.n):
-            dk = self.partial(k)(z)
-            grad2 += dk.real ** 2 + dk.imag ** 2
-            radial += z[..., k] * dk
         one_minus = 1.0 - np.sum(z.real ** 2 + z.imag ** 2, axis=-1)
-        diff = grad2 - (radial.real ** 2 + radial.imag ** 2)
-        return np.sqrt(one_minus * np.maximum(diff, 0.0))  # >= 0 up to rounding
+        return np.sqrt(self.invariant_gradient_sq(self._coords(z), one_minus))
 
     def to_json(self) -> dict:
         return {"variant": "ball", "n": self.n,

@@ -77,15 +77,6 @@ def lift(f: HoloFunction):
     return TensorPoly(a[np.add.outer(k, k) + 1])
 
 
-def lift_eval(f: HoloFunction, z, w):
-    return lift(f)(z, w)
-
-
-def diagonal(F, z):
-    """Restriction of a bidisk function to z = w."""
-    return F.diagonal(z)
-
-
 def homogeneous_lift_component(k: int) -> TensorPoly:
     """The degree-(k-1) block sum_{i+j=k-1} z^i w^j, the lift of z^k."""
     if k < 1:

@@ -15,7 +15,7 @@ from .geometry import ball_metric, ball_phi, beta, double_radius, mobius, \
     pseudo_disk, rho
 from .lifting import bidisk_norm, bidisk_pairing, default_poly_bidisk_grid, \
     diagonal_norm, divergence_coefficients, divergence_demo, \
-    harmonic_numbers, homogeneous_lift_component, lift, lift_eval, \
+    harmonic_numbers, homogeneous_lift_component, lift, \
     lift_norm_series_A2, lifting_scan
 from .quadrature import BallGrid, DiskGrid, WeightParams, ball_norm_p, \
     fit_growth_exponent, forelli_rudin_exact, forelli_rudin_scan, \
@@ -440,9 +440,9 @@ def _suite_thm11(cfg: SuiteConfig, rep: ExperimentReport):
     c1 = rng.normal(size=9) + 1j * rng.normal(size=9)
     c2 = rng.normal(size=9) + 1j * rng.normal(size=9)
     lin = np.max(np.abs(
-        lift_eval(TaylorPoly(2.0 * c1 - 1.5j * c2), z, w)
-        - 2.0 * lift_eval(TaylorPoly(c1), z, w)
-        + 1.5j * lift_eval(TaylorPoly(c2), z, w)))
+        lift(TaylorPoly(2.0 * c1 - 1.5j * c2))(z, w)
+        - 2.0 * lift(TaylorPoly(c1))(z, w)
+        + 1.5j * lift(TaylorPoly(c2))(z, w)))
     rep.checks.append(check("lifting_linearity_max_defect", lin, 1e-12, "<="))
 
     # diagonal restriction lands boundedly in the heavier weight

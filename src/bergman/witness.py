@@ -6,8 +6,12 @@ the construction is g = |f|/r + h with h a guarded local sup of
 (1 - |u|^2)|f'(u)| over pseudo-hyperbolic disks; the Euclidean-metric
 witness divides the whole of g by (1 - |z|).  On the ball, h is a local
 sup of the invariant gradient |grad(f o phi_u)(0)|, taken in its closed
-form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), with the closed-form
-constant 1/(1 - r^2) (see :func:`ball_witness_constant`).
+form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)) over the images
+u = phi_z(r e) of a fixed 1,024-point quasi-random sample e of the unit
+ball, with the closed-form constant 1/(1 - r^2) (see
+:func:`ball_witness_constant`).  ``_kernels.ball_sup_invgrad`` pushes the
+sample in closed form and takes 1 - |u|^2 from Rudin's identity
+(1 - |z|^2)(1 - |r e|^2) / |1 - <r e, z>|^2.
 """
 from __future__ import annotations
 
@@ -79,8 +83,9 @@ def _ball_sup_sample(n: int):
 
 
 def _ball_sup_values(f: BallPoly, z, r: float):
-    """Sup of the invariant gradient of f over the images phi_z(r e) of
-    the quasi-random ball sample, per point z."""
+    """Sampled sup of the invariant gradient of f over D(z, r), per point
+    z: the max over the images phi_z(r e) of the 1,024-point quasi-random
+    ball sample, pushed in closed form by ``_kernels.ball_sup_invgrad``."""
     return _kernels.ball_sup_invgrad(np.atleast_2d(z), _ball_sup_sample(f.n),
                                      f, r)
 

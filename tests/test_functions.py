@@ -104,6 +104,28 @@ class TestDerivatives:
         np.testing.assert_allclose(f.invariant_gradient_at(z),
                                    fd_invariant_gradient(f, z), rtol=1e-6)
 
+    @pytest.mark.parametrize("f", MIXED_BALL_POLYS)
+    def test_power_table_partials_match_partial_polys(self, f):
+        # the three derivative quantities take their partials from one
+        # table of powers per coordinate; against each partial evaluated
+        # as its own BallPoly, at the origin and out to |z| = 0.999
+        z = sample_ball(np.random.default_rng(11 + f.n), 200, f.n,
+                        rmax=0.999)
+        z[0] = 0.0
+        d = [f.partial(k)(z) for k in range(f.n)]
+        grad2 = sum(np.abs(dk) ** 2 for dk in d)
+        radial = sum(z[:, k] * d[k] for k in range(f.n))
+        one_minus = 1.0 - np.sum(np.abs(z) ** 2, axis=-1)
+        np.testing.assert_allclose(f.radial_derivative_at(z), radial,
+                                   rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(f.gradient_norm_at(z), np.sqrt(grad2),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(
+            f.invariant_gradient_at(z),
+            np.sqrt(one_minus * (grad2 - np.abs(radial) ** 2)), rtol=1e-12)
+        assert f.radial_derivative_at(z[5]) == pytest.approx(radial[5],
+                                                             rel=1e-13)
+
     def test_radial_matches_euler_identity(self):
         # for a homogeneous polynomial of degree d, Rf = d f
         f = BallPoly(2, {(2, 1): 0.7 - 0.2j})

@@ -1,8 +1,9 @@
 """Tests for the kernels' passes of the element budget, for the local
-sups of Taylor polynomials against a 30-digit reference, and for the
-ring-block pair sums of the lifted closed forms against their defining
-double sum, on unmirrored and mirrored node sets, and of the mirror
-layout of the graded grids that the pair sums rely on."""
+sups of Taylor polynomials and the closed forms' |f'|^2 against 30-digit
+references, for the ball sup's closed-form push against ``ball_phi``,
+for the ring-block pair sums of the lifted closed forms against their
+defining double sum, on unmirrored and mirrored node sets, and of the
+mirror layout of the graded grids that the pair sums rely on."""
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from bergman import _kernels, witness
 from bergman.errors import ParameterError
 from bergman.functions import SHIFT_MAX_DEGREE, BallPoly, LogKernel, \
     PowerSingularity, TaylorPoly
-from bergman.geometry import EuclideanDisk, pseudo_disk_params
+from bergman.geometry import EuclideanDisk, ball_phi, pseudo_disk_params
 from bergman.lifting import default_scan_bidisk_grid
 from bergman.quadrature import DiskGrid
 from bergman.sampling import sample_ball, sample_disk
@@ -49,8 +50,8 @@ def pass_sizes(monkeypatch):
     """Records the number of sample points each kernel pass evaluates:
     centres x disk samples, or points x ball samples."""
     sizes = []
-    for cls, name in [(TaylorPoly, "local_derivative"),
-                      (BallPoly, "invariant_gradient_at")]:
+    for cls, name in [(TaylorPoly, "local_derivative_sq"),
+                      (BallPoly, "invariant_gradient_sq")]:
         def recording(self, *args, _method=getattr(cls, name)):
             out = _method(self, *args)
             sizes.append(out.size)
@@ -78,8 +79,8 @@ def test_local_sup_is_budget_invariant(disks, monkeypatch, budget, name):
 
 @pytest.mark.parametrize("budget", [1024, 3000, 16 * 1024, 1 << 20])
 def test_ball_sup_is_budget_invariant(ball_points, monkeypatch, budget):
-    """Bit-identical at 16 or more points per pass; below that the
-    invariant gradient's reductions may round differently."""
+    """Bit-identical at 16 or more points per pass; below that the BLAS
+    product <r e, a> of one or two rows may round differently."""
     esamp = witness._ball_sup_sample(2)
     want = _kernels.ball_sup_invgrad(ball_points, esamp, BALL_POLY, 0.5)
     monkeypatch.setattr(_kernels, "_BUDGET", budget)
@@ -88,6 +89,35 @@ def test_ball_sup_is_budget_invariant(ball_points, monkeypatch, budget):
         assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-15)
+
+
+BALL_POLY_3 = BallPoly(3, {(0, 0, 0): 0.5j, (1, 0, 0): -0.4, (0, 1, 1): 0.8,
+                           (2, 0, 1): 0.3 + 0.3j, (0, 0, 3): -0.45j,
+                           (1, 1, 1): 0.6})
+
+
+def _ball_points(n):
+    """Seeded points out to |z| = 0.999, the origin, and points at |z| =
+    0.99 and 0.999 on a coordinate axis and on a diagonal."""
+    z = sample_ball(23 + n, 120, n, rmax=0.999)
+    axis = np.zeros(n, dtype=complex)
+    axis[0] = 1j
+    diag = np.exp(1j * np.arange(n)) / np.sqrt(n)
+    edge = np.array([a * v for a in (0.99, 0.999) for v in (axis, diag)])
+    return np.concatenate([np.zeros((1, n), dtype=complex), edge, z])
+
+
+@pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("f", [BALL_POLY, BALL_POLY_3], ids=["n2", "n3"])
+def test_ball_sup_matches_ball_phi(f, r):
+    """The closed-form push and weight against ``ball_phi`` and
+    ``invariant_gradient_at`` of the same sample's images."""
+    z = _ball_points(f.n)
+    esamp = witness._ball_sup_sample(f.n)
+    got = _kernels.ball_sup_invgrad(z, esamp, f, r)
+    u = ball_phi(z[:, None, :], r * esamp[None, :, :], validate=False)
+    want = f.invariant_gradient_at(u).max(axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def _check_passes(sizes, n_rows, inner):
@@ -125,7 +155,7 @@ def test_ball_sup_passes_fit_the_budget(ball_points, pass_sizes, monkeypatch,
 def test_default_pass_sizes():
     assert len(witness._UNIT_GRID) == 993
     assert len(witness._ball_sup_sample(2)) == 1024
-    assert _kernels._BUDGET // 993 == 65 and _kernels._BUDGET // 1024 == 64
+    assert _kernels._BUDGET // 993 == 16 and _kernels._BUDGET // 1024 == 16
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +213,32 @@ def test_low_degree_local_derivative_is_horner(disks, coeffs):
     centers, radii = disks
     f = TaylorPoly(coeffs)
     grid = witness._UNIT_GRID
-    got = f.local_derivative(centers, radii, f.local_derivative_table(grid))
+    got = f.local_derivative_sq(centers, radii, f.local_derivative_table(grid))
     u = centers[:, None] + radii[:, None] * grid[None, :]
-    np.testing.assert_allclose(got, f.derivative_at(u), rtol=1e-14,
-                               atol=1e-14)
+    np.testing.assert_allclose(got, np.abs(f.derivative_at(u)) ** 2,
+                               rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("f", [PowerSingularity(0.4), PowerSingularity(1.7),
+                               LogKernel()], ids=["power0.4", "power1.7", "log"])
+def test_closed_form_local_derivative_sq_matches_30_digits(boundary_disks, f):
+    """|f'(u)|^2 in real arithmetic from |1 - u|^2, against s^2 q^(-s-1)
+    (log: 1 / q) at 30 digits from the exact q of the float inputs, out
+    to |z| = 0.9999.  The complex power of 1 - u rounds u first and is off
+    by up to 6e-12 there."""
+    centers, radii = boundary_disks
+    got = f.local_derivative_sq(centers, radii,
+                                f.local_derivative_table(BOUNDARY_SAMPLE))
+    with mpmath.workdps(30):
+        want = []
+        for c, R in zip(centers, radii):
+            c, R = mpmath.mpc(complex(c)), mpmath.mpf(float(R))
+            for e in BOUNDARY_SAMPLE:
+                q = abs(1 - c - R * mpmath.mpc(complex(e))) ** 2
+                want.append(float(f.s ** 2 * q ** (-f.s - 1)
+                                  if isinstance(f, PowerSingularity)
+                                  else 1 / q))
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-14)
 
 
 def test_local_derivative_degree_cap():

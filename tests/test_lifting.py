@@ -7,9 +7,9 @@ from scipy.special import gammaln
 from bergman.errors import ParameterError
 from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
 from bergman.lifting import (LiftedFunction, TensorPoly, bidisk_norm,
-                             bidisk_pairing, diagonal, diagonal_norm,
+                             bidisk_pairing, diagonal_norm,
                              divergence_coefficients, divergence_demo,
-                             homogeneous_lift_component, lift, lift_eval,
+                             homogeneous_lift_component, lift,
                              lift_norm_series_A2, lifting_scan,
                              log_weighted_norm, monomial_log_norm_exact,
                              default_poly_bidisk_grid)
@@ -24,30 +24,30 @@ class TestLiftEval:
     def test_identity_lifts_to_one(self):
         rng = np.random.default_rng(1)
         z, w = sample_disk(rng, 50), sample_disk(rng, 50)
-        np.testing.assert_allclose(lift_eval(TaylorPoly([0, 1]), z, w), 1.0,
+        np.testing.assert_allclose(lift(TaylorPoly([0, 1]))(z, w), 1.0,
                                    atol=1e-15)
 
     def test_square_lifts_to_sum(self):
         rng = np.random.default_rng(2)
         z, w = sample_disk(rng, 50), sample_disk(rng, 50)
-        np.testing.assert_allclose(lift_eval(TaylorPoly([0, 0, 1]), z, w),
+        np.testing.assert_allclose(lift(TaylorPoly([0, 0, 1]))(z, w),
                                    z + w, rtol=1e-14)
 
     def test_diagonal_value_is_derivative(self):
         # z = w = 0.5 for f = z^3 gives 3 * 0.25
-        val = lift_eval(TaylorPoly([0, 0, 0, 1]), 0.5, 0.5)
+        val = lift(TaylorPoly([0, 0, 0, 1]))(0.5, 0.5)
         np.testing.assert_allclose(val, 0.75, rtol=1e-14)
 
     def test_closed_form_quotient(self):
         f = PowerSingularity(0.8)
         z, w = 0.3 + 0.1j, -0.2 + 0.4j
-        np.testing.assert_allclose(lift_eval(f, z, w),
+        np.testing.assert_allclose(lift(f)(z, w),
                                    (f(z) - f(w)) / (z - w), rtol=1e-13)
 
     def test_closed_form_near_diagonal(self):
         f = LogKernel()
         z = 0.4 + 0.2j
-        np.testing.assert_allclose(lift_eval(f, z, z + 1e-9),
+        np.testing.assert_allclose(lift(f)(z, z + 1e-9),
                                    f.derivative_at(z), rtol=1e-6)
 
     @pytest.mark.parametrize("f", [PowerSingularity(0.4), LogKernel()],
@@ -63,7 +63,7 @@ class TestLiftEval:
             assert np.all((np.abs(z - w) ** 2 < _kernels._DIAG_TOL2) == near)
             want = (f.derivative_at(0.5 * (z + w)) if near
                     else (f(z) - f(w)) / (z - w))
-            np.testing.assert_allclose(lift_eval(f, z, w), want, rtol=1e-15)
+            np.testing.assert_allclose(lift(f)(z, w), want, rtol=1e-15)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 20])
     def test_taylor_lift_is_hankel(self, degree):
@@ -89,19 +89,19 @@ class TestLiftEval:
         c1 = rng.normal(size=8) + 1j * rng.normal(size=8)
         c2 = rng.normal(size=8) + 1j * rng.normal(size=8)
         z, w = sample_disk(rng, 30), sample_disk(rng, 30)
-        lhs = lift_eval(TaylorPoly(2 * c1 - 3j * c2), z, w)
-        rhs = 2 * lift_eval(TaylorPoly(c1), z, w) \
-            - 3j * lift_eval(TaylorPoly(c2), z, w)
+        lhs = lift(TaylorPoly(2 * c1 - 3j * c2))(z, w)
+        rhs = 2 * lift(TaylorPoly(c1))(z, w) \
+            - 3j * lift(TaylorPoly(c2))(z, w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestDiagonal:
     def test_lifted_square(self):
-        assert diagonal(lift(TaylorPoly([0, 0, 1])), 0.3) == pytest.approx(0.6)
+        assert lift(TaylorPoly([0, 0, 1])).diagonal(0.3) == pytest.approx(0.6)
 
     def test_tensor_constant(self):
         F = TensorPoly([[1.0]])
-        np.testing.assert_allclose(diagonal(F, 0.77), 1.0)
+        np.testing.assert_allclose(F.diagonal(0.77), 1.0)
 
     def test_tensor_sums_antidiagonals(self):
         # against the double loop over a non-square matrix, in the same
@@ -112,12 +112,12 @@ class TestDiagonal:
             for j in range(5):
                 coeffs[i + j] += c[i, j]
         z = np.array([0.3 - 0.2j, -0.7j, 0.95])
-        assert np.array_equal(diagonal(TensorPoly(c), z),
+        assert np.array_equal(TensorPoly(c).diagonal(z),
                               np.polynomial.polynomial.polyval(z, coeffs))
 
     def test_lifted_quartic(self):
-        assert diagonal(lift(TaylorPoly([0, 0, 0, 0, 1])),
-                        0.5) == pytest.approx(0.5)
+        assert lift(TaylorPoly([0, 0, 0, 0, 1])).diagonal(0.5) \
+            == pytest.approx(0.5)
 
     def test_matches_derivative_everywhere(self):
         rng = np.random.default_rng(4)
@@ -125,7 +125,7 @@ class TestDiagonal:
             c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
             f = TaylorPoly(c)
             z = sample_disk(rng, 1000)
-            np.testing.assert_allclose(diagonal(lift(f), z),
+            np.testing.assert_allclose(lift(f).diagonal(z),
                                        f.derivative_at(z), rtol=1e-12,
                                        err_msg=f"degree {degree}")
 
