@@ -60,6 +60,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .functions import LogKernel, PowerSingularity
+
 HAVE_NUMBA = False  # read only by two warm-up branches of perfbench/workloads.py
 
 _BUDGET = 1 << 14  # elements per temporary of every kernel pass
@@ -138,19 +140,13 @@ def ring_block_sums(rows, w, ring, n_rings, triangular=False):
 
 # ---------------------------------------------------------------------------
 # kernel 2: symmetric tensor-grid pair sums of |(f(z)-f(w))/(z-w)|^p
-# accumulated into ring blocks (for the lifting scans).
-# variant 0: f = (1-z)^(-s); variant 1: f = log(1/(1-z)).
+# accumulated into ring blocks (for the lifting scans).  ``variant`` only
+# picks the class whose ``derivative_at`` gives f' at the midpoints:
+# 0, ``PowerSingularity(s)``; 1, ``LogKernel()``.
 # ---------------------------------------------------------------------------
 
 DIAG_SWITCH = 1e-6  # |z - w| under this: L takes f' at the midpoint
 _DIAG_TOL2 = DIAG_SWITCH ** 2  # the switchover on |z - w|^2, exactly 1e-12
-
-
-def _lift_mid_derivative(zi, zj, s, variant):
-    m = 1.0 - 0.5 * (zi + zj)
-    if variant == 0:
-        return s * m ** (-s - 1.0)
-    return 1.0 / m
 
 
 def _abs_pow(m2, p, out=None):
@@ -181,7 +177,7 @@ def _mirror_half(z, f, w, ring):
     return None
 
 
-def _lift_pow(dx2, dy, dr2, dg, k, zi, zj, p, s, variant):
+def _lift_pow(dx2, dy, dr2, dg, k, zi, zj, p, derivative):
     """|L|^p = ((dr2 + dg^2) / (dx2 + dy^2))^(p/2), in place in ``dg``, for
     nodes zi (rows) and zj (columns) with squared real-part differences
     dx2, dr2 of z and f and imaginary-part differences dy, dg (``dy`` is
@@ -196,12 +192,12 @@ def _lift_pow(dx2, dy, dr2, dg, k, zi, zj, p, s, variant):
         dg /= dy  # a duplicated node gives 0/0 here, replaced below
     if dy.min() < _DIAG_TOL2:  # distinct nodes closer than the switchover
         ii, jj = np.nonzero(dy < _DIAG_TOL2)
-        L = _lift_mid_derivative(zi[ii], zj[jj], s, variant)
+        L = derivative(0.5 * (zi[ii] + zj[jj]))
         dg[ii, jj] = L.real * L.real + L.imag * L.imag
     return _abs_pow(dg, p, out=dg)
 
 
-def _pair_chunk(z, parts, i0, i1, p, s, variant, mirrored):
+def _pair_chunk(z, parts, i0, i1, p, derivative, mirrored):
     """Rows i0 <= i < i1 against columns j >= i0 of |L(z_i, z_j)|^p, plus
     |L(z_i, conj z_j)|^p when ``mirrored``, with the cells j <= i zeroed.
     ``parts`` holds the real and imaginary parts of z and f."""
@@ -213,11 +209,11 @@ def _pair_chunk(z, parts, i0, i1, p, s, variant, mirrored):
     dr2 *= dr2
     v = _lift_pow(dx2, np.subtract.outer(zi[i0:i1], zi[i0:]), dr2,
                   np.subtract.outer(fi[i0:i1], fi[i0:]), k, z[i0:i1], z[i0:],
-                  p, s, variant)
+                  p, derivative)
     if mirrored:  # z_i - conj z_j and f_i - conj f_j share the real parts
         v += _lift_pow(dx2, np.add.outer(zi[i0:i1], zi[i0:]), dr2,
                        np.add.outer(fi[i0:i1], fi[i0:]), k, z[i0:i1],
-                       z[i0:].conj(), p, s, variant)
+                       z[i0:].conj(), p, derivative)
     v[:, :len(k)][k[:, None] >= k[None, :]] = 0.0  # keep j > i only
     return v
 
@@ -250,24 +246,26 @@ def pair_block_sums(z, f, w, ring, n_rings, p, s, variant):
     f = np.asarray(f, dtype=np.complex128)
     w = np.asarray(w, dtype=np.float64)
     ring = np.asarray(ring, dtype=np.int64)
-    n_rings, p, s = int(n_rings), float(p), float(s)
+    n_rings, p = int(n_rings), float(p)
+    derivative = (PowerSingularity(s) if variant == 0
+                  else LogKernel()).derivative_at
     half = _mirror_half(z, f, w, ring)
     mirrored = half is not None
     if mirrored:
         z, f, w, ring = z[half], f[half], w[half], ring[half]
     parts = (z.real.copy(), z.imag.copy(), f.real.copy(), f.imag.copy())
-    Ld = _lift_mid_derivative(z, z, s, variant)
+    Ld = derivative(z)
     Ld = _abs_pow(Ld.real ** 2 + Ld.imag ** 2, p)
     if mirrored:  # L(z_i, conj z_i) = Im f_i / Im z_i
         Lm = (f.imag / z.imag) ** 2
         near = 4.0 * z.imag ** 2 < _DIAG_TOL2
         if near.any():
-            L = _lift_mid_derivative(z[near], z[near].conj(), s, variant)
+            L = derivative(0.5 * (z[near] + z[near].conj()))
             Lm[near] = L.real ** 2 + L.imag ** 2
         Ld += _abs_pow(Lm, p)
     D = np.bincount(ring, weights=w * w * Ld, minlength=n_rings)
     S = ring_block_sums(
-        lambda i0, i1: _pair_chunk(z, parts, i0, i1, p, s, variant, mirrored),
+        lambda i0, i1: _pair_chunk(z, parts, i0, i1, p, derivative, mirrored),
         w, ring, n_rings, triangular=True)
     block = S + S.T
     block[np.diag_indices(n_rings)] += D

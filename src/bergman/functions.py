@@ -12,7 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BALL_DIMS
+from .geometry import BALL_DIMS, ball_metric, beta as beta_metric, \
+    rho as rho_metric
 
 SHIFT_MAX_DEGREE = 512  # C(m+k, k) < 2^512 ~ 1e154, far below float64 overflow
 
@@ -203,7 +204,8 @@ class LogKernel(HoloFunction):
 
 class BallPoly(HoloFunction):
     """Polynomial in n complex variables given as a monomial table
-    {(e_1, ..., e_n): coefficient}."""
+    {(e_1, ..., e_n): coefficient}.  f and its partials are evaluated by
+    one routine, from one table of powers u_j^e per coordinate."""
 
     domain = "ball"
 
@@ -220,15 +222,7 @@ class BallPoly(HoloFunction):
                 self.terms[idx] = complex(c)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for idx, c in self.terms.items():
-            t = np.full(z.shape[:-1], c, dtype=complex)
-            for k, e in enumerate(idx):
-                if e:
-                    t = t * z[..., k] ** e
-            out += t
-        return out
+        return self._sums([self.terms], self._coords(z))[0]
 
     def partial(self, k: int) -> "BallPoly":
         """d/dz_k as another BallPoly."""
@@ -245,20 +239,20 @@ class BallPoly(HoloFunction):
         """The monomial tables of df/dz_k, k < n."""
         return [self.partial(k).terms for k in range(self.n)]
 
-    def _partials(self, u):
-        """[df/du_k for k < n] at the points whose coordinates are the
-        arrays u[0], ..., u[n-1], from one table of powers u_j^e per
-        coordinate."""
-        parts = self._partial_terms
+    def _sums(self, tables, u):
+        """[sum of c u^idx over {idx: c} for each monomial table in
+        ``tables``] at the points whose coordinates are the arrays u[0],
+        ..., u[n-1], from one table of powers u_j^e per coordinate, built
+        once for all the tables up to their highest exponent."""
         powers = []
         for j in range(self.n):
-            top = max((idx[j] for terms in parts for idx in terms), default=0)
+            top = max((idx[j] for terms in tables for idx in terms), default=0)
             pj = [None, u[j]]
             for _ in range(top - 1):
                 pj.append(pj[-1] * u[j])
             powers.append(pj)
         out = []
-        for terms in parts:
+        for terms in tables:
             acc = np.zeros(np.shape(u[0]), dtype=complex)
             for idx, c in terms.items():
                 t = c
@@ -277,19 +271,20 @@ class BallPoly(HoloFunction):
     def radial_derivative_at(self, z):
         """Rf(z) = sum_k z_k df/dz_k."""
         u = self._coords(z)
-        return sum(uk * dk for uk, dk in zip(u, self._partials(u)))
+        d = self._sums(self._partial_terms, u)
+        return sum(uk * dk for uk, dk in zip(u, d))
 
     def gradient_norm_at(self, z):
         """|grad f(z)| = sqrt(sum_k |df/dz_k|^2)."""
-        return np.sqrt(sum(d.real ** 2 + d.imag ** 2
-                           for d in self._partials(self._coords(z))))
+        d = self._sums(self._partial_terms, self._coords(z))
+        return np.sqrt(sum(dk.real ** 2 + dk.imag ** 2 for dk in d))
 
     def invariant_gradient_sq(self, u, one_minus):
         """(1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2) at the points whose
         coordinates are the arrays u[0], ..., u[n-1], given their weights
         ``one_minus`` = 1 - |u|^2; the difference is >= 0 up to rounding
         and is clipped there."""
-        d = self._partials(u)
+        d = self._sums(self._partial_terms, u)
         grad2 = sum(dk.real ** 2 + dk.imag ** 2 for dk in d)
         radial = sum(uk * dk for uk, dk in zip(u, d))
         diff = grad2 - (radial.real ** 2 + radial.imag ** 2)
@@ -334,23 +329,21 @@ def radial_metric_ratio(z, metric: str = "rho", h: float = 1e-5):
     Disk points are complex scalars (z = 0 steps along the positive real
     axis); ball points are length-n vectors and require z != 0.
     """
+    if metric not in ("rho", "beta"):
+        raise ParameterError(f"unknown metric {metric!r}")
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0:  # disk point
         az = abs(complex(z))
         if not 0.0 < h < 1.0 - az:
             raise ParameterError("step h must lie in (0, 1 - |z|)")
         w = complex(z) * (1.0 - h / az) if az > 0 else complex(h)
-        from .geometry import rho as _rho, beta as _beta
-        dist = _rho(z, w) if metric == "rho" else _beta(z, w)
+        dist = rho_metric(z, w) if metric == "rho" else beta_metric(z, w)
         return float(dist / abs(complex(z) - w))
     # ball point
-    from .geometry import ball_metric
     az = float(np.sqrt(np.sum(np.abs(z) ** 2)))
     if az == 0.0:
         raise ParameterError("ball radial direction undefined at the origin")
     if not 0.0 < h < 1.0 - az:
         raise ParameterError("step h must lie in (0, 1 - |z|)")
     w = z * (1.0 - h / az)
-    if metric not in ("rho", "beta"):
-        raise ParameterError(f"unknown metric {metric!r}")
     return float(ball_metric(z, w, kind=metric) / h)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ParameterError
 from .geometry import ball_phi, mobius, rho, ball_metric
@@ -33,7 +32,10 @@ def sample_ball(seed_or_rng, size: int, n: int = 2, rmax: float = 1.0) -> np.nda
 
 def sobol_ball(n: int, count: int, seed: int = 0) -> np.ndarray:
     """First ``count`` points of a scrambled Sobol stream rejected to the
-    complex n-ball; shape (count, n)."""
+    complex n-ball; shape (count, n).  scipy.stats is imported here, not
+    with the module: it is most of the time of ``import bergman``."""
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
     out = []
     have = 0

@@ -2,19 +2,19 @@
 
 A witness for f is a continuous g >= 0 with
 |f(z) - f(w)| <= metric(z, w) (g(z) + g(w)) for all z, w.  On the disk
-the construction is g = |f|/r + h with h a guarded local sup of
-(1 - |u|^2)|f'(u)| over pseudo-hyperbolic disks; the Euclidean-metric
-witness divides the whole of g by (1 - |z|).  On the ball, h is a local
-sup of the invariant gradient |grad(f o phi_u)(0)|, taken in its closed
-form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)) over the images
+and on the ball the construction is g = |f|/r + C h, with h a sampled
+local sup over D(z, r) that both domains take through one cache, keyed
+by f, r and z; the Euclidean-metric witness divides the whole of g by
+(1 - |z|).  On the disk h is the sup of (1 - |u|^2)|f'(u)|.  On the ball
+it is the sup of the invariant gradient |grad(f o phi_u)(0)|, in its
+closed form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), over the images
 u = phi_z(r e) of a fixed 1,024-point quasi-random sample e of the unit
-ball, with the closed-form constant 1/(1 - r^2) (see
-:func:`ball_witness_constant`).  ``_kernels.ball_sup_invgrad`` pushes the
-sample in closed form and takes 1 - |u|^2 from Rudin's identity
-(1 - |z|^2)(1 - |r e|^2) / |1 - <r e, z>|^2.
+ball, with C = 1/(1 - r^2) (see :func:`ball_witness_constant`);
+``_kernels.ball_sup_invgrad`` pushes the sample in closed form.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import OrderedDict
@@ -40,7 +40,6 @@ DISK_METRICS = ("rho", "beta", "euclid")
 _UNIT_GRID = EuclideanDisk(0j, 1.0).polar_grid(*SUP_GRID)
 _H_CACHE: OrderedDict = OrderedDict()
 _H_CACHE_MAX = 64  # sized so one full witness-suite family stays resident
-_BALL_SAMPLES: dict = {}
 
 
 def disk_constant(r: float) -> float:
@@ -49,8 +48,17 @@ def disk_constant(r: float) -> float:
     return (1.0 + r) / (1.0 - r) ** 2
 
 
+@functools.cache
+def _ball_sup_sample(n: int):
+    return sobol_ball(n, BALL_SUP_COUNT, seed=BALL_SUP_SEED)
+
+
 def _raw_local_sup(f: HoloFunction, z, r: float):
-    """Sampled sup of (1 - |u|^2)|f'(u)| over D(z, r), vectorized in z."""
+    """Sampled sup over D(z, r), vectorized in z: of (1 - |u|^2)|f'(u)|
+    for a disk function, of the invariant gradient for a ball function
+    (z of shape (points, n))."""
+    if f.domain == "ball":
+        return _kernels.ball_sup_invgrad(z, _ball_sup_sample(f.n), f, r)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     centers, radii = pseudo_disk_params(z, r)
     return _kernels.local_sup_poly(centers, radii, _UNIT_GRID, f)
@@ -72,22 +80,10 @@ def _cached_local_sup(f: HoloFunction, z, r: float):
 def local_sup_h(f: HoloFunction, z, r: float):
     """h(z) = disk_constant(r) * sampled sup of (1 - |u|^2)|f'(u)| over
     the pseudo-hyperbolic disk D(z, r)."""
+    if f.domain != "disk":
+        raise TypeError("local_sup_h requires a disk variant")
     vals = disk_constant(r) * _cached_local_sup(f, z, r)
     return float(vals[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else vals
-
-
-def _ball_sup_sample(n: int):
-    if n not in _BALL_SAMPLES:
-        _BALL_SAMPLES[n] = sobol_ball(n, BALL_SUP_COUNT, seed=BALL_SUP_SEED)
-    return _BALL_SAMPLES[n]
-
-
-def _ball_sup_values(f: BallPoly, z, r: float):
-    """Sampled sup of the invariant gradient of f over D(z, r), per point
-    z: the max over the images phi_z(r e) of the 1,024-point quasi-random
-    ball sample, pushed in closed form by ``_kernels.ball_sup_invgrad``."""
-    return _kernels.ball_sup_invgrad(np.atleast_2d(z), _ball_sup_sample(f.n),
-                                     f, r)
 
 
 @dataclass
@@ -101,14 +97,11 @@ class Witness:
     safety: float = SAFETY
 
     def g_values(self, z) -> np.ndarray:
-        """g = |f|/r + safety * C * h, with h the local sup of the disk or
-        ball; the euclid witness is then divided by (1 - |z|)."""
-        if self.metric == "ball-rho":
-            z = np.atleast_2d(np.asarray(z, dtype=complex))
-            h = _ball_sup_values(self.f, z, self.r)
-        else:
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            h = _cached_local_sup(self.f, z, self.r)
+        """g = |f|/r + safety * C * h, with h the cached local sup of the
+        disk or ball; the euclid witness is then divided by (1 - |z|)."""
+        z = np.asarray(z, dtype=complex)
+        z = np.atleast_2d(z) if self.f.domain == "ball" else np.atleast_1d(z)
+        h = _cached_local_sup(self.f, z, self.r)
         g = np.abs(self.f(z)) / self.r + self.safety * self.C * h
         if self.metric == "euclid":
             g = g / (1.0 - np.abs(z))
@@ -227,6 +220,8 @@ def derivative_bound_check(f: HoloFunction, w: Witness,
     (1 - |z|^2)|f'| - 2g for rho/beta, |f'| - 2g for euclid."""
     from .sampling import sample_disk
 
+    if f.domain != "disk" or w.f.domain != "disk":
+        raise TypeError("derivative bound check requires a disk variant")
     metric = metric or w.metric
     z = sample_disk(seed, n_grid)
     g = w.g_values(z)

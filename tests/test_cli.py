@@ -1,10 +1,15 @@
 """Tests for the bergman-bench command line and report emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bergman
 from bergman.cli import main
 from bergman.errors import ParameterError
 from bergman.suites import SUITES, SuiteConfig, run_suite
@@ -13,6 +18,18 @@ from bergman.suites import SUITES, SuiteConfig, run_suite
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of the time of ``import bergman``; only
+    ``sampling.sobol_ball`` needs it, and imports it there."""
+    src = str(Path(bergman.__file__).resolve().parents[1])
+    code = ("import sys, bergman, bergman.cli, bergman.suites; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestList:

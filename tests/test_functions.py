@@ -37,6 +37,18 @@ def fd_invariant_gradient(f, z, h=1e-5):
     return np.sqrt(acc)
 
 
+def monomial_sum(terms, z):
+    """sum c z_1^e_1 ... z_n^e_n over the table, term by term with numpy
+    powers: the reference for ``BallPoly``'s power tables."""
+    out = np.zeros(z.shape[:-1], dtype=complex)
+    for idx, c in terms.items():
+        t = np.full(z.shape[:-1], c, dtype=complex)
+        for k, e in enumerate(idx):
+            t = t * z[..., k] ** e
+        out += t
+    return out
+
+
 class TestEvaluation:
     def test_identity_poly(self):
         f = TaylorPoly([0, 1])
@@ -56,6 +68,15 @@ class TestEvaluation:
         z = sample_disk(rng, 50)
         direct = sum(c[k] * z ** k for k in range(12))
         np.testing.assert_allclose(f(z), direct, rtol=1e-13)
+
+    @pytest.mark.parametrize("f", MIXED_BALL_POLYS)
+    def test_ball_power_tables_match_monomial_sum(self, f):
+        z = sample_ball(np.random.default_rng(9 + f.n), 200, f.n, rmax=0.999)
+        z[0] = 0.0
+        np.testing.assert_allclose(f(z), monomial_sum(f.terms, z),
+                                   rtol=1e-13, atol=1e-15)
+        assert f(z[5]) == pytest.approx(monomial_sum(f.terms, z[5]),
+                                        rel=1e-13)
 
 
 class TestDerivatives:
@@ -107,12 +128,12 @@ class TestDerivatives:
     @pytest.mark.parametrize("f", MIXED_BALL_POLYS)
     def test_power_table_partials_match_partial_polys(self, f):
         # the three derivative quantities take their partials from one
-        # table of powers per coordinate; against each partial evaluated
-        # as its own BallPoly, at the origin and out to |z| = 0.999
+        # table of powers per coordinate; against each partial's monomial
+        # sum, at the origin and out to |z| = 0.999
         z = sample_ball(np.random.default_rng(11 + f.n), 200, f.n,
                         rmax=0.999)
         z[0] = 0.0
-        d = [f.partial(k)(z) for k in range(f.n)]
+        d = [monomial_sum(f.partial(k).terms, z) for k in range(f.n)]
         grad2 = sum(np.abs(dk) ** 2 for dk in d)
         radial = sum(z[:, k] * d[k] for k in range(f.n))
         one_minus = 1.0 - np.sum(np.abs(z) ** 2, axis=-1)
@@ -193,6 +214,12 @@ class TestRadialMetricRatio:
     def test_ball_origin_rejected(self):
         with pytest.raises(ParameterError):
             radial_metric_ratio(np.zeros(2, complex), "rho", h=1e-5)
+
+    @pytest.mark.parametrize("z", [0.3 + 0j, np.array([0.3, 0j])],
+                             ids=["disk", "ball"])
+    def test_unknown_metric_rejected(self, z):
+        with pytest.raises(ParameterError, match="unknown metric"):
+            radial_metric_ratio(z, "euclid", h=1e-5)
 
 
 class TestSerialization:

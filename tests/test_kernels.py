@@ -312,6 +312,20 @@ def test_pair_block_sums_matches_double_sum(nodes, p, s, variant):
                                rtol=1e-10)
 
 
+@pytest.mark.parametrize("variant,s", VARIANTS)
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_switchover_takes_the_midpoint(p, s, variant):
+    """Two nodes 9e-7 apart along the radius near z = 1, where f' moves
+    by about 1e-5 relative between them: their quotient is f' at the
+    midpoint, not at either node."""
+    z = np.array([0.9 + 0.05j, 0.9 + 9e-7 + 0.05j])
+    w, ring = np.array([1.0, 0.5]), np.zeros(2, dtype=np.int64)
+    got = _kernels.pair_block_sums(z, _family(z, s, variant), w, ring,
+                                   N_RINGS, p, s, variant)
+    np.testing.assert_allclose(got, _direct(z, w, ring, p, s, variant),
+                               rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # mirrored node sets: the half pass over the upper half-plane
 # ---------------------------------------------------------------------------
@@ -342,8 +356,8 @@ def quotients(monkeypatch):
     seen = []
     chunk = _kernels._pair_chunk
 
-    def counting(z, parts, i0, i1, p, s, variant, mirrored):
-        v = chunk(z, parts, i0, i1, p, s, variant, mirrored)
+    def counting(z, parts, i0, i1, p, derivative, mirrored):
+        v = chunk(z, parts, i0, i1, p, derivative, mirrored)
         rows = i1 - i0
         kept = rows * v.shape[1] - rows * (rows + 1) // 2
         seen.append(kept * (2 if mirrored else 1))

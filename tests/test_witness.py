@@ -2,11 +2,12 @@
 
 import itertools
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from bergman import witness
+from bergman import _kernels, witness
 from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
     TaylorPoly
@@ -64,6 +65,11 @@ class TestLocalSup:
         direct = ((1.0 - np.abs(u) ** 2) * np.abs(f.derivative_at(u))).max(axis=1)
         np.testing.assert_allclose(local_sup_h(f, z, r),
                                    disk_constant(r) * direct, rtol=1e-14)
+
+    def test_rejects_ball_function(self):
+        with pytest.raises(TypeError, match="disk variant"):
+            local_sup_h(BallPoly(2, {(1, 0): 1.0}), np.zeros((3, 2), complex),
+                        0.5)
 
 
 class TestBuildWitness:
@@ -192,6 +198,11 @@ class TestDerivativeBound:
                                 seed=2).max_violation <= 0.0
         assert derivative_bound_check(section_04, w) <= 0.0
 
+    def test_rejects_ball_witness(self):
+        f = BallPoly(2, {(1, 0): 1.0})
+        with pytest.raises(TypeError, match="disk variant"):
+            derivative_bound_check(f, build_witness_ball(f, 0.5))
+
 
 class TestIntegrability:
     def test_polynomial_bounded_witness(self):
@@ -261,7 +272,7 @@ class TestBallWitness:
             z, w = ball_pairs_stratified(k, 1000, r, n=n)
             z, w = z[:500], w[:500]
             d = ball_metric(z, w, kind="rho")
-            bound = d * witness._ball_sup_values(f, z, r) \
+            bound = d * witness._raw_local_sup(f, z, r) \
                 * ball_witness_constant(n, r)
             assert np.all(np.abs(f(z) - f(w)) <= bound)
 
@@ -347,8 +358,38 @@ class TestBallWitness:
             gp = f(ball_phi(u, np.broadcast_to(e, u.shape), validate=False))
             gm = f(ball_phi(u, np.broadcast_to(-e, u.shape), validate=False))
             acc += np.abs((gp - gm) / (2.0 * h)) ** 2
-        np.testing.assert_allclose(witness._ball_sup_values(f, z, r),
+        np.testing.assert_allclose(witness._raw_local_sup(f, z, r),
                                    np.sqrt(acc).max(axis=1), rtol=1e-8)
+
+    def test_g_values_is_closed_form_sum_at_each_radius(self, monkeypatch):
+        # the same f and points at two radii: the cache keeps them apart
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+        f = BallPoly(2, {(0, 0): 0.4 - 0.3j, (1, 0): 1.0, (1, 1): -0.7j,
+                         (0, 3): 0.5 + 0.2j})
+        z = sample_ball(17, 60, 2, rmax=0.95)
+        for r in (0.3, 0.6):
+            w = build_witness_ball(f, r)
+            h = _kernels.ball_sup_invgrad(z, witness._ball_sup_sample(2), f, r)
+            want = np.abs(f(z)) / r + SAFETY * w.C * h
+            assert np.array_equal(w.g_values(z), want)
+
+    def test_repeat_sup_comes_from_cache(self, monkeypatch):
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+        calls = []
+        kernel = _kernels.ball_sup_invgrad
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "ball_sup_invgrad", counting)
+        f = BallPoly(2, {(1, 1): 1.0, (2, 0): 0.5j})
+        w = build_witness_ball(f, 0.5)
+        z = sample_ball(19, 40, 2, rmax=0.9)
+        first = w.g_values(z)
+        assert np.array_equal(build_witness_ball(f, 0.5).g_values(z.copy()),
+                              first)
+        assert len(calls) == 1
 
     def test_metadata_round_trip(self):
         f = BallPoly(2, {(1, 0): 1.0})
