@@ -163,7 +163,9 @@ def bidisk_pairing(F, G, grid: BidiskGrid) -> complex:
     factors exactly through the per-ring monomial moments
     M_a[k, l] = sum_(i in ring a) w_i z_i^k conj(z_i)^l shared with
     ``BidiskGrid.coefficient_norm`` at p = 2, so no pairwise pass is
-    needed: the pairing is the sum of ``grid.pairing_block(A, B)``."""
+    needed: the pairing is the sum of ``grid.pairing_block(A, B)``.  The
+    grid computes those moments once per shape and keeps them read-only,
+    so later pairings of the same shapes on it reuse them."""
     if not (isinstance(F, TensorPoly) and isinstance(G, TensorPoly)):
         raise TypeError("pairing needs coefficient-matrix bidisk functions")
     return complex(grid.pairing_block(F.cmat, G.cmat).sum())

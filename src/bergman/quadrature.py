@@ -189,13 +189,20 @@ def _protocol(F, eps_values, ladder, rule: str,
 # disk grids
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays):
+    """Mark arrays read-only: the shared Gauss rules, every grid's arrays
+    and the bidisk ring moments.  Read-only grid arrays keep the cached
+    moments from going stale through an in-place edit."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1], as read-only arrays
     shared by every caller."""
     gx, gw = np.polynomial.legendre.leggauss(n)
-    gx.flags.writeable = False
-    gw.flags.writeable = False
+    _read_only(gx, gw)
     return gx, gw
 
 
@@ -215,7 +222,7 @@ def _radial_rule(alpha: float, eps_stop: float, nodes_per_panel: int):
     halvings = np.count_nonzero(EPS_START / 2.0 ** np.arange(64)
                                 > eps_stop * (1 + 1e-12))
     eps = EPS_START / 2.0 ** np.arange(halvings + 1)
-    eps.flags.writeable = False
+    _read_only(eps)
     edges = 1.0 - (1.0 - (1.0 - eps) ** 2)  # u at the truncation radii
     # fixed breakpoints below the first truncation radius
     brk = sorted({0.0, *(c for c in (0.25, 0.5, 0.75) if c < edges[0]), *edges})
@@ -260,7 +267,9 @@ class DiskGrid:
     """Nodes and weights realizing dA_alpha on |z| <= 1 - eps, with the
     whole halving eps-sequence embedded as nested node rings.
     ``one_minus_u`` holds 1 - |z|^2 per node, taken from the Gauss node
-    in u (exact for u >= 1/2 by Sterbenz's lemma)."""
+    in u (exact for u >= 1/2 by Sterbenz's lemma).  ``nodes``,
+    ``weights``, ``ring``, ``one_minus_u`` and ``eps_values`` are
+    read-only."""
 
     def __init__(self, nodes, weights, ring, one_minus_u, eps_values, alpha):
         self.nodes = nodes
@@ -268,7 +277,7 @@ class DiskGrid:
         self.ring = ring
         self.one_minus_u = one_minus_u
         self.eps_values = np.array(eps_values, float)
-        self.eps_values.flags.writeable = False
+        _read_only(nodes, weights, ring, one_minus_u, self.eps_values)
         self.alpha = float(alpha)
         if np.any(weights < 0):
             raise ParameterError("grid weights must be nonnegative")
@@ -377,11 +386,17 @@ def _powers(z, d: int) -> np.ndarray:
 
 class BidiskGrid:
     """Tensor square of a disk grid; partial integrals truncate both
-    factors at the same eps."""
+    factors at the same eps.
+
+    The factor's per-ring monomial moments are computed once per grid
+    and shape (``ring_moments``) and kept read-only, so every Taylor
+    lift and pairing on one grid after the first of its shape is BLAS on
+    the coefficients alone."""
 
     def __init__(self, factor: DiskGrid):
         self.factor = factor
         self.alpha = factor.alpha
+        self._moments = {}  # (d1, d2) -> read-only ring moment table
 
     @property
     def node_count(self) -> int:
@@ -401,14 +416,23 @@ class BidiskGrid:
 
     def ring_moments(self, d1: int, d2: int) -> np.ndarray:
         """Per-ring monomial moments M[a, k, l] = sum_(i in ring a)
-        w_i z_i^k conj(z_i)^l of the factor grid, shape (levels, d1, d2)."""
-        g = self.factor
-        wz = g.weights[:, None] * _powers(g.nodes, d1)
-        cz = _powers(np.conj(g.nodes), d2)
-        M = np.empty((g.n_levels, d1, d2), dtype=complex)
-        for a in range(g.n_levels):
-            m = g.ring == a
-            M[a] = wz[m].T @ cz[m]
+        w_i z_i^k conj(z_i)^l of the factor grid, shape (levels, d1, d2).
+
+        Computed on the first request for (d1, d2) and returned, read-only,
+        on every later one; the factor's arrays are read-only, so the
+        table cannot go stale.  A table is levels * d1 * d2 complex: 45 KB
+        at 7 levels and d1 = d2 = 20."""
+        M = self._moments.get((d1, d2))
+        if M is None:
+            g = self.factor
+            wz = g.weights[:, None] * _powers(g.nodes, d1)
+            cz = _powers(np.conj(g.nodes), d2)
+            M = np.empty((g.n_levels, d1, d2), dtype=complex)
+            for a in range(g.n_levels):
+                m = g.ring == a
+                M[a] = wz[m].T @ cz[m]
+            _read_only(M)
+            self._moments[(d1, d2)] = M
         return M
 
     def pairing_block(self, A, B) -> np.ndarray:
@@ -419,8 +443,7 @@ class BidiskGrid:
         A = np.asarray(A, dtype=complex)
         B = np.asarray(B, dtype=complex)
         Mz = self.ring_moments(A.shape[0], B.shape[0])
-        Mw = (Mz if (A.shape[1], B.shape[1]) == Mz.shape[1:]
-              else self.ring_moments(A.shape[1], B.shape[1]))
+        Mw = self.ring_moments(A.shape[1], B.shape[1])
         # P[b, k, l] = sum_(m, n) A_km Mw_b[m, n] conj(B_ln)
         P = A @ Mw @ np.conj(B).T
         return np.einsum("akl,bkl->ab", Mz, P)
@@ -429,8 +452,10 @@ class BidiskGrid:
         """Protocol integral of |sum_ij c_ij z^i w^j|^p.
 
         At p = 2 the node double sum factors exactly by ring through the
-        ring moments (``pairing_block`` of C with itself), O(levels N d^2)
-        instead of O(N^2 d).  Otherwise the bidisk function is evaluated
+        ring moments (``pairing_block`` of C with itself): O(levels N d^2)
+        for the first matrix of its shape on this grid, then
+        O(levels d^3) from the grid's read-only moment tables, instead of
+        O(N^2 d).  Otherwise the bidisk function is evaluated
         as Zpow @ C @ Wpow^T in row passes of the kernels' element budget
         and |.|^p is summed into ring blocks by
         ``_kernels.ring_block_sums``."""
@@ -474,7 +499,8 @@ def _sphere_rule(n: int, k: int, phases: int):
 
 class BallGrid:
     """Polar product rule for dv_alpha on the ball of C^n, truncated at
-    the disk's eps levels; ``one_minus_u`` is 1 - |z|^2 per node.
+    the disk's eps levels; ``one_minus_u`` is 1 - |z|^2 per node.  Its
+    node, weight, ring and ``one_minus_u`` arrays are read-only.
 
     In u = |z|^2, dv_alpha = u^(n-1) (1-u)^alpha du dsigma / B(n, alpha+1):
     the disk's ``_radial_rule`` times ``_sphere_rule``, sized by
@@ -504,6 +530,7 @@ class BallGrid:
         self.weights = np.outer(wu, ws).ravel()
         self.ring = np.repeat(rg, len(ws))
         self.one_minus_u = np.repeat(1.0 - u, len(ws))
+        _read_only(self.nodes, self.weights, self.ring, self.one_minus_u)
 
     node_count = DiskGrid.node_count
     n_levels = DiskGrid.n_levels

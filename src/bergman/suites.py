@@ -13,9 +13,9 @@ from .functions import BallPoly, PowerSingularity, TaylorPoly, \
     radial_metric_ratio
 from .geometry import ball_metric, ball_phi, beta, double_radius, mobius, \
     pseudo_disk, rho
-from .lifting import bidisk_norm, bidisk_pairing, default_poly_bidisk_grid, \
-    diagonal_norm, divergence_coefficients, divergence_demo, \
-    harmonic_numbers, homogeneous_lift_component, lift, \
+from .lifting import TensorPoly, bidisk_norm, bidisk_pairing, \
+    default_poly_bidisk_grid, diagonal_norm, divergence_coefficients, \
+    divergence_demo, harmonic_numbers, homogeneous_lift_component, lift, \
     lift_norm_series_A2, lifting_scan
 from .quadrature import BallGrid, DiskGrid, WeightParams, ball_norm_p, \
     fit_growth_exponent, forelli_rudin_exact, forelli_rudin_scan, \
@@ -158,6 +158,23 @@ def _suite_lemma4(cfg: SuiteConfig, rep: ExperimentReport):
                                 max(devs), 1e-3, "<="))
 
 
+def _max_rel_error_check(name: str, cases, threshold: float, key: str):
+    """``check`` that the largest relative error of protocol values
+    against their closed forms is at most ``threshold``; ``cases`` are
+    (label, NormResult, exact) triples.  Its info names the worst case's
+    label under ``key`` with its verdict, estimated and actual error
+    (``actual_rel_error`` is the check's value), and whether every norm
+    read member."""
+    rel = [abs(res.value - exact) / exact for _, res, exact in cases]
+    i = int(np.argmax(rel))
+    label, res, exact = cases[i]
+    return check(name, rel[i], threshold, "<=", info={
+        key: label, "verdict": res.verdict,
+        "estimated_error": res.estimated_error,
+        "actual_error": abs(res.value - exact), "actual_rel_error": rel[i],
+        "all_member": all(r.verdict == "member" for _, r, _ in cases)})
+
+
 # ---------------------------------------------------------------------------
 # suite: quadrature
 # ---------------------------------------------------------------------------
@@ -179,17 +196,16 @@ def _suite_quadrature(cfg: SuiteConfig, rep: ExperimentReport):
                             1e-8, "<="))
 
     tensor = default_poly_bidisk_grid(0.0, 6)
-    worst_t = 0.0
+    cases = []
     for i in range(7):
         for j in range(7):
             c = np.zeros((i + 1, j + 1), dtype=complex)
             c[i, j] = 1.0
-            from .lifting import TensorPoly
-            res = bidisk_norm(TensorPoly(c), 2, 0.0, grid=tensor)
-            exact = 1.0 / ((i + 1) * (j + 1))
-            worst_t = max(worst_t, abs(res.value - exact) / exact)
-    rep.checks.append(check("bidisk_tensor_max_rel_error", worst_t,
-                            1e-8, "<="))
+            cases.append(([i, j], bidisk_norm(TensorPoly(c), 2, 0.0,
+                                              grid=tensor),
+                          1.0 / ((i + 1) * (j + 1))))
+    rep.checks.append(_max_rel_error_check("bidisk_tensor_max_rel_error",
+                                           cases, 1e-8, "degrees"))
 
     ball = BallGrid(2, 0.0)
     res = ball.integrate_protocol(np.ones(ball.node_count))
@@ -403,15 +419,14 @@ def _suite_thm11(cfg: SuiteConfig, rep: ExperimentReport):
     rng = np.random.default_rng(cfg.seed)
     n_polys = int(cfg.opt("n_polys", 50))
     grid = default_poly_bidisk_grid(0.0, 20)
-    worst = 0.0
+    cases = []
     for _ in range(n_polys):
         deg = int(rng.integers(1, 21))
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        quad = bidisk_norm(lift(TaylorPoly(c)), 2, 0.0, grid=grid)
-        series = lift_norm_series_A2(c)
-        worst = max(worst, abs(quad.value - series) / series)
-    rep.checks.append(check("series_vs_quadrature_max_rel_dev", worst,
-                            1e-6, "<="))
+        cases.append((deg, bidisk_norm(lift(TaylorPoly(c)), 2, 0.0,
+                                       grid=grid), lift_norm_series_A2(c)))
+    rep.checks.append(_max_rel_error_check("series_vs_quadrature_max_rel_dev",
+                                           cases, 1e-6, "degree"))
 
     zs = sample_disk(rng, 1000)
     worst_diag = 0.0

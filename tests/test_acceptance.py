@@ -57,9 +57,24 @@ class TestCriterion2DifferenceQuotients:
         assert rep.wall_time_s < 60
 
 
+def _check_closed_form_info(rep, name, key):
+    """A check against closed forms records its worst case (under
+    ``key``), that case's verdict, estimated and actual error, and
+    whether every norm read member; its value is the actual relative
+    error."""
+    c = next(c for c in rep.checks if c.name == name)
+    assert set(c.info) == {key, "verdict", "estimated_error", "actual_error",
+                           "actual_rel_error", "all_member"}
+    assert c.info["actual_rel_error"] == c.value
+    assert c.info["verdict"] == "member" and c.info["all_member"] is True
+    assert 0.0 <= c.info["estimated_error"] < np.inf
+    assert c.info["actual_error"] >= 0.0
+
+
 class TestCriterion3Quadrature:
     def test_monomials_bidisk_normalization(self):
         rep = suite("quadrature")
+        _check_closed_form_info(rep, "bidisk_tensor_max_rel_error", "degrees")
         assert _emit(rep)
         assert rep.wall_time_s < 120
 
@@ -132,6 +147,8 @@ class TestCriterion6GrowthExponents:
 class TestCriterion7Lifting:
     def test_series_diagonal_orthogonality_scan(self):
         rep = suite("thm11")
+        _check_closed_form_info(rep, "series_vs_quadrature_max_rel_dev",
+                                "degree")
         assert _emit(rep)
 
     def test_rescued_weight_scan(self):

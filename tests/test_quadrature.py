@@ -13,7 +13,8 @@ from bergman import quadrature, suites
 from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, TaylorPoly
 from bergman.geometry import pseudo_disk
-from bergman.lifting import log_weighted_norm
+from bergman.lifting import (TensorPoly, bidisk_norm, bidisk_pairing, lift,
+                             log_weighted_norm)
 from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
                                 ball_norm_p, bidisk_ladder, classify_partials,
                                 derivative_seminorm, disk_ladder,
@@ -180,6 +181,16 @@ class TestGradedGrid:
         for arr in (gx, gw, g.eps_values, BallGrid(2, 0.0).eps_values):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: DiskGrid.build(0.0, eps_stop=2.0 ** -6, n_angular=16),
+        lambda: DiskGrid.build_graded(0.0, eps_stop=2.0 ** -6),
+        lambda: BallGrid(2, 0.0)], ids=["build", "build_graded", "ball"])
+    def test_grid_arrays_reject_writes(self, build):
+        g = build()
+        for name in ("nodes", "weights", "ring", "one_minus_u"):
+            with pytest.raises(ValueError):
+                getattr(g, name)[0] = 0
 
     def test_results_share_the_grid_levels(self):
         g = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -6)
@@ -557,6 +568,9 @@ class TestGrowthExponentFit:
 
 @pytest.fixture(scope="module")
 def small_bidisk():
+    """One grid for the module: its ring moment tables, once computed,
+    serve every later test of the same shape.  Tests of that cache wrap
+    its factor in a fresh ``BidiskGrid``."""
     return BidiskGrid(DiskGrid.build(0.0, eps_stop=2.0 ** -6, n_angular=16,
                                      nodes_per_panel=4))
 
@@ -601,6 +615,63 @@ class TestCoefficientNorm:
                             * np.conj(_pair_values(small_bidisk, other)))
         np.testing.assert_allclose(small_bidisk.pairing_block(cmat, other),
                                    want, atol=1e-12 * np.abs(want).max())
+
+
+class TestRingMoments:
+    """The per-grid moment tables: computed once per shape, read-only,
+    and independent of what the grid served before."""
+
+    @pytest.fixture
+    def power_calls(self, monkeypatch):
+        calls = []
+        powers = quadrature._powers
+
+        def counting(z, d):
+            calls.append(d)
+            return powers(z, d)
+
+        monkeypatch.setattr(quadrature, "_powers", counting)
+        return calls
+
+    def test_repeat_shape_builds_no_power_table(self, small_bidisk,
+                                                 power_calls):
+        rng = np.random.default_rng(13)
+        A, B = (rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+                for _ in range(2))
+        grid = BidiskGrid(small_bidisk.factor)
+        first = grid.coefficient_norm(A, 2.0)
+        built = len(power_calls)
+        assert built == 4  # the (4, 4) and (6, 6) tables, two each
+        again = grid.coefficient_norm(A, 2.0)
+        pairing = bidisk_pairing(TensorPoly(A), TensorPoly(B), grid)
+        assert len(power_calls) == built
+        assert np.array_equal(again.partials, first.partials)
+        assert again.value == first.value
+        assert pairing == complex(BidiskGrid(small_bidisk.factor)
+                                  .pairing_block(A, B).sum())
+
+    def test_tables_do_not_depend_on_call_order(self, small_bidisk):
+        used = BidiskGrid(small_bidisk.factor)
+        for shape in ((21, 21), (3, 5), (5, 3)):
+            used.ring_moments(*shape)
+        fresh = BidiskGrid(small_bidisk.factor)
+        assert np.array_equal(used.ring_moments(5, 5),
+                              fresh.ring_moments(5, 5))
+        F = lift(TaylorPoly(np.random.default_rng(14).normal(size=6)))
+        assert F.cmat.shape == (5, 5)
+        got = bidisk_norm(F, 2, 0.0, grid=used)
+        want = bidisk_norm(F, 2, 0.0, grid=BidiskGrid(small_bidisk.factor))
+        assert np.array_equal(got.partials, want.partials)
+        assert (got.value, got.estimated_error, got.verdict) == \
+            (want.value, want.estimated_error, want.verdict)
+
+    def test_tables_are_read_only(self, small_bidisk):
+        grid = BidiskGrid(small_bidisk.factor)
+        M = grid.ring_moments(3, 4)
+        assert M.shape == (small_bidisk.factor.n_levels, 3, 4)
+        assert grid.ring_moments(3, 4) is M
+        with pytest.raises(ValueError):
+            M[0, 0, 0] = 0.0
 
 
 @pytest.fixture(scope="module")
