@@ -65,8 +65,7 @@ def run(suites, seed, out_dir, config_file):
     all_passed = True
     for name in suites:
         try:
-            cfg = SuiteConfig(suite=name, seed=eff_seed,
-                              out=str(out_dir), overrides=overrides)
+            cfg = SuiteConfig(suite=name, seed=eff_seed, overrides=overrides)
         except ParameterError as exc:
             raise click.UsageError(str(exc)) from exc
         report = run_suite(cfg)

@@ -18,7 +18,8 @@ from . import _kernels
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    bidisk_ladder, disk_ladder, grid_for, log_ladder, matching_grid
+    bidisk_ladder, disk_ladder, grid_for, log_ladder, matching_grid, \
+    tail_head
 
 
 class LiftedFunction:
@@ -122,20 +123,21 @@ def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
     of dA_beta x dA_beta measure delta^(beta+2) delta^(beta+2): the
     corner adds a tail in delta^(2 beta + 4 - p (s+1)).  Along an
     edge, z near 1 and w away from it, |Lf| ~ |f(z)| ~ delta^(-s) on a
-    region of measure delta^(beta+2) times O(1): a tail in
-    delta^(beta + 2 - p s).  The ladder puts these two before the
-    weight's own ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are
-    2 - 2s, and the repeated exponent absorbs the delta^(2-2s) log
-    delta of the series 2 sum |a_k|^2 H_k / (k+1).  The log kernel
-    keeps ``bidisk_ladder(beta)``."""
+    region of measure delta^(beta+2) times O(1): the tail of |f|^p
+    against dA_beta, ``tail_head(f, p, beta)``.  The ladder puts the
+    edge and then the corner before the weight's own
+    ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are 2 - 2s, and the
+    repeated exponent absorbs the delta^(2-2s) log delta of the series
+    2 sum |a_k|^2 H_k / (k+1).  The log kernel has neither and keeps
+    ``bidisk_ladder(beta)``."""
     g, b = grid.factor, grid.alpha
     power = isinstance(f, PowerSingularity)
     s = f.s if power else 0.0
     block = _kernels.pair_block_sums(g.nodes, f(g.nodes), g.weights, g.ring,
                                      g.n_levels, p, s, 0 if power else 1)
-    ladder = ([b + 2.0 - p * s, 2.0 * b + 4.0 - p * (s + 1.0),
-               *bidisk_ladder(b)] if power else None)
-    return grid.protocol_from_block(block, rule="scan", ladder=ladder)
+    corner = [2.0 * b + 4.0 - p * (s + 1.0)] if power else []
+    return grid.protocol_from_block(block, rule="scan", ladder=[
+        *tail_head(f, p, b), *corner, *bidisk_ladder(b)])
 
 
 def bidisk_norm(F, p: float, alpha: float,
@@ -196,11 +198,9 @@ def harmonic_numbers(k_max: int) -> np.ndarray:
 def lift_norm_series_A2(coeffs) -> float:
     """Exact int int |L f|^2 dA dA for f = sum a_k z^k:
     2 sum_k |a_k|^2 H_k / (k+1)."""
-    a = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    k = np.arange(len(a))
-    H = harmonic_numbers(len(a) - 1) if len(a) > 1 else np.zeros(1)
-    return float(2.0 * np.sum(np.abs(a[1:]) ** 2 * H[1:] / (k[1:] + 1.0))) \
-        if len(a) > 1 else 0.0
+    a2 = np.abs(np.atleast_1d(np.asarray(coeffs, dtype=complex))[1:]) ** 2
+    return float(2.0 * np.sum(a2 * harmonic_numbers(len(a2))[1:]
+                              / np.arange(2.0, len(a2) + 2.0)))
 
 
 def monomial_log_norm_exact(k: int) -> float:
@@ -211,13 +211,15 @@ def monomial_log_norm_exact(k: int) -> float:
 
 def log_weighted_norm(f: HoloFunction,
                       grid: DiskGrid | None = None) -> NormResult:
-    """Protocol integral of |f|^2 log(1/(1 - |z|^2)) dA; the tail carries
-    log factors, handled by a repeated-exponent extrapolation ladder.  A
-    given grid must carry alpha = 0."""
-    grid = matching_grid(grid, lambda: grid_for(
-        f if isinstance(f, TaylorPoly) else None, 0.0), 0.0)
+    """Protocol integral of |f|^2 log(1/(1 - |z|^2)) dA on
+    ``grid_for(f, 0)`` unless a grid is given, which must carry
+    alpha = 0.  The tail carries log factors, handled by repeated
+    exponents: f's ``tail_head`` at p = 2, alpha = 0 twice (the weight's
+    log times |f|^2's own tail), then ``log_ladder()``."""
+    grid = matching_grid(grid, lambda: grid_for(f, 0.0), 0.0)
     vals = np.abs(f(grid.nodes)) ** 2 * -np.log(grid.one_minus_u)
-    return grid.integrate_protocol(vals, ladder=log_ladder())
+    head = tail_head(f, 2.0, 0.0)
+    return grid.integrate_protocol(vals, ladder=[*head, *head, *log_ladder()])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,10 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     ``thm11`` mode (p < alpha+2) integrates the lift against the source
     weight; ``thm12`` mode (p > alpha+2) against the rescued weight
     beta = (p+alpha)/2 - 1.  Every s must satisfy p*s < 2+alpha so the
-    source norm is finite.
+    source norm is finite.  The source norm is taken on a graded grid to
+    eps = 2^-11 under the ``scan`` rule, extrapolated with ``tail_head``
+    ahead of ``disk_ladder(alpha)``; the lifted norm by ``bidisk_norm``
+    on ``default_scan_bidisk_grid(beta)``.
     """
     WeightParams(p, alpha)
     if mode == "thm11":
@@ -339,10 +344,9 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
     for s in s_values:
         f = PowerSingularity(s)
-        # |1-z|^(-ps) adds a tail in delta^(alpha+2-ps) to the weight's
         nf = src_grid.integrate_protocol(
             np.abs(f(src_grid.nodes)) ** p, rule="scan",
-            ladder=[alpha + 2.0 - p * s, *disk_ladder(alpha)])
+            ladder=[*tail_head(f, p, alpha), *disk_ladder(alpha)])
         nlf = bidisk_norm(lift(f), p, beta_t, grid=tensor)
         ratio = nlf.value / nf.value if nf.value > 0 else float("inf")
         out.rows.append(LiftingScanRow(

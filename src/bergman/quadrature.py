@@ -20,6 +20,7 @@ full domain by ``richardson`` with the tail-exponent ladder its family
 passes:
 
 - disk: ``disk_ladder(alpha)`` = alpha+1, alpha+2, ..., or the caller's;
+  closed-form disk integrands put ``tail_head`` first;
 - ball: ``disk_ladder(alpha)``, as its radial factor is the disk's;
 - log weight log(1/(1-|z|^2)) dA: ``log_ladder()`` = 1, 1, 2, 2, ...;
 - bidisk: ``bidisk_ladder(alpha)``, the merged alpha+1+m and 2(alpha+1)+m,
@@ -45,7 +46,7 @@ from scipy.special import (beta as beta_function, gammaln, hyp2f1,
                            roots_jacobi)
 
 from .errors import ParameterError
-from .functions import BallPoly, HoloFunction, TaylorPoly
+from .functions import BallPoly, HoloFunction, PowerSingularity, TaylorPoly
 from .geometry import BALL_DIMS
 from . import _kernels
 
@@ -363,16 +364,29 @@ class DiskGrid:
                          ladder, rule, window)
 
 
-def grid_for(f: HoloFunction | None, alpha: float) -> DiskGrid:
-    """Disk grid matched to the integrand: for a Taylor polynomial of
-    degree d, 4d + 16 uniform angles integrate |f|^2 exactly; the closed
-    forms blow up at z = 1, where only the angularly graded rule resolves
-    the peak at every truncation depth."""
+def grid_for(f: HoloFunction, alpha: float) -> DiskGrid:
+    """Disk grid matched to the integrand f or one built from it (|f|^p,
+    its derivative, its witness): for a Taylor polynomial of degree d,
+    4d + 16 uniform angles integrate |f|^2 exactly; the closed forms blow
+    up at z = 1, where only the angularly graded rule resolves the peak
+    at every truncation depth.  ``tail_head`` gives the closed forms'
+    extra tail exponent."""
     if isinstance(f, TaylorPoly):
         return DiskGrid.build(alpha, n_angular=4 * f.degree + 16)
-    if f is not None:
-        return DiskGrid.build_graded(alpha)
-    return DiskGrid.build(alpha)
+    return DiskGrid.build_graded(alpha)
+
+
+def tail_head(f: HoloFunction, p: float, alpha: float) -> list:
+    """Tail exponents that |f|^p adds ahead of the weight's ladder
+    against dA_alpha, the one place they are derived.
+
+    For f = (1-z)^(-s), |f|^p ~ delta^(-ps) on a region near z = 1 of
+    dA_alpha measure delta^(alpha+2): a tail in delta^(alpha + 2 - ps).
+    ((1-|z|^2)|f'|)^p and a witness g^p of f carry the same one.  A
+    Taylor polynomial adds none; neither does the log kernel, whose
+    log^p factor sits at the weight's own alpha + 2 (its p = 2 norm is
+    within 1.3e-7 on ``disk_ladder``)."""
+    return [alpha + 2.0 - p * f.s] if isinstance(f, PowerSingularity) else []
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +588,13 @@ def monomial_norm_exact(k: int, alpha: float) -> float:
 def norm_p(f: HoloFunction, wp: WeightParams,
            grid: DiskGrid | None) -> NormResult:
     """Protocol integral of |f|^p dA_alpha on a grid of alpha, or on
-    ``grid_for(f, alpha)`` if ``grid`` is None."""
+    ``grid_for(f, alpha)`` if ``grid`` is None, extrapolated with f's
+    ``tail_head`` ahead of ``disk_ladder(alpha)``."""
     if isinstance(f, BallPoly):
         raise TypeError("disk norm requires a disk variant")
     grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
-    return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p)
+    return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p, ladder=[
+        *tail_head(f, wp.p, wp.alpha), *disk_ladder(wp.alpha)])
 
 
 def ball_norm_p(f: BallPoly, wp: WeightParams, grid: BallGrid) -> NormResult:
@@ -601,11 +617,14 @@ def membership(f: HoloFunction, wp: WeightParams,
 
 def derivative_seminorm(f: HoloFunction, wp: WeightParams,
                         grid: DiskGrid | None) -> NormResult:
-    """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha."""
+    """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha,
+    which carries the tail of |f|^p: extrapolated with f's ``tail_head``
+    ahead of ``disk_ladder(alpha)``."""
     grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
     vals = (grid.one_minus_u * np.abs(f.derivative_at(grid.nodes))) ** wp.p
     head = float(np.abs(f(np.array(0j))) ** wp.p)
-    return grid.integrate_protocol(vals, shift=head)
+    return grid.integrate_protocol(vals, shift=head, ladder=[
+        *tail_head(f, wp.p, wp.alpha), *disk_ladder(wp.alpha)])
 
 
 # ---------------------------------------------------------------------------

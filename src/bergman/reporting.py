@@ -14,7 +14,7 @@ class CheckRecord:
     name: str
     value: float
     threshold: float
-    op: str  # "<=", "<", ">=", "in" (value within [lo, hi] stored in info)
+    op: str  # one of "<=", "<", ">=", ">", "==" (value op threshold)
     passed: bool
     info: dict = field(default_factory=dict)
 

@@ -18,8 +18,9 @@ from .lifting import TensorPoly, bidisk_norm, bidisk_pairing, \
     divergence_demo, harmonic_numbers, homogeneous_lift_component, lift, \
     lift_norm_series_A2, lifting_scan
 from .quadrature import BallGrid, DiskGrid, WeightParams, ball_norm_p, \
-    fit_growth_exponent, forelli_rudin_exact, forelli_rudin_scan, \
-    forelli_rudin_sup, grid_for, log_ladder, monomial_norm_exact, norm_p
+    derivative_seminorm, fit_growth_exponent, forelli_rudin_exact, \
+    forelli_rudin_scan, forelli_rudin_sup, grid_for, log_ladder, \
+    monomial_norm_exact, norm_p
 from .reporting import ExperimentReport, check, check_true
 from .sampling import sample_ball, sample_disk
 from .witness import ball_witness_constant, build_witness, \
@@ -41,7 +42,6 @@ class SuiteConfig:
 
     suite: str
     seed: int = 42
-    out: str | None = None
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -234,8 +234,6 @@ def _lemma5_family(rng, max_degree: int):
 
 
 def _lemma5_equivalence_constant(family, p, alpha):
-    from .quadrature import derivative_seminorm
-
     ratios = []
     wp = WeightParams(p, alpha)
     for f in family:
@@ -323,9 +321,8 @@ def _witness_suite(cfg: SuiteConfig, rep: ExperimentReport, metric: str,
     if integrability:
         rep.checks.append(check_true(f"{metric}_integrability_all_converged",
                                      conv_all, info=cases))
-    # empirical witness-to-function norm ratio (finiteness only)
-    name, f = fam[-1]
-    w = build_witness(f, metric, WITNESS_RADIUS)
+    # empirical witness-to-function norm ratio (finiteness only), for
+    # the loop's last function fam[-1] and its witness
     gnorm = witness_integrability(w, 2, 0.0, grid=_integrability_grid(
         2.0 if metric == "euclid" else 0.0))
     fnorm = norm_p(f, WeightParams(2, 0.0), grid_for(f, 0.0))

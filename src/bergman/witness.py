@@ -24,12 +24,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .functions import BallPoly, HoloFunction, TaylorPoly
+from .functions import BallPoly, HoloFunction
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
-from .quadrature import BallGrid, NormResult, WeightParams, grid_for, \
-    matching_grid
-from .sampling import ball_pairs_stratified, disk_pairs_stratified, sobol_ball
+from .quadrature import BallGrid, NormResult, WeightParams, disk_ladder, \
+    grid_for, matching_grid, tail_head
+from .sampling import ball_pairs_stratified, disk_pairs_stratified, \
+    sample_disk, sobol_ball
 
 SAFETY = 1.05          # covers sampled-sup undershoot on smooth families
 SUP_GRID = (32, 32)    # polar sample of the local Euclidean disk
@@ -200,17 +201,23 @@ def witness_integrability(w: Witness, p: float, alpha: float,
                           grid=None) -> NormResult:
     """Protocol integral of g^p against dA_alpha (rho/beta witnesses) or
     dA_(p+alpha) (euclid witnesses); ball witnesses use dv_alpha.  A given
-    grid must carry that measure's alpha, and a ``BallGrid`` f's n."""
+    grid must carry that measure's alpha, and a ``BallGrid`` f's n; the
+    default disk grid is ``grid_for(f, measure alpha)``.
+
+    On the disk g^p carries the tail of |f|^p against the source dA_alpha,
+    since the euclid factor (1 - |z|)^(-p) only cancels the measure's
+    extra weight: the ladder is ``tail_head`` at the source (p, alpha),
+    then ``disk_ladder`` of the measure's alpha."""
     WeightParams(p, alpha)
-    measure_alpha = alpha + (p if w.metric == "euclid" else 0.0)
     if w.metric == "ball-rho":
         grid = matching_grid(grid, lambda: BallGrid(w.f.n, alpha), alpha,
                              n=w.f.n)
-    else:
-        grid = matching_grid(grid, lambda: grid_for(
-            w.f if isinstance(w.f, TaylorPoly) else None, measure_alpha),
-            measure_alpha)
-    return grid.integrate_protocol(w.g_values(grid.nodes) ** p)
+        return grid.integrate_protocol(w.g_values(grid.nodes) ** p)
+    measure_alpha = alpha + (p if w.metric == "euclid" else 0.0)
+    grid = matching_grid(grid, lambda: grid_for(w.f, measure_alpha),
+                         measure_alpha)
+    return grid.integrate_protocol(w.g_values(grid.nodes) ** p, ladder=[
+        *tail_head(w.f, p, alpha), *disk_ladder(measure_alpha)])
 
 
 def derivative_bound_check(f: HoloFunction, w: Witness,
@@ -218,8 +225,6 @@ def derivative_bound_check(f: HoloFunction, w: Witness,
                            seed: int = 1) -> float:
     """Max over a seeded grid of the limiting derivative bound residual:
     (1 - |z|^2)|f'| - 2g for rho/beta, |f'| - 2g for euclid."""
-    from .sampling import sample_disk
-
     if f.domain != "disk" or w.f.domain != "disk":
         raise TypeError("derivative bound check requires a disk variant")
     metric = metric or w.metric

@@ -9,8 +9,8 @@ from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
 from bergman.lifting import (LiftedFunction, TensorPoly, bidisk_norm,
                              bidisk_pairing, diagonal_norm,
                              divergence_coefficients, divergence_demo,
-                             homogeneous_lift_component, lift,
-                             lift_norm_series_A2, lifting_scan,
+                             harmonic_numbers, homogeneous_lift_component,
+                             lift, lift_norm_series_A2, lifting_scan,
                              log_weighted_norm, monomial_log_norm_exact,
                              default_poly_bidisk_grid)
 from bergman import _kernels
@@ -230,6 +230,24 @@ class TestLogWeightedNorm:
     def test_zero_function(self):
         res = log_weighted_norm(TaylorPoly([0.0]))
         assert res.value == pytest.approx(0.0, abs=1e-15)
+
+    def test_singularity_matches_series(self):
+        # sum |a_k|^2 H_(k+1) / (k+1) for (1-z)^(-0.3), 2^20 terms plus
+        # the integral of the asymptotic tail k^(2s-3) (log k + gamma)
+        # / Gamma(s)^2 (4.0e-9 of the sum).  The protocol is within
+        # 1.9e-10 with the tail exponent 2 - 2s twice in its ladder; with
+        # log_ladder() alone it is off by 1.5e-6, and on the uniform grid
+        # by 1.8e-3
+        s, n = 0.3, 2 ** 20
+        k = np.arange(n, dtype=float)
+        K, e = float(n), 2.0 - 2.0 * s
+        series = np.sum(_power_coefficients(s, n) ** 2
+                        * harmonic_numbers(n)[1:] / (k + 1.0)) \
+            + np.exp(-2.0 * gammaln(s)) * K ** (-e) * (
+                (np.log(K) + np.euler_gamma) / e + 1.0 / e ** 2)
+        res = log_weighted_norm(PowerSingularity(s))
+        assert res.verdict == "member"
+        np.testing.assert_allclose(res.value, series, rtol=1e-7)
 
 
 class TestDivergenceDemo:

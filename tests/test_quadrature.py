@@ -22,7 +22,7 @@ from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
                                 forelli_rudin_integral, forelli_rudin_scan,
                                 forelli_rudin_sup, grid_for, log_ladder,
                                 membership, monomial_norm_exact, norm_p,
-                                richardson)
+                                richardson, tail_head)
 from bergman.sampling import sample_disk
 
 ALPHAS = (-0.5, 0.0, 1.0, 2.5)
@@ -382,6 +382,20 @@ class TestMembership:
         verdict, _ = membership(LogKernel(), WeightParams(2, 0.0))
         assert verdict == "member"
 
+    @pytest.mark.parametrize("p,alpha,s", [
+        (2, 0.0, 0.5), (2, 0.0, 0.7), (2, 0.0, 0.8), (2, 0.0, 0.9),
+        (4, 0.0, 0.4), (4, 0.0, 0.45), (1, 1.0, 2.5)])
+    def test_singularity_matches_gamma_ratio(self, p, alpha, s):
+        # int |1-z|^(-ps) dA_alpha = Gamma(alpha+2) Gamma(alpha+2-ps)
+        # / Gamma(alpha+2-ps/2)^2.  With the tail delta^(alpha+2-ps) first
+        # in the ladder the errors are at most 8.0e-7; on disk_ladder
+        # alone they reach 0.17 and still read member
+        verdict, res = membership(PowerSingularity(s), WeightParams(p, alpha))
+        assert verdict == "member"
+        np.testing.assert_allclose(
+            res.value, reference.source_norm(s, p, alpha), rtol=2e-6)
+
+
     def test_refuses_mismatched_grid(self, monkeypatch):
         # a dA_0 grid for a dA_1 request is refused, not replaced by a
         # freshly built dA_1 grid
@@ -414,6 +428,14 @@ class TestMembership:
                                    rtol=1e-6)
 
 
+class TestTailHead:
+    def test_closed_forms(self):
+        assert tail_head(PowerSingularity(0.7), 2, 0.0) == [2.0 - 2 * 0.7]
+        assert tail_head(PowerSingularity(2.5), 1, 1.0) == [0.5]
+        assert tail_head(LogKernel(), 2, 0.0) == []
+        assert tail_head(TaylorPoly([1.0, 2.0]), 2, 0.0) == []
+
+
 class TestDerivativeSeminorm:
     def test_constant(self, grids):
         res = derivative_seminorm(TaylorPoly([3.0]), WeightParams(2, 0.0),
@@ -433,15 +455,32 @@ class TestDerivativeSeminorm:
         wp = WeightParams(2, 0.0)
         g = DiskGrid.build_graded(0.0, eps_stop=1e-5 / 16)
         res = derivative_seminorm(f, wp, g)
-        head = float(np.abs(f(np.array(0j))) ** 2)
+        at0 = float(np.abs(f(np.array(0j))) ** 2)
+        ladder = [2.0 - 2 * 0.9, *disk_ladder(0.0)]
         dabs = np.abs(f.derivative_at(g.nodes))
-        want = g.integrate_protocol((g.one_minus_u * dabs) ** 2, shift=head)
+        want = g.integrate_protocol((g.one_minus_u * dabs) ** 2, shift=at0,
+                                    ladder=ladder)
         rounded = g.integrate_protocol(
-            ((1.0 - np.abs(g.nodes) ** 2) * dabs) ** 2, shift=head)
+            ((1.0 - np.abs(g.nodes) ** 2) * dabs) ** 2, shift=at0,
+            ladder=ladder)
         assert res.converged
         assert res.value == want.value
         assert np.array_equal(res.partials, want.partials)
         assert res.value != rounded.value
+
+    @pytest.mark.parametrize("s,rtol", [(0.4, 1e-6), (0.7, 2e-5),
+                                        (0.9, 2e-5)])
+    def test_singularity_matches_closed_form(self, s, rtol):
+        # for f = (1-z)^(-s), p = 2, alpha = 0: int ((1-|z|^2)|f'|)^2 dA
+        # = ||f||^2 2s^2/(2-s)^2, and f(0) = 1.  The errors are 2.6e-10,
+        # 2.1e-7 and 6.8e-6; without the tail exponent 1.7e-6, 2.1e-3
+        # and 0.16
+        res = derivative_seminorm(PowerSingularity(s), WeightParams(2, 0.0),
+                                  None)
+        assert res.verdict == "member"
+        exact = 1.0 + reference.source_norm(s, 2.0, 0.0) \
+            * 2.0 * s * s / (2.0 - s) ** 2
+        np.testing.assert_allclose(res.value, exact, rtol=rtol)
 
     def test_singular_family_ratio_finite(self):
         f = PowerSingularity(0.4)
