@@ -13,7 +13,7 @@ from .functions import (BallPoly, HoloFunction, LogKernel, PowerSingularity,
 from .quadrature import (BallGrid, BidiskGrid, DiskGrid, NormResult,
                          WeightParams, derivative_seminorm,
                          fit_growth_exponent, forelli_rudin_integral,
-                         membership, monomial_norm_exact, norm_p)
+                         monomial_norm_exact, norm_p)
 from .witness import (ViolationReport, Witness, build_witness,
                       build_witness_ball, derivative_bound_check,
                       local_sup_h, verify_lipschitz, witness_integrability)
@@ -29,7 +29,7 @@ __all__ = [
     "TaylorPoly", "derivative", "radial_metric_ratio",
     "BallGrid", "BidiskGrid", "DiskGrid", "NormResult", "WeightParams",
     "derivative_seminorm", "fit_growth_exponent",
-    "forelli_rudin_integral", "membership", "monomial_norm_exact", "norm_p",
+    "forelli_rudin_integral", "monomial_norm_exact", "norm_p",
     "ViolationReport", "Witness", "build_witness", "build_witness_ball",
     "derivative_bound_check", "local_sup_h", "verify_lipschitz",
     "witness_integrability",

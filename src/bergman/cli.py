@@ -45,8 +45,8 @@ def _load_config_file(path: Path) -> dict:
 @click.option("--seed", type=int, default=None, help="Sampling seed "
               "(default 42; every numeric result is reproducible from it).")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path),
-              default=Path("reports"), show_default=True,
-              help="Directory for the JSON report and CSV plot data.")
+              default=None, help="Directory for the JSON report and CSV "
+              "plot data (default: the config file's out, else reports).")
 @click.option("--config", "config_file", type=click.Path(path_type=Path,
               exists=True, dir_okay=False), default=None,
               help="JSON file with {seed, out, tolerances} defaults; "
@@ -58,8 +58,8 @@ def run(suites, seed, out_dir, config_file):
     """
     file_cfg = _load_config_file(config_file) if config_file else {}
     eff_seed = seed if seed is not None else int(file_cfg.get("seed", 42))
-    if "out" in file_cfg and out_dir == Path("reports"):
-        out_dir = Path(file_cfg["out"])
+    if out_dir is None:
+        out_dir = Path(file_cfg.get("out", "reports"))
     overrides = dict(file_cfg.get("tolerances", {}))
 
     all_passed = True

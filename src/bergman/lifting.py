@@ -18,8 +18,7 @@ from . import _kernels
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
 from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    bidisk_ladder, disk_ladder, grid_for, log_ladder, matching_grid, \
-    tail_head
+    bidisk_ladder, grid_for, log_ladder, matching_grid, norm_p, tail_head
 
 
 class LiftedFunction:
@@ -129,7 +128,11 @@ def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
     ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are 2 - 2s, and the
     repeated exponent absorbs the delta^(2-2s) log delta of the series
     2 sum |a_k|^2 H_k / (k+1).  The log kernel has neither and keeps
-    ``bidisk_ladder(beta)``."""
+    ``bidisk_ladder(beta)``.
+
+    The only protocol call under the lenient ``scan`` rule: under
+    ``strict`` the lift of (1-z)^(-0.45) at p = 4, beta = 1 reads
+    undecided."""
     g, b = grid.factor, grid.alpha
     power = isinstance(f, PowerSingularity)
     s = f.s if power else 0.0
@@ -315,12 +318,11 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     ``thm11`` mode (p < alpha+2) integrates the lift against the source
     weight; ``thm12`` mode (p > alpha+2) against the rescued weight
     beta = (p+alpha)/2 - 1.  Every s must satisfy p*s < 2+alpha so the
-    source norm is finite.  The source norm is taken on a graded grid to
-    eps = 2^-11 under the ``scan`` rule, extrapolated with ``tail_head``
-    ahead of ``disk_ladder(alpha)``; the lifted norm by ``bidisk_norm``
-    on ``default_scan_bidisk_grid(beta)``.
+    source norm is finite.  The source norm is ``norm_p`` on a graded
+    grid to eps = 2^-11; the lifted norm is ``bidisk_norm`` on
+    ``default_scan_bidisk_grid(beta)``.
     """
-    WeightParams(p, alpha)
+    wp = WeightParams(p, alpha)
     if mode == "thm11":
         if not p < alpha + 2:
             raise ParameterError("thm11 mode requires p < alpha + 2")
@@ -344,9 +346,7 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
     for s in s_values:
         f = PowerSingularity(s)
-        nf = src_grid.integrate_protocol(
-            np.abs(f(src_grid.nodes)) ** p, rule="scan",
-            ladder=[*tail_head(f, p, alpha), *disk_ladder(alpha)])
+        nf = norm_p(f, wp, src_grid)
         nlf = bidisk_norm(lift(f), p, beta_t, grid=tensor)
         ratio = nlf.value / nf.value if nf.value > 0 else float("inf")
         out.rows.append(LiftingScanRow(

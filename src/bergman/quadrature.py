@@ -30,10 +30,10 @@ passes:
   weight, on graded grids down to eps = (1-x)/256.
 
 Verdicts come from the increment decay of the partials alone, never
-from the extrapolated number, by one rule per family: disk grids use
-``classify_partials``'s ``strict`` rule, except ``lifting_scan``'s
-source norm, which uses ``scan``; the ball uses ``scan``; Taylor lifts
-use ``strict`` and closed-form lifts ``scan``.
+from the extrapolated number, and are stored once, as
+``NormResult.verdict``.  Every disk and ball integral and every Taylor
+lift takes ``classify_partials``'s ``strict`` rule; only the closed-form
+lifts of ``lifting._closed_form_norm`` take the lenient ``scan`` rule.
 """
 from __future__ import annotations
 
@@ -78,11 +78,14 @@ class NormResult:
     """Outcome of one protocol integration (the p-th power integral)."""
 
     value: float
-    converged: bool
     eps_values: np.ndarray
     partials: np.ndarray
     estimated_error: float
     verdict: str
+
+    @property
+    def converged(self) -> bool:
+        return self.verdict == "member"
 
     def to_json(self) -> dict:
         return {"value": self.value, "converged": self.converged,
@@ -139,8 +142,9 @@ def richardson(deltas, partials, ladder):
     return float(T[-1]), float(abs(T[-1] - prev_last))
 
 
-def classify_partials(partials, rule: str = "strict"):
-    """Verdict from the increment decay pattern; member if every
+def classify_partials(partials, rule: str = "strict") -> str:
+    """Verdict from the increment decay pattern: undecided from fewer
+    than three partials (no increment ratio to read), member if every
     increment is zero to rounding.
 
     ``strict``: member iff the last 4 increment ratios all fall below
@@ -150,40 +154,40 @@ def classify_partials(partials, rule: str = "strict"):
     below 1 with the final ratio at most SCAN_RATIO.
     """
     F = np.asarray(partials, float)
+    if len(F) < 3:
+        return "undecided"
     scale = max(abs(F[-1]), 1e-300)
     inc = np.diff(F)
     if np.all(np.abs(inc) <= 1e-13 * scale):
-        return "member", True
+        return "member"
     pos = np.maximum(inc, 1e-300)
     ratios = pos[1:] / pos[:-1]
     last = ratios[-4:] if len(ratios) >= 4 else ratios
     gm = float(np.exp(np.mean(np.log(last))))
     if np.all(last < MEMBER_RATIO):
-        return "member", True
+        return "member"
     if gm >= DIVERGE_RATIO or np.all(last >= 1.0):
-        return "non-member", False
+        return "non-member"
     if rule == "scan" and np.all(last < 1.0) and last[-1] <= SCAN_RATIO:
-        return "member", True
-    return "undecided", False
+        return "member"
+    return "undecided"
 
 
-def _protocol(F, eps_values, ladder, rule: str,
-              window: int | None = None) -> NormResult:
-    """The truncation protocol shared by every grid family: verdict from
-    the partials ``F`` at the levels ``eps_values``, then, if converged,
-    the value extrapolated by ``richardson`` with the tail exponents
-    ``ladder``.  ``window`` restricts the extrapolation to the deepest
-    levels; the verdict always uses the whole sequence."""
-    verdict, conv = classify_partials(F, rule=rule)
-    if not conv:
+def _protocol(F, eps_values, ladder, rule: str) -> NormResult:
+    """The truncation protocol shared by every grid family: verdict by
+    ``rule`` from every partial ``F`` at the levels ``eps_values``, then,
+    for a member, the value extrapolated by ``richardson`` with the tail
+    exponents ``ladder``.  A ladder of m exponents reads only the deepest
+    m + 1 levels, so a shorter ladder extrapolates from fewer levels."""
+    verdict = classify_partials(F, rule=rule)
+    if verdict != "member":
         value, err = float(F[-1]), float("inf")
     else:
         deltas = 1.0 - (1.0 - np.asarray(eps_values, float)) ** 2
-        tail = slice(-window if window else 0, None)
-        value, err = richardson(deltas[tail], F[tail], ladder)
-    return NormResult(value=value, converged=conv,
-                      eps_values=eps_values, partials=np.asarray(F, float),
-                      estimated_error=err, verdict=verdict)
+        value, err = richardson(deltas, F, ladder)
+    return NormResult(value=value, eps_values=eps_values,
+                      partials=np.asarray(F, float), estimated_error=err,
+                      verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +352,15 @@ class DiskGrid:
                            minlength=self.n_levels)
         return np.cumsum(sums)
 
-    def integrate_protocol(self, values, ladder=None, rule: str = "strict",
-                           shift: float = 0.0,
-                           window: int | None = None) -> NormResult:
-        """Protocol integral of ``values`` + ``shift`` with the weight's
-        ladder ``disk_ladder(alpha)`` unless the caller passes one.
-
-        ``window`` restricts the extrapolation to the deepest levels
-        (useful when the integrand is concentrated near the boundary and
-        the shallow truncations sit outside the tail's asymptotic regime).
-        """
+    def integrate_protocol(self, values, ladder=None) -> NormResult:
+        """Protocol integral of ``values`` under the ``strict`` rule, with
+        the weight's ladder ``disk_ladder(alpha)`` unless the caller
+        passes one.  A ladder of m exponents extrapolates from the
+        deepest m + 1 levels; the verdict reads every level."""
         if ladder is None:
             ladder = disk_ladder(self.alpha)
-        return _protocol(self.partials(values) + shift, self.eps_values,
-                         ladder, rule, window)
+        return _protocol(self.partials(values), self.eps_values, ladder,
+                         "strict")
 
 
 def grid_for(f: HoloFunction, alpha: float) -> DiskGrid:
@@ -523,7 +522,9 @@ class BallGrid:
     simplex and radial panels polynomials below twice their point counts;
     only (1-u)^alpha is not polynomial.  Moments of degree <= 3 per
     variable are within 5e-10 (n = 2), of degree <= 2 within 2e-8
-    (n = 3), for alpha in {-0.5, 0, 1.5}.  ``estimated_error`` covers only
+    (n = 3), for alpha in {-0.5, 0, 1.5}.  ``integrate_protocol`` runs
+    the disk's protocol: ``disk_ladder(alpha)``, as the radial factor is
+    the disk's, and the ``strict`` rule.  ``estimated_error`` covers only
     the truncation tail: where the integrand is not smooth on the sphere
     (|f|^p at zeros of f, p != 2; the sampled witness g) the rule itself
     can be off by far more.  ``log2_count`` and ``seed`` are ignored; they
@@ -554,7 +555,7 @@ class BallGrid:
 
     def integrate_protocol(self, values) -> NormResult:
         return _protocol(self.partials(values), self.eps_values,
-                         disk_ladder(self.alpha), "scan")
+                         disk_ladder(self.alpha), "strict")
 
 
 def matching_grid(grid, build, alpha: float, **fixed):
@@ -572,7 +573,7 @@ def matching_grid(grid, build, alpha: float, **fixed):
 
 
 # ---------------------------------------------------------------------------
-# norms, membership, seminorms
+# norms and seminorms
 # ---------------------------------------------------------------------------
 
 def monomial_norm_exact(k: int, alpha: float) -> float:
@@ -589,7 +590,8 @@ def norm_p(f: HoloFunction, wp: WeightParams,
            grid: DiskGrid | None) -> NormResult:
     """Protocol integral of |f|^p dA_alpha on a grid of alpha, or on
     ``grid_for(f, alpha)`` if ``grid`` is None, extrapolated with f's
-    ``tail_head`` ahead of ``disk_ladder(alpha)``."""
+    ``tail_head`` ahead of ``disk_ladder(alpha)``.  Its verdict decides
+    f in A^p_alpha."""
     if isinstance(f, BallPoly):
         raise TypeError("disk norm requires a disk variant")
     grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
@@ -606,25 +608,17 @@ def ball_norm_p(f: BallPoly, wp: WeightParams, grid: BallGrid) -> NormResult:
     return grid.integrate_protocol(np.abs(f(grid.nodes)) ** wp.p)
 
 
-def membership(f: HoloFunction, wp: WeightParams,
-               grid: DiskGrid | None = None):
-    """Decide f in A^p_alpha from the increment decay of the truncated
-    integrals; returns (verdict, NormResult).  A given grid must carry
-    alpha."""
-    res = norm_p(f, wp, grid)
-    return res.verdict, res
-
-
 def derivative_seminorm(f: HoloFunction, wp: WeightParams,
                         grid: DiskGrid | None) -> NormResult:
-    """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha,
-    which carries the tail of |f|^p: extrapolated with f's ``tail_head``
-    ahead of ``disk_ladder(alpha)``."""
+    """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha:
+    the protocol runs on the partials shifted by |f(0)|^p, under the
+    ``strict`` rule.  The integrand carries the tail of |f|^p, so it is
+    extrapolated with f's ``tail_head`` ahead of ``disk_ladder(alpha)``."""
     grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
     vals = (grid.one_minus_u * np.abs(f.derivative_at(grid.nodes))) ** wp.p
     head = float(np.abs(f(np.array(0j))) ** wp.p)
-    return grid.integrate_protocol(vals, shift=head, ladder=[
-        *tail_head(f, wp.p, wp.alpha), *disk_ladder(wp.alpha)])
+    return _protocol(grid.partials(vals) + head, grid.eps_values, [
+        *tail_head(f, wp.p, wp.alpha), *disk_ladder(wp.alpha)], "strict")
 
 
 # ---------------------------------------------------------------------------

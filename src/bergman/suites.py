@@ -530,8 +530,8 @@ def _suite_a2_diverge(cfg: SuiteConfig, rep: ExperimentReport):
     H = harmonic_numbers(101)
     ratios = []
     for k in range(10, 101):
-        res = grid.integrate_protocol(u ** k * logw, ladder=log_ladder(),
-                                      window=6)
+        # five exponents read the deepest six levels, where k * delta is small
+        res = grid.integrate_protocol(u ** k * logw, ladder=log_ladder()[:5])
         lift_term = 2.0 * a2k[k] * H[k] / (k + 1.0)
         ratios.append(lift_term / (a2k[k] * res.value))
     rep.checks.append(check("termwise_ratio_min", min(ratios), 0.5, ">="))

@@ -93,6 +93,26 @@ class TestRun:
         assert report["seed"] == 11
         assert report["config"]["overrides"]["n_triples"] == 5000
 
+    @pytest.mark.parametrize("args,where", [
+        (["--out", "reports"], "reports"), ([], "from_file")])
+    def test_out_option_wins_over_config_file(self, runner, tmp_path,
+                                              monkeypatch, args, where):
+        # an explicit --out, even the default's value, beats the file's out
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "from_file"}))
+        result = runner.invoke(main, ["run", "geometry", "--config",
+                                      str(cfg), *args])
+        assert result.exit_code == 0
+        written = sorted(p.parent.name for p in tmp_path.glob("*/geometry.json"))
+        assert written == [where]
+
+    def test_out_defaults_to_reports(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["run", "geometry"])
+        assert result.exit_code == 0
+        assert (tmp_path / "reports" / "geometry.json").is_file()
+
     def test_csv_blocks_written(self, runner, tmp_path):
         result = runner.invoke(main, ["run", "a2-diverge",
                                       "--out", str(tmp_path)])

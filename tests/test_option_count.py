@@ -8,7 +8,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergman"
 
-DEFAULTED_PARAMETERS = 52
+DEFAULTED_PARAMETERS = 47
 SUITE_OPTIONS = 10
 
 
