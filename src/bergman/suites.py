@@ -301,6 +301,7 @@ def _witness_suite(cfg: SuiteConfig, rep: ExperimentReport, metric: str,
         bound = derivative_bound_check(f, w, metric, seed=cfg.seed + 1)
         worst_bound = max(worst_bound, bound)
         details[name] = {"max_violation": vrep.max_violation,
+                         "n_exact": vrep.n_exact,
                          "derivative_bound_residual": bound}
         if integrability:
             conv, cases[name] = {}, {}
@@ -561,7 +562,8 @@ def _suite_ball_thm13(cfg: SuiteConfig, rep: ExperimentReport):
     for name, f in family:
         w = build_witness_ball(f, WITNESS_RADIUS)
         vrep = verify_lipschitz(f, w, n_pairs=n_pairs, seed=cfg.seed)
-        details[name] = vrep.max_violation
+        details[name] = {"max_violation": vrep.max_violation,
+                         "n_exact": vrep.n_exact}
         worst = max(worst, vrep.max_violation)
     rep.checks.append(check("ball_max_lipschitz_violation", worst, 0.0,
                             "<=", info=details))

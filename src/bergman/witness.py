@@ -11,6 +11,19 @@ closed form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), over the images
 u = phi_z(r e) of a fixed 1,024-point quasi-random sample e of the unit
 ball, with C = 1/(1 - r^2) (see :func:`ball_witness_constant`);
 ``_kernels.ball_sup_invgrad`` pushes the sample in closed form.
+
+:func:`verify_lipschitz` reports the max residual over seeded pairs and
+its argmax.  For a ball witness it bounds and prunes: the sup over the
+first ``BALL_SCREEN_COUNT`` sample points is a max over a subset of the
+same per-point values, so it is a lower bound h_lo <= h, and g formed with
+it gives every pair an upper bound on its residual.  Pairs are then taken
+in descending bound order, a kernel pass at a time, until the next bound
+falls strictly below the best exact residual (or equals it at a higher
+index); ties go to the lowest pair index, as in ``np.argmax``, so the
+report equals the full evaluation's, from a few dozen exact sups in place
+of 2 n_pairs.  Disk witnesses keep the full, cached evaluation, because
+the rho, beta and euclid checks of one family share the sups of one pair
+set through the cache.
 """
 from __future__ import annotations
 
@@ -36,6 +49,7 @@ SAFETY = 1.05          # covers sampled-sup undershoot on smooth families
 SUP_GRID = (32, 32)    # polar sample of the local Euclidean disk
 BALL_SUP_COUNT = 1024  # quasi-random points for the ball local sup
 BALL_SUP_SEED = 1023
+BALL_SCREEN_COUNT = 32  # leading sample points of the ball verification screen
 DISK_METRICS = ("rho", "beta", "euclid")
 
 _UNIT_GRID = EuclideanDisk(0j, 1.0).polar_grid(*SUP_GRID)
@@ -63,6 +77,13 @@ def _raw_local_sup(f: HoloFunction, z, r: float):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     centers, radii = pseudo_disk_params(z, r)
     return _kernels.local_sup_poly(centers, radii, _UNIT_GRID, f)
+
+
+def _ball_screen_sup(f: BallPoly, z, r: float):
+    """The ball sup of ``_raw_local_sup`` over only the first
+    ``BALL_SCREEN_COUNT`` points of the sample: a lower bound on it."""
+    return _kernels.ball_sup_invgrad(
+        z, _ball_sup_sample(f.n)[:BALL_SCREEN_COUNT], f, r)
 
 
 def _cached_local_sup(f: HoloFunction, z, r: float):
@@ -102,11 +123,16 @@ class Witness:
         disk or ball; the euclid witness is then divided by (1 - |z|)."""
         z = np.asarray(z, dtype=complex)
         z = np.atleast_2d(z) if self.f.domain == "ball" else np.atleast_1d(z)
-        h = _cached_local_sup(self.f, z, self.r)
-        g = np.abs(self.f(z)) / self.r + self.safety * self.C * h
+        g = self._g(np.abs(self.f(z)), _cached_local_sup(self.f, z, self.r))
         if self.metric == "euclid":
             g = g / (1.0 - np.abs(z))
         return g
+
+    def _g(self, abs_f, h):
+        """|f|/r + safety * C * h from |f| and the local sup h at the same
+        points: ``g_values`` before any euclid factor, and the ball
+        verification's screen and exact pass."""
+        return abs_f / self.r + self.safety * self.C * h
 
     def __call__(self, z):
         vals = self.g_values(z)
@@ -132,7 +158,8 @@ def build_witness(f: HoloFunction, metric: str, r: float) -> Witness:
 
 @dataclass
 class ViolationReport:
-    """Max of |f(z)-f(w)| - metric(z,w)(g(z)+g(w)) over sampled pairs."""
+    """Max of |f(z)-f(w)| - metric(z,w)(g(z)+g(w)) over sampled pairs;
+    ``n_exact`` counts the points at which g was evaluated in full."""
 
     metric: str
     n_pairs: int
@@ -142,6 +169,7 @@ class ViolationReport:
     n_near: int
     n_far: int
     r: float
+    n_exact: int
 
     def to_json(self) -> dict:
         def enc(p):
@@ -151,7 +179,8 @@ class ViolationReport:
         return {"metric": self.metric, "n_pairs": self.n_pairs,
                 "seed": self.seed, "max_violation": self.max_violation,
                 "argmax_pair": [enc(self.argmax_pair[0]), enc(self.argmax_pair[1])],
-                "n_near": self.n_near, "n_far": self.n_far, "r": self.r}
+                "n_near": self.n_near, "n_far": self.n_far, "r": self.r,
+                "n_exact": self.n_exact}
 
 
 def _metric_values(metric: str, z, w):
@@ -173,7 +202,10 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
     pairs with rho(z, w) < r, half with rho(z, w) >= r).
 
     ``g`` is a Witness or any callable of a point array; a positive max
-    violation is a result, not an error.
+    violation is a result, not an error.  A disk witness or a callable is
+    evaluated at all 2 n_pairs points, a disk witness through the sup
+    cache.  A ball witness is verified by bound and prune (see
+    :func:`_ball_max_residual`), with the same max and argmax.
     """
     if n_pairs < 1:
         raise ParameterError("need at least one pair")
@@ -186,15 +218,66 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
                                      n=f.n if isinstance(f, BallPoly) else 2)
     else:
         z, w = disk_pairs_stratified(seed, n_pairs, r)
-    gz = g.g_values(z) if isinstance(g, Witness) else np.asarray(g(z), float)
-    gw = g.g_values(w) if isinstance(g, Witness) else np.asarray(g(w), float)
-    resid = np.abs(f(z) - f(w)) - _metric_values(metric, z, w) * (gz + gw)
-    i = int(np.argmax(resid))
+    if isinstance(g, Witness) and g.f.domain == "ball":
+        i, worst, n_exact = _ball_max_residual(f, g, metric, z, w)
+    else:
+        gz = g.g_values(z) if isinstance(g, Witness) else np.asarray(g(z), float)
+        gw = g.g_values(w) if isinstance(g, Witness) else np.asarray(g(w), float)
+        resid = np.abs(f(z) - f(w)) - _metric_values(metric, z, w) * (gz + gw)
+        i = int(np.argmax(resid))
+        worst, n_exact = float(resid[i]), 2 * n_pairs
     return ViolationReport(metric=metric, n_pairs=n_pairs, seed=seed,
-                           max_violation=float(resid[i]),
-                           argmax_pair=(z[i], w[i]),
+                           max_violation=worst, argmax_pair=(z[i], w[i]),
                            n_near=n_pairs // 2, n_far=n_pairs - n_pairs // 2,
-                           r=float(r))
+                           r=float(r), n_exact=n_exact)
+
+
+def _ball_max_residual(f: HoloFunction, g: Witness, metric: str, z, w):
+    """(argmax, max, points evaluated exactly) of the residual
+    |f(z) - f(w)| - metric(z, w) (g(z) + g(w)) for a ball witness g.
+
+    Screen: h_lo, the invariant-gradient sup over the first
+    ``BALL_SCREEN_COUNT`` points of the sup sample, is a max over a subset
+    of the per-point values whose max over the whole sample is h, so
+    h_lo <= h and the residual formed with h_lo bounds the exact one from
+    above.  Exact pass: pairs are taken in stable descending bound order,
+    ``_kernels._BUDGET // BALL_SUP_COUNT`` points at a time (one kernel
+    pass, z and w together, uncached), and the pass stops once the next
+    pair's bound falls strictly below the best exact residual, or equals it
+    at a higher index than the best pair's; equal bounds come in index
+    order, so every pair left has an exact residual below that best, or
+    equal to it at a higher index.  On equal residuals the lowest index
+    wins, as in ``np.argmax``, so max and argmax equal the full
+    evaluation's.  The second stop ends f = 0, where every bound and
+    residual is 0, after one pass.
+
+    The disk keeps its full, cached evaluation: rho, beta and euclid reuse
+    one pair set's sups through ``_H_CACHE``, and a pruned rho pass would
+    leave pairs that the beta and euclid passes then need.
+    """
+    m = len(z)
+    diff = np.abs(f(z) - f(w))
+    dist = _metric_values(metric, z, w)
+    abs_fz, abs_fw = np.abs(g.f(z)), np.abs(g.f(w))
+    lo = _ball_screen_sup(g.f, np.concatenate([z, w]), g.r)
+    bound = diff - dist * (g._g(abs_fz, lo[:m]) + g._g(abs_fw, lo[m:]))
+    order = np.argsort(-bound, kind="stable")
+    step = _kernels._BUDGET // BALL_SUP_COUNT // 2
+    best, best_i, pos = -np.inf, -1, 0
+    while pos < m:
+        nxt = order[pos]
+        if bound[nxt] < best or (bound[nxt] == best and nxt > best_i):
+            break
+        idx = order[pos:pos + step]
+        h = _raw_local_sup(g.f, np.concatenate([z[idx], w[idx]]), g.r)
+        k = len(idx)
+        exact = diff[idx] - dist[idx] * (g._g(abs_fz[idx], h[:k])
+                                         + g._g(abs_fw[idx], h[k:]))
+        for i, v in zip(idx.tolist(), exact.tolist()):
+            if v > best or (v == best and i < best_i):
+                best, best_i = v, i
+        pos += k
+    return best_i, best, 2 * pos
 
 
 def witness_integrability(w: Witness, p: float, alpha: float,

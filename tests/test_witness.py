@@ -7,7 +7,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from bergman import _kernels, witness
+from bergman import _kernels, suites, witness
 from bergman.errors import ParameterError
 from bergman.functions import BallPoly, LogKernel, PowerSingularity, \
     TaylorPoly
@@ -111,6 +111,7 @@ class TestVerifyLipschitz:
                                lambda z: np.ones(len(z)), metric="rho",
                                n_pairs=N_PAIRS, seed=7, r=0.5)
         assert rep.max_violation <= 0.0
+        assert rep.n_exact == 2 * N_PAIRS
 
     @pytest.mark.parametrize("metric", ["rho", "beta", "euclid"])
     def test_section_witness(self, section_04, metric):
@@ -151,6 +152,7 @@ class TestVerifyLipschitz:
         obj = json.loads(json.dumps(rep.to_json()))
         assert obj["n_pairs"] == 500
         assert "max_violation" in obj
+        assert obj["n_exact"] == 1000
 
 
 class TestStratifiedPairs:
@@ -267,6 +269,14 @@ class TestIntegrability:
         assert np.isfinite(gnorm.value / fnorm.value)
 
 
+def _seeded_ball_poly(n, k, count=5, degree=3):
+    mons = [m for m in itertools.product(range(degree + 1), repeat=n)
+            if sum(m) <= degree]
+    rng = np.random.default_rng([n, k])
+    idx = rng.choice(len(mons), count, replace=False)
+    return BallPoly(n, {mons[i]: complex(*rng.normal(size=2)) for i in idx})
+
+
 class TestBallWitness:
     def test_constant_is_closed_form(self):
         # n_pairs and seed are ignored
@@ -281,13 +291,8 @@ class TestBallWitness:
     def test_near_pairs_within_closed_form_bound(self, n, r):
         # |f(z) - f(w)| <= rho C sup_{D(z, r)} |invariant gradient| for
         # rho(z, w) < r, with the sampled sup and no safety factor
-        mons = [m for m in itertools.product(range(6), repeat=n)
-                if sum(m) <= 5]
         for k in range(4):
-            rng = np.random.default_rng([n, k])
-            idx = rng.choice(len(mons), 10, replace=False)
-            f = BallPoly(n, {mons[i]: complex(*rng.normal(size=2))
-                             for i in idx})
+            f = _seeded_ball_poly(n, k, count=10, degree=5)
             z, w = ball_pairs_stratified(k, 1000, r, n=n)
             z, w = z[:500], w[:500]
             d = ball_metric(z, w, kind="rho")
@@ -416,3 +421,135 @@ class TestBallWitness:
         meta = json.loads(json.dumps(w.metadata()))
         assert meta["metric"] == "ball-rho"
         assert meta["C"] == pytest.approx(w.C)
+
+
+def _full_residual(f, w, n_pairs, seed, pairs=ball_pairs_stratified):
+    """The residual at every pair, with g from ``Witness.g_values``."""
+    z, zw = pairs(seed, n_pairs, w.r, n=w.f.n)
+    resid = np.abs(f(z) - f(zw)) - ball_metric(z, zw, kind="rho") \
+        * (w.g_values(z) + w.g_values(zw))
+    return z, zw, resid
+
+
+def _assert_same_as_full(f, w, n_pairs, seed, pairs=ball_pairs_stratified):
+    rep = verify_lipschitz(f, w, n_pairs=n_pairs, seed=seed)
+    z, zw, resid = _full_residual(f, w, n_pairs, seed, pairs)
+    i = int(np.argmax(resid))
+    assert rep.max_violation == resid[i]
+    assert np.array_equal(rep.argmax_pair[0], z[i])
+    assert np.array_equal(rep.argmax_pair[1], zw[i])
+    return rep
+
+
+def _equal_rho_pairs(seed, n_pairs, r, n=2):
+    """Pairs at one pseudo-hyperbolic distance: w = phi_z(0.3 u), |u| = 1."""
+    z = sample_ball(seed, n_pairs, n, rmax=0.9)
+    u = sample_ball(seed + 1, n_pairs, n)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return z, ball_phi(z, 0.3 * u, validate=False)
+
+
+class TestBallBoundAndPrune:
+    """The pruned ball verification against the residual at every pair."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("n_pairs", [2, 150, 4000])
+    def test_bit_identical_to_full_evaluation(self, n, r, n_pairs):
+        # one function at 4,000 pairs, whose brute force takes 0.5 s
+        for k in range(1 if n_pairs == 4000 else 3):
+            f = _seeded_ball_poly(n, k)
+            rep = _assert_same_as_full(f, build_witness_ball(f, r), n_pairs, k)
+            assert 2 <= rep.n_exact <= 2 * n_pairs
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_function(self, n):
+        f = BallPoly(n, {(0,) * n: 2.0 + 1.0j})
+        for r in (0.2, 0.5, 0.8):
+            rep = _assert_same_as_full(f, build_witness_ball(f, r), 150, 3)
+            assert rep.max_violation < 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_function_takes_one_pass(self, n):
+        # every bound and exact residual is 0: pair 0 comes first and wins,
+        # and no equal bound at a higher index can displace it
+        f = BallPoly(n, {})
+        rep = _assert_same_as_full(f, build_witness_ball(f, 0.5), 4000, 3)
+        assert rep.max_violation == 0.0
+        assert rep.n_exact == _kernels._BUDGET // witness.BALL_SUP_COUNT
+
+    def test_weak_screen_takes_several_batches(self, monkeypatch):
+        # f = 0 against the witness of p, on pairs at one distance, leaves
+        # the residual order to g alone; a one-point screen then leaves
+        # candidates for several kernel passes, and for k = 1 the maximum
+        # lies in the second
+        monkeypatch.setattr(witness, "BALL_SCREEN_COUNT", 1)
+        monkeypatch.setattr(witness, "ball_pairs_stratified", _equal_rho_pairs)
+        batch = _kernels._BUDGET // witness.BALL_SUP_COUNT
+        for n, k in ((2, 1), (2, 2), (3, 2)):
+            w = build_witness_ball(_seeded_ball_poly(n, k), 0.5)
+            rep = _assert_same_as_full(BallPoly(n, {}), w, 400, 9,
+                                       _equal_rho_pairs)
+            assert rep.n_exact > batch
+
+    def test_single_pair_to_rounding(self):
+        # the full path takes each point's sup in a one-point kernel call,
+        # whose BLAS product may round differently in the last bit from the
+        # two-point call of the exact pass; agreement is to 1e-14 of the
+        # residual's terms
+        for n, k in itertools.product((2, 3), range(10)):
+            f = _seeded_ball_poly(n, k)
+            w = build_witness_ball(f, 0.5)
+            rep = verify_lipschitz(f, w, n_pairs=1, seed=k)
+            z, zw, resid = _full_residual(f, w, 1, k)
+            scale = np.abs(f(z) - f(zw)) + ball_metric(z, zw, kind="rho") \
+                * (w.g_values(z) + w.g_values(zw))
+            assert abs(rep.max_violation - resid[0]) <= 1e-14 * scale[0]
+            assert rep.n_exact == 2
+
+    def test_ties_go_to_the_lowest_index(self, monkeypatch):
+        # f = 0 and a full sup of 0 make every exact residual 0.  A screen
+        # of -1 everywhere except at pair 0, where it is 0, puts pair 0 last
+        # in bound order, on a bound equal to the best exact residual; with
+        # 49 pairs it opens the seventh batch of 8 on its own, and the pass
+        # must still take it, since np.argmax picks the first maximum
+        kernel = _kernels.ball_sup_invgrad
+
+        def fake(zpts, esamp, f, r):
+            if len(esamp) == witness.BALL_SUP_COUNT:
+                return np.zeros(len(zpts))
+            return kernel(zpts, esamp, f, r)
+
+        def screen(f, z, r):
+            lo = -np.ones(len(z))
+            lo[[0, len(z) // 2]] = 0.0
+            return lo
+
+        monkeypatch.setattr(_kernels, "ball_sup_invgrad", fake)
+        monkeypatch.setattr(witness, "_ball_screen_sup", screen)
+        f = BallPoly(2, {})
+        rep = verify_lipschitz(f, build_witness_ball(f, 0.5), n_pairs=49,
+                               seed=1)
+        z, _ = ball_pairs_stratified(1, 49, 0.5, n=2)
+        assert rep.max_violation == 0.0
+        assert np.array_equal(rep.argmax_pair[0], z[0])
+        assert rep.n_exact == 98
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_screen_is_a_lower_bound(self, n, r):
+        # bit for bit at every point, without slack
+        for k in range(4):
+            f = _seeded_ball_poly(n, k, count=8, degree=4)
+            z, zw = ball_pairs_stratified(k, 500, r, n=n)
+            pts = np.concatenate([z, zw])
+            assert np.all(witness._ball_screen_sup(f, pts, r)
+                          <= witness._raw_local_sup(f, pts, r))
+
+    def test_thm13_family_work_count(self):
+        # 16 exact sups per function were measured; a screen that stopped
+        # pruning would take up to 20,000
+        for _, f in suites._ball_family():
+            w = build_witness_ball(f, suites.WITNESS_RADIUS)
+            rep = verify_lipschitz(f, w, n_pairs=10_000, seed=42)
+            assert rep.n_exact <= 64
