@@ -5,11 +5,10 @@ the symmetric lifting operator, with falsifiable experiment suites."""
 from ._version import __version__
 
 from .errors import DomainError, ParameterError
-from .geometry import (EuclideanDisk, RadiusPair, ball_metric, ball_phi,
-                       beta, double_radius, mobius, pseudo_disk,
-                       radius_convert, rho)
+from .geometry import (EuclideanDisk, ball_metric, ball_phi, beta,
+                       double_radius, mobius, pseudo_disk, rho)
 from .functions import (BallPoly, HoloFunction, LogKernel, PowerSingularity,
-                        TaylorPoly, derivative, radial_metric_ratio)
+                        TaylorPoly, radial_metric_ratio)
 from .quadrature import (BallGrid, BidiskGrid, DiskGrid, NormResult,
                          WeightParams, derivative_seminorm,
                          fit_growth_exponent, forelli_rudin_integral,
@@ -23,10 +22,10 @@ from .lifting import (LiftedFunction, TensorPoly, bidisk_norm,
 
 __all__ = [
     "DomainError", "ParameterError",
-    "EuclideanDisk", "RadiusPair", "ball_metric", "ball_phi", "beta",
-    "double_radius", "mobius", "pseudo_disk", "radius_convert", "rho",
+    "EuclideanDisk", "ball_metric", "ball_phi", "beta", "double_radius",
+    "mobius", "pseudo_disk", "rho",
     "BallPoly", "HoloFunction", "LogKernel", "PowerSingularity",
-    "TaylorPoly", "derivative", "radial_metric_ratio",
+    "TaylorPoly", "radial_metric_ratio",
     "BallGrid", "BidiskGrid", "DiskGrid", "NormResult", "WeightParams",
     "derivative_seminorm", "fit_growth_exponent",
     "forelli_rudin_integral", "monomial_norm_exact", "norm_p",

@@ -57,10 +57,10 @@ def run(suites, seed, out_dir, config_file):
     SUITES are names from `bergman-bench list`.
     """
     file_cfg = _load_config_file(config_file) if config_file else {}
-    eff_seed = seed if seed is not None else int(file_cfg.get("seed", 42))
+    eff_seed = seed if seed is not None else file_cfg.get("seed", 42)
     if out_dir is None:
         out_dir = Path(file_cfg.get("out", "reports"))
-    overrides = dict(file_cfg.get("tolerances", {}))
+    overrides = file_cfg.get("tolerances", {})
 
     all_passed = True
     for name in suites:

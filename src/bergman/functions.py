@@ -3,7 +3,8 @@
 Four families are supported: finite Taylor polynomials and the closed
 forms (1 - z)^(-s) and log(1/(1 - z)) on the disk, and multi-variable
 monomial polynomials on the ball.  Everything evaluates vectorized over
-numpy arrays and round-trips through a small JSON encoding.
+numpy arrays.  ``to_json`` describes a function by its variant and
+parameters: it keys the witness sup cache and fills ``Witness.metadata``.
 """
 from __future__ import annotations
 
@@ -59,20 +60,6 @@ class HoloFunction:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def from_json(obj: dict) -> "HoloFunction":
-        variant = obj["variant"]
-        if variant == "taylor":
-            return TaylorPoly([complex(re, im) for re, im in obj["coeffs"]])
-        if variant == "power":
-            return PowerSingularity(obj["s"])
-        if variant == "log":
-            return LogKernel()
-        if variant == "ball":
-            terms = {tuple(idx): complex(re, im) for idx, (re, im) in obj["terms"]}
-            return BallPoly(obj["n"], terms)
-        raise TypeError(f"unknown function variant {variant!r}")
 
 
 class TaylorPoly(HoloFunction):
@@ -302,24 +289,6 @@ class BallPoly(HoloFunction):
         return {"variant": "ball", "n": self.n,
                 "terms": [[list(idx), [c.real, c.imag]]
                           for idx, c in sorted(self.terms.items())]}
-
-
-def derivative(f: HoloFunction, z, kind: str = "complex"):
-    """Dispatch the derivative notions: ``complex`` (f', disk variants),
-    ``radial``, ``gradient`` and ``invariant-gradient`` (ball variants)."""
-    if kind == "complex":
-        if f.domain != "disk":
-            raise TypeError("complex derivative requires a disk variant")
-        return f.derivative_at(z)
-    if f.domain != "ball":
-        raise TypeError(f"derivative kind {kind!r} requires a ball variant")
-    if kind == "radial":
-        return f.radial_derivative_at(z)
-    if kind == "gradient":
-        return f.gradient_norm_at(z)
-    if kind == "invariant-gradient":
-        return f.invariant_gradient_at(z)
-    raise TypeError(f"unknown derivative kind {kind!r}")
 
 
 def radial_metric_ratio(z, metric: str = "rho", h: float = 1e-5):

@@ -60,36 +60,6 @@ def beta(z, w, validate: bool = True):
     return np.arctanh(rho(z, w, validate))
 
 
-@dataclass(frozen=True)
-class RadiusPair:
-    """A pseudo-hyperbolic radius r in (0,1) paired with the hyperbolic
-    radius R = artanh(r) of the same disk."""
-
-    pseudo: float
-    hyperbolic: float
-
-    @classmethod
-    def from_pseudo(cls, r: float) -> "RadiusPair":
-        if not 0.0 < r < 1.0:
-            raise ParameterError("pseudo-hyperbolic radius must lie in (0, 1)")
-        return cls(float(r), float(np.arctanh(r)))
-
-    @classmethod
-    def from_hyperbolic(cls, R: float) -> "RadiusPair":
-        if not R > 0.0:
-            raise ParameterError("hyperbolic radius must be positive")
-        return cls(float(np.tanh(R)), float(R))
-
-
-def radius_convert(value: float, input_kind: str = "pseudo") -> RadiusPair:
-    """Convert between the two radius scales; ``input_kind`` labels ``value``."""
-    if input_kind == "pseudo":
-        return RadiusPair.from_pseudo(value)
-    if input_kind == "hyperbolic":
-        return RadiusPair.from_hyperbolic(value)
-    raise ParameterError(f"unknown radius kind {input_kind!r}")
-
-
 def double_radius(r: float) -> float:
     """Pseudo-hyperbolic radius of the disk with doubled hyperbolic radius.
 
@@ -123,20 +93,6 @@ class EuclideanDisk:
         ring = (self.center + self.radius * sig[:, None] * ang[None, :]).ravel()
         return np.concatenate([[self.center], ring])
 
-    def contains(self, u) -> np.ndarray:
-        return np.abs(np.asarray(u, dtype=complex) - self.center) < self.radius
-
-
-def pseudo_disk(z: complex, r: float) -> EuclideanDisk:
-    """Euclidean center and radius of the pseudo-hyperbolic disk D(z, r)."""
-    if not 0.0 < r < 1.0:
-        raise ParameterError("radius must lie in (0, 1)")
-    z = complex(_as_disk(z))
-    zz = abs(z) ** 2
-    den = 1.0 - r * r * zz
-    return EuclideanDisk(center=(1.0 - r * r) * z / den,
-                         radius=r * (1.0 - zz) / den)
-
 
 def pseudo_disk_params(z, r: float):
     """Vectorized (center, radius) of D(z, r) for an array of centers z."""
@@ -146,6 +102,13 @@ def pseudo_disk_params(z, r: float):
     zz = np.abs(z) ** 2
     den = 1.0 - r * r * zz
     return (1.0 - r * r) * z / den, r * (1.0 - zz) / den
+
+
+def pseudo_disk(z: complex, r: float) -> EuclideanDisk:
+    """The pseudo-hyperbolic disk D(z, r) as a Euclidean disk, for one
+    point z: ``pseudo_disk_params`` at a scalar."""
+    center, radius = pseudo_disk_params(complex(z), r)
+    return EuclideanDisk(complex(center), float(radius))
 
 
 def mobius(z, zeta):

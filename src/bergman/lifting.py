@@ -8,9 +8,7 @@ the ``LiftedFunction`` quotient, whose lifted norms come from the pair
 kernel ``_kernels.pair_block_sums``."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -300,15 +298,6 @@ class LiftingScanResult:
         return (["s", "norm_f", "norm_Lf", "ratio", "converged"],
                 [[r.s, r.norm_f, r.norm_lf, r.ratio, int(r.converged)]
                  for r in self.rows])
-
-    def to_csv(self, path) -> Path:
-        path = Path(path)
-        header, rows = self.csv_block()
-        with path.open("w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(header)
-            wr.writerows(rows)
-        return path
 
 
 def lifting_scan(s_values, p: float, alpha: float, mode: str,

@@ -611,14 +611,17 @@ def ball_norm_p(f: BallPoly, wp: WeightParams, grid: BallGrid) -> NormResult:
 def derivative_seminorm(f: HoloFunction, wp: WeightParams,
                         grid: DiskGrid | None) -> NormResult:
     """|f(0)|^p + the protocol integral of ((1-|z|^2)|f'|)^p dA_alpha:
-    the protocol runs on the partials shifted by |f(0)|^p, under the
-    ``strict`` rule.  The integrand carries the tail of |f|^p, so it is
+    the grid's ``integrate_protocol``, with |f(0)|^p added to its value
+    and partials.  The integrand carries the tail of |f|^p, so it is
     extrapolated with f's ``tail_head`` ahead of ``disk_ladder(alpha)``."""
     grid = matching_grid(grid, lambda: grid_for(f, wp.alpha), wp.alpha)
     vals = (grid.one_minus_u * np.abs(f.derivative_at(grid.nodes))) ** wp.p
+    res = grid.integrate_protocol(vals, ladder=[
+        *tail_head(f, wp.p, wp.alpha), *disk_ladder(wp.alpha)])
     head = float(np.abs(f(np.array(0j))) ** wp.p)
-    return _protocol(grid.partials(vals) + head, grid.eps_values, [
-        *tail_head(f, wp.p, wp.alpha), *disk_ladder(wp.alpha)], "strict")
+    res.value += head
+    res.partials += head
+    return res
 
 
 # ---------------------------------------------------------------------------

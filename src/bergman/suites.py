@@ -48,6 +48,13 @@ class SuiteConfig:
         if self.suite not in SUITES:
             raise ParameterError(
                 f"unknown suite {self.suite!r}; known: {sorted(SUITES)}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or self.seed < 0:
+            raise ParameterError(
+                f"seed must be a non-negative integer, not {self.seed!r}")
+        if not isinstance(self.overrides, dict):
+            raise ParameterError(f"tolerances must be a JSON object, not "
+                                 f"{self.overrides!r}")
 
     def opt(self, key: str, default):
         return self.overrides.get(key, default)

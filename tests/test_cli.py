@@ -81,6 +81,22 @@ class TestRun:
                                       str(bad), "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("config,args", [
+        ({"seed": "abc"}, []),
+        ({"tolerances": [1, 2]}, []),
+        ({}, ["--seed", "-1"]),
+    ])
+    def test_bad_seed_or_tolerances_exit_two(self, runner, tmp_path, config,
+                                             args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["run", "geometry", "--config", str(cfg),
+                                      "--out", str(tmp_path), *args])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "geometry.json").exists()
+
     def test_config_file_supplies_defaults(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 11,
@@ -150,6 +166,15 @@ class TestSuiteConfig:
     def test_unknown_name_rejected_at_parse_time(self):
         with pytest.raises(ParameterError):
             SuiteConfig("does-not-exist")
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "7", None])
+    def test_seed_must_be_non_negative_int(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            SuiteConfig("geometry", seed=seed)
+
+    def test_overrides_must_be_dict(self):
+        with pytest.raises(ParameterError, match="tolerances"):
+            SuiteConfig("geometry", overrides=[("n_triples", 10)])
 
     def test_echo_round_trips(self):
         cfg = SuiteConfig("geometry", seed=5, overrides={"n_triples": 10})

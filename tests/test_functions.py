@@ -1,13 +1,14 @@
 """Tests for the analytic test-function families and their derivatives."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from bergman.errors import ParameterError
-from bergman.functions import (BallPoly, HoloFunction, LogKernel,
-                               PowerSingularity, TaylorPoly, derivative,
-                               radial_metric_ratio)
+from bergman.functions import (BallPoly, LogKernel, PowerSingularity,
+                               TaylorPoly, radial_metric_ratio)
 from bergman.geometry import ball_phi
 from bergman.sampling import sample_ball, sample_disk
 
@@ -82,7 +83,7 @@ class TestEvaluation:
 class TestDerivatives:
     def test_square_derivative(self):
         f = TaylorPoly([0, 0, 1])
-        assert derivative(f, 0.5, "complex") == pytest.approx(1.0)
+        assert f.derivative_at(0.5) == pytest.approx(1.0)
 
     def test_power_derivative(self):
         f = PowerSingularity(0.7)
@@ -102,21 +103,20 @@ class TestDerivatives:
     def test_radial_derivative(self):
         f = BallPoly(2, {(1, 0): 1.0})
         z = np.array([0.3, 0.4j])
-        assert derivative(f, z, "radial") == pytest.approx(0.3)
+        assert f.radial_derivative_at(z) == pytest.approx(0.3)
 
     def test_gradient_of_coordinate(self):
         f = BallPoly(2, {(1, 0): 1.0})
         rng = np.random.default_rng(5)
         z = sample_ball(rng, 100, 2)
-        np.testing.assert_allclose(derivative(f, z, "gradient"), 1.0,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(f.gradient_norm_at(z), 1.0, rtol=1e-14)
 
     def test_invariant_gradient_at_origin(self):
         # phi_0 = -identity, so the invariant gradient matches |grad f(0)|
         f = BallPoly(2, {(1, 0): 1.0})
         z = np.zeros((1, 2), dtype=complex)
-        np.testing.assert_allclose(derivative(f, z, "invariant-gradient"),
-                                   1.0, rtol=1e-9)
+        np.testing.assert_allclose(f.invariant_gradient_at(z), 1.0,
+                                   rtol=1e-9)
 
     @pytest.mark.parametrize("f", MIXED_BALL_POLYS)
     def test_invariant_gradient_closed_form(self, f):
@@ -154,13 +154,6 @@ class TestDerivatives:
         z = sample_ball(rng, 50, 2)
         np.testing.assert_allclose(f.radial_derivative_at(z), 3 * f(z),
                                    rtol=1e-12)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(TypeError):
-            derivative(TaylorPoly([1]), 0.1, "radial")
-        with pytest.raises(TypeError):
-            derivative(BallPoly(2, {(1, 0): 1}), np.zeros(2, complex),
-                       "complex")
 
 
 class TestTaylorSections:
@@ -222,26 +215,46 @@ class TestRadialMetricRatio:
             radial_metric_ratio(z, "euclid", h=1e-5)
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("f", [
-        TaylorPoly([1.0, 2.0 - 1.0j, 0.5j]),
-        PowerSingularity(0.9),
-        LogKernel(),
-        BallPoly(2, {(1, 0): 1.0, (2, 1): -0.5j}),
-    ])
-    def test_round_trip(self, f):
-        g = HoloFunction.from_json(f.to_json())
-        assert type(g) is type(f)
-        if isinstance(f, BallPoly):
-            pt = np.array([0.2 + 0.1j, -0.3j])
-            np.testing.assert_allclose(g(pt), f(pt), rtol=1e-15)
-        else:
-            np.testing.assert_allclose(g(0.3 + 0.2j), f(0.3 + 0.2j),
-                                       rtol=1e-15)
+def _key(f):
+    """The function's part of the witness sup-cache key."""
+    return json.dumps(f.to_json())
 
-    def test_unknown_variant(self):
-        with pytest.raises(TypeError):
-            HoloFunction.from_json({"variant": "mystery"})
+
+class TestSerialization:
+    """``to_json`` keys the witness sup cache: equal content must give
+    one key, and any change of variant, coefficient (real or imaginary
+    part) or exponent another."""
+
+    # (a function, a copy built apart from it, the same variant changed
+    # in one coefficient's imaginary part or in s)
+    CASES = [
+        (TaylorPoly([1.0, 2.0 - 1.0j, 0.5j]),
+         TaylorPoly(np.array([1.0, 2.0 - 1.0j, 0.5j])),
+         TaylorPoly([1.0, 2.0 + 1.0j, 0.5j])),
+        (PowerSingularity(0.9), PowerSingularity(0.9),
+         PowerSingularity(0.8)),
+        (LogKernel(), LogKernel(), None),
+        (BallPoly(2, {(1, 0): 1.0, (2, 1): 0.3 - 0.5j}),
+         BallPoly(2, {(2, 1): 0.3 - 0.5j, (1, 0): 1.0}),
+         BallPoly(2, {(1, 0): 1.0, (2, 1): 0.3 + 0.5j})),
+    ]
+
+    @pytest.mark.parametrize("f,same,changed", CASES,
+                             ids=["taylor", "power", "log", "ball"])
+    def test_key_identifies_content(self, f, same, changed):
+        assert _key(same) == _key(f)
+        others = {_key(g) for g, _, _ in self.CASES if g is not f}
+        assert len(others) == len(self.CASES) - 1
+        assert _key(f) not in others
+        if changed is not None:
+            assert _key(changed) != _key(f)
+
+    def test_key_tracks_real_parts_exponents_and_indices(self):
+        assert _key(TaylorPoly([1.0, 2.0])) != _key(TaylorPoly([1.0, 2.5]))
+        assert _key(PowerSingularity(0.5)) \
+            != _key(PowerSingularity(0.5 + 1e-15))
+        assert _key(BallPoly(2, {(1, 0): 1.0})) \
+            != _key(BallPoly(2, {(0, 1): 1.0}))
 
 
 class TestValidation:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bergman.errors import DomainError, ParameterError
-from bergman.geometry import (EuclideanDisk, RadiusPair, ball_metric,
-                              ball_phi, beta, double_radius, mobius,
-                              pseudo_disk, radius_convert, rho)
+from bergman.geometry import (EuclideanDisk, ball_metric, ball_phi, beta,
+                              double_radius, mobius, pseudo_disk, rho)
 from bergman.sampling import sample_ball, sample_disk
 
 
@@ -128,32 +127,6 @@ class TestPseudoDisk:
             pseudo_disk(0.1, 1.0)
 
 
-class TestRadiusConversion:
-    def test_pseudo_to_hyperbolic(self):
-        pair = radius_convert(0.5, "pseudo")
-        np.testing.assert_allclose(pair.hyperbolic, 0.5 * np.log(3.0),
-                                   rtol=1e-14)
-
-    def test_round_trip(self):
-        for r in np.linspace(0.01, 0.99, 25):
-            back = radius_convert(radius_convert(r, "pseudo").hyperbolic,
-                                  "hyperbolic")
-            np.testing.assert_allclose(back.pseudo, r, rtol=1e-14, atol=1e-14)
-
-    def test_tanh_inverse(self):
-        np.testing.assert_allclose(radius_convert(1.0, "hyperbolic").pseudo,
-                                   np.tanh(1.0), rtol=1e-14)
-
-    def test_small_radius_limit(self):
-        assert radius_convert(1e-8, "hyperbolic").pseudo == pytest.approx(1e-8)
-
-    def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            RadiusPair.from_pseudo(1.5)
-        with pytest.raises(ParameterError):
-            RadiusPair.from_hyperbolic(-1.0)
-
-
 class TestDoubleRadius:
     def test_values(self):
         np.testing.assert_allclose(double_radius(0.5), 0.8, rtol=1e-15)
@@ -164,10 +137,8 @@ class TestDoubleRadius:
 
     def test_matches_hyperbolic_doubling(self):
         for r in (0.1, 0.4, 0.7, 0.95):
-            R = radius_convert(r, "pseudo").hyperbolic
-            np.testing.assert_allclose(
-                double_radius(r), radius_convert(2 * R, "hyperbolic").pseudo,
-                rtol=1e-14)
+            np.testing.assert_allclose(double_radius(r),
+                                       np.tanh(2 * np.arctanh(r)), rtol=1e-14)
 
     def test_containment(self):
         # rho(z,u) < r and rho(u,v) < r imply rho(z,v) < r' on 1e3 triples
@@ -294,8 +265,3 @@ class TestEuclideanDisk:
         full = d.center + d.radius * sig[:, None] * ang[None, :]
         assert set(g.tolist()) == set(full.ravel().tolist())
         assert len(set(g.tolist())) == len(g)
-
-    def test_contains(self):
-        d = EuclideanDisk(0j, 0.5)
-        assert d.contains(0.2 + 0.1j)
-        assert not d.contains(0.7)

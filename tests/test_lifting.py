@@ -17,6 +17,7 @@ from bergman import _kernels
 from bergman.quadrature import (BidiskGrid, DiskGrid, WeightParams,
                                 grid_for, monomial_norm_exact, norm_p,
                                 richardson)
+from bergman.reporting import ExperimentReport, emit_report
 from bergman.sampling import sample_disk
 
 
@@ -418,12 +419,15 @@ class TestLiftingScan:
             lifting_scan([3.0], 1.0, 0.0, "thm11")
 
     def test_csv_emission(self, tmp_path):
+        # the scan's block as the suites write it, with converged as 0/1
         res = lifting_scan([0.5], 1.0, 0.0, "thm11")
-        path = res.to_csv(tmp_path / "scan.csv")
+        rep = ExperimentReport(suite="thm11", version="", seed=0, config={})
+        rep.csv_blocks["scan"] = res.csv_block()
+        path = emit_report(rep, tmp_path)[1]
         lines = path.read_text().strip().splitlines()
+        assert path.name == "thm11_scan.csv"
         assert lines[0] == "s,norm_f,norm_Lf,ratio,converged"
         assert len(lines) == 2
-        # the same block the suites write, with converged as 0/1
         header, rows = res.csv_block()
         assert lines[0].split(",") == header
         assert lines[1].split(",") == [str(v) for v in rows[0]]

@@ -1,15 +1,19 @@
-"""The library's settable values, counted from its source: every
-parameter with a default in a ``def`` or ``lambda`` under ``src/bergman``,
-and every distinct suite option read through ``cfg.opt``.  A new option
-changes a total here, so it shows up in the diff that adds it."""
+"""The library's settable values and public names, counted from its
+source: every parameter with a default in a ``def`` or ``lambda`` under
+``src/bergman``, every distinct suite option read through ``cfg.opt``,
+and the names ``bergman`` exports.  A new option or export changes a
+total here, so it shows up in the diff that adds it."""
 
 import ast
 from pathlib import Path
 
+import bergman
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergman"
 
-DEFAULTED_PARAMETERS = 47
+DEFAULTED_PARAMETERS = 45
 SUITE_OPTIONS = 10
+PUBLIC_NAMES = 42
 
 
 def _trees():
@@ -51,3 +55,14 @@ def test_no_tolerance_parameter():
     names = {a.arg for f in _functions()
              for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs)}
     assert "rtol" not in names
+
+
+def test_public_name_count():
+    assert len(bergman.__all__) == PUBLIC_NAMES
+    assert len(set(bergman.__all__)) == PUBLIC_NAMES
+
+
+def test_star_import_resolves_every_name():
+    namespace = {}
+    exec("from bergman import *", namespace)
+    assert set(bergman.__all__) <= namespace.keys()

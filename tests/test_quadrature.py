@@ -524,6 +524,33 @@ class TestDerivativeSeminorm:
         assert np.array_equal(res.partials, want.partials)
         assert res.value != rounded.value
 
+    def test_one_grid_protocol_call(self, monkeypatch):
+        # the integral is one DiskGrid.integrate_protocol call, the only
+        # protocol run, with f's tail head ahead of the weight's ladder;
+        # |f(0)|^p = 1 is added to its value and partials
+        grid_calls, protocol_calls = [], []
+        integrate, protocol = DiskGrid.integrate_protocol, quadrature._protocol
+
+        def spy_integrate(grid, values, ladder=None):
+            res = integrate(grid, values, ladder)
+            grid_calls.append((ladder, res.value, res.partials.copy()))
+            return res
+
+        def spy_protocol(*args):
+            protocol_calls.append(args)
+            return protocol(*args)
+
+        monkeypatch.setattr(DiskGrid, "integrate_protocol", spy_integrate)
+        monkeypatch.setattr(quadrature, "_protocol", spy_protocol)
+        g = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -10)
+        res = derivative_seminorm(PowerSingularity(0.7), WeightParams(2, 0.0),
+                                  g)
+        assert len(grid_calls) == len(protocol_calls) == 1
+        ladder, value, partials = grid_calls[0]
+        assert ladder == [2.0 - 2 * 0.7, *disk_ladder(0.0)]
+        assert res.value == value + 1.0
+        assert np.array_equal(res.partials, partials + 1.0)
+
     @pytest.mark.parametrize("s,rtol", [(0.4, 1e-6), (0.7, 2e-5),
                                         (0.9, 2e-5)])
     def test_singularity_matches_closed_form(self, s, rtol):
