@@ -13,8 +13,12 @@ classes compute on a pass of local disks.  On the disk it is
 formed once per call.  A ``TaylorPoly`` takes f' through its Taylor
 coefficients about each centre: beta = V(c) @ M, scaled by R^k, times the
 sample's power table E[k] = e^k, two BLAS products in place of a Horner
-loop over the pushed sample.  The closed forms take |f'|^2 in real
-arithmetic from |1 - u|^2: s^2 |1 - u|^(-2s-2) and 1 / |1 - u|^2.
+loop over the pushed sample.  E depends on the sample and the degree
+alone, so a small module cache keeps it across calls: the witness's
+exact passes call the kernel on a few points at a time, and forming E
+(0.9 ms at degree 50) would cost more than such a pass.  The closed
+forms take |f'|^2 in real arithmetic from |1 - u|^2:
+s^2 |1 - u|^(-2s-2) and 1 / |1 - u|^2.
 Rounding in the shifted f' is bounded by about
 D eps sum_j |a'_j| (|c| + R)^j for D coefficients a'_j, which is
 Horner's bound at |u| <= |c| + R (see ``local_sup_poly``).  In the ball
@@ -33,6 +37,12 @@ budgets interleaved round by round in one process):
     disk-witness (s)   0.415  0.297  0.254  0.238  0.461
     ball-witness (s)   0.069  0.058  0.057  0.076  0.099
     lifting (s)        0.543  0.411  0.333  0.334  0.340
+
+These ``disk-witness`` times predate bound-and-prune verification of
+disk witnesses, which took a round's kernel work from 15.1 M to about
+9.4 M sample evaluations: the 2,304 integrability nodes per function
+stay exact, the 1,500 verification points take the 33-point screen and
+a few exact sups.  Small exact passes do not change the pass size.
 
 The ball kernel keeps about a dozen (points, samples) temporaries per
 pass and slows above 2^14; at 2^16 the ``ball-witness`` benchmark's peak

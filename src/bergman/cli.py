@@ -37,6 +37,9 @@ def _load_config_file(path: Path) -> dict:
         raise click.UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise click.UsageError(f"config {path} must hold a JSON object")
+    if not isinstance(obj.get("out", ""), str):
+        raise click.UsageError(f"config {path}: out must be a string, "
+                               f"not {obj['out']!r}")
     return obj
 
 
@@ -64,11 +67,11 @@ def run(suites, seed, out_dir, config_file):
 
     all_passed = True
     for name in suites:
-        try:
-            cfg = SuiteConfig(suite=name, seed=eff_seed, overrides=overrides)
+        try:  # a tolerance's type is checked where the suite reads it
+            report = run_suite(SuiteConfig(suite=name, seed=eff_seed,
+                                           overrides=overrides))
         except ParameterError as exc:
             raise click.UsageError(str(exc)) from exc
-        report = run_suite(cfg)
         for line in report.summary_lines():
             click.echo(line)
         try:

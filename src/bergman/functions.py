@@ -8,7 +8,7 @@ parameters: it keys the witness sup cache and fills ``Witness.metadata``.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class TaylorPoly(HoloFunction):
         M = np.zeros((D, D), dtype=complex)
         M[inside] = binom[j[inside], k[inside]] * da[j[inside]]
         grid = np.asarray(grid, dtype=complex)
-        return M, np.ascontiguousarray(np.vander(grid, D, increasing=True).T)
+        return M, _power_rows(grid.tobytes(), D)
 
     def local_derivative_sq(self, centers, radii, table):
         """|f'(c + R e)|^2, with f'(c + R e) = sum_k beta_k(c) R^k e^k by
@@ -133,6 +133,19 @@ class TaylorPoly(HoloFunction):
     def to_json(self) -> dict:
         return {"variant": "taylor",
                 "coeffs": [[c.real, c.imag] for c in self.coeffs]}
+
+
+@lru_cache(maxsize=8)
+def _power_rows(grid: bytes, D: int) -> np.ndarray:
+    """The read-only power table E[k] = e^k, k < D, of the sample e whose
+    complex values are the bytes ``grid``: it depends on the sample and
+    the degree alone, so the local sups of every polynomial of one degree
+    share it (at D = 51 it is 0.8 MB, and its transposed copy costs more
+    than a small batch's kernel pass)."""
+    E = np.ascontiguousarray(
+        np.vander(np.frombuffer(grid, dtype=complex), D, increasing=True).T)
+    E.flags.writeable = False
+    return E
 
 
 class PowerSingularity(HoloFunction):

@@ -57,11 +57,35 @@ class SuiteConfig:
                                  f"{self.overrides!r}")
 
     def opt(self, key: str, default):
-        return self.overrides.get(key, default)
+        """The override of ``key``, else ``default``.  An override takes
+        the default's type: an int for an int, a number for a float, a list
+        of such for a tuple; any other value is a ParameterError."""
+        if key not in self.overrides:
+            return default
+        value = self.overrides[key]
+        try:
+            return _as_type_of(default, value)
+        except TypeError:
+            raise ParameterError(
+                f"tolerance {key!r} must be of the type of its default "
+                f"{default!r}, not {value!r}") from None
 
     def echo(self) -> dict:
         return {"suite": self.suite, "seed": self.seed,
                 "overrides": dict(self.overrides)}
+
+
+def _as_type_of(default, value):
+    """``value`` as the type of ``default``, element-wise for a tuple; a
+    TypeError where the two do not match (a bool is no number)."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError
+        return tuple(_as_type_of(default[0], v) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(default, int) and not isinstance(value, int)):
+        raise TypeError
+    return type(default)(value)
 
 
 def run_suite(config: SuiteConfig) -> ExperimentReport:
@@ -81,7 +105,7 @@ def run_suite(config: SuiteConfig) -> ExperimentReport:
 
 def _suite_geometry(cfg: SuiteConfig, rep: ExperimentReport):
     rng = np.random.default_rng(cfg.seed)
-    n_tri = int(cfg.opt("n_triples", 100_000))
+    n_tri = cfg.opt("n_triples", 100_000)
     z, w, v = (sample_disk(rng, n_tri) for _ in range(3))
     for name, metric in (("rho", rho), ("beta", beta)):
         rep.checks.append(check(
@@ -110,7 +134,7 @@ def _suite_geometry(cfg: SuiteConfig, rep: ExperimentReport):
     rep.checks.append(check("radius_doubling_containment_margin",
                             np.max(rho(zz, vv)) - double_radius(r), 0.0, "<"))
 
-    n_ball = int(cfg.opt("n_ball_pairs", 10_000))
+    n_ball = cfg.opt("n_ball_pairs", 10_000)
     a = sample_ball(rng, n_ball, 2)
     b = sample_ball(rng, n_ball, 2)
     ab = np.sum(a * np.conj(b), axis=-1)
@@ -142,8 +166,8 @@ def _suite_geometry(cfg: SuiteConfig, rep: ExperimentReport):
 
 def _suite_lemma4(cfg: SuiteConfig, rep: ExperimentReport):
     rng = np.random.default_rng(cfg.seed)
-    h = float(cfg.opt("step", 1e-5))
-    n_pts = int(cfg.opt("n_points", 100))
+    h = cfg.opt("step", 1e-5)
+    n_pts = cfg.opt("n_points", 100)
     zs = sample_disk(rng, n_pts, rmax=0.9)
     for metric in ("rho", "beta"):
         devs = []
@@ -253,7 +277,7 @@ def _lemma5_equivalence_constant(family, p, alpha):
 
 
 def _suite_lemma5(cfg: SuiteConfig, rep: ExperimentReport):
-    base_deg = int(cfg.opt("max_degree", 20))
+    base_deg = cfg.opt("max_degree", 20)
     for p, alpha in ((2, 0.0), (0.5, 1.0)):
         rng = np.random.default_rng(cfg.seed)
         fam1 = _lemma5_family(rng, base_deg)
@@ -294,7 +318,7 @@ def _integrability_grid(measure_alpha: float) -> DiskGrid:
 
 def _witness_suite(cfg: SuiteConfig, rep: ExperimentReport, metric: str,
                    integrability: bool):
-    n_pairs = int(cfg.opt("n_pairs", 100_000))
+    n_pairs = cfg.opt("n_pairs", 100_000)
     fam = _witness_family(cfg.seed)
     worst_violation = -np.inf
     worst_bound = -np.inf
@@ -357,8 +381,8 @@ def _suite_thm8(cfg, rep):
 # ---------------------------------------------------------------------------
 
 def _suite_lemma10(cfg: SuiteConfig, rep: ExperimentReport):
-    slope_radii = tuple(cfg.opt("slope_radii", SLOPE_RADII))
-    bounded_radii = tuple(cfg.opt("bounded_radii", BOUNDED_RADII))
+    slope_radii = cfg.opt("slope_radii", SLOPE_RADII)
+    bounded_radii = cfg.opt("bounded_radii", BOUNDED_RADII)
     st_slope = [(0.0, 0.5), (0.5, 0.5), (0.0, 1.0), (0.5, 1.0),
                 (0.0, 2.0), (0.5, 2.0)]
     all_radii = sorted(set(slope_radii) | set(bounded_radii))
@@ -422,7 +446,7 @@ def _suite_lemma10(cfg: SuiteConfig, rep: ExperimentReport):
 
 def _suite_thm11(cfg: SuiteConfig, rep: ExperimentReport):
     rng = np.random.default_rng(cfg.seed)
-    n_polys = int(cfg.opt("n_polys", 50))
+    n_polys = cfg.opt("n_polys", 50)
     grid = default_poly_bidisk_grid(0.0, 20)
     cases = []
     for _ in range(n_polys):
@@ -478,7 +502,7 @@ def _suite_thm11(cfg: SuiteConfig, rep: ExperimentReport):
                             max(ratios), 1e3, "<="))
     rep.notes["diagonal_restriction_ratios"] = [float(x) for x in ratios]
 
-    scan = lifting_scan(tuple(cfg.opt("s_values", (0.5, 1.0, 1.5))),
+    scan = lifting_scan(cfg.opt("s_values", (0.5, 1.0, 1.5)),
                         p=1.0, alpha=0.0, mode="thm11")
     rep.checks.append(check_true("scan_p1_alpha0_all_converged",
                                  scan.all_converged,
@@ -487,7 +511,7 @@ def _suite_thm11(cfg: SuiteConfig, rep: ExperimentReport):
 
 
 def _suite_thm12(cfg: SuiteConfig, rep: ExperimentReport):
-    scan = lifting_scan(tuple(cfg.opt("s_values", (0.1, 0.3, 0.45))),
+    scan = lifting_scan(cfg.opt("s_values", (0.1, 0.3, 0.45)),
                         p=4.0, alpha=0.0, mode="thm12")
     rep.checks.append(check("target_weight_beta", scan.beta, 1.0, "=="))
     rep.checks.append(check_true("scan_p4_alpha0_beta1_all_converged",
@@ -562,7 +586,7 @@ def _ball_family():
 
 
 def _suite_ball_thm13(cfg: SuiteConfig, rep: ExperimentReport):
-    n_pairs = int(cfg.opt("n_pairs", 10_000))
+    n_pairs = cfg.opt("n_pairs", 10_000)
     family = _ball_family()
     details = {}
     worst = -np.inf

@@ -3,27 +3,32 @@
 A witness for f is a continuous g >= 0 with
 |f(z) - f(w)| <= metric(z, w) (g(z) + g(w)) for all z, w.  On the disk
 and on the ball the construction is g = |f|/r + C h, with h a sampled
-local sup over D(z, r) that both domains take through one cache, keyed
-by f, r and z; the Euclidean-metric witness divides the whole of g by
-(1 - |z|).  On the disk h is the sup of (1 - |u|^2)|f'(u)|.  On the ball
-it is the sup of the invariant gradient |grad(f o phi_u)(0)|, in its
-closed form sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), over the images
+local sup over D(z, r); the Euclidean-metric witness divides the whole
+of g by (1 - |z|).  On the disk h is the sup of (1 - |u|^2)|f'(u)| over
+a 993-point polar sample of D(z, r).  On the ball it is the sup of the
+invariant gradient |grad(f o phi_u)(0)|, in its closed form
+sqrt((1 - |u|^2)(|grad f(u)|^2 - |Rf(u)|^2)), over the images
 u = phi_z(r e) of a fixed 1,024-point quasi-random sample e of the unit
 ball, with C = 1/(1 - r^2) (see :func:`ball_witness_constant`);
 ``_kernels.ball_sup_invgrad`` pushes the sample in closed form.
 
+One cache serves both domains.  Per f, r and point array it keeps |f|,
+the screen sup and the exact sups taken so far, so that the rho, beta
+and euclid checks of one family share one pair set's work, and
+``Witness.g_values`` computes only the sups still missing.
+
 :func:`verify_lipschitz` reports the max residual over seeded pairs and
-its argmax.  For a ball witness it bounds and prunes: the sup over the
-first ``BALL_SCREEN_COUNT`` sample points is a max over a subset of the
-same per-point values, so it is a lower bound h_lo <= h, and g formed with
-it gives every pair an upper bound on its residual.  Pairs are then taken
-in descending bound order, a kernel pass at a time, until the next bound
-falls strictly below the best exact residual (or equals it at a higher
-index); ties go to the lowest pair index, as in ``np.argmax``, so the
-report equals the full evaluation's, from a few dozen exact sups in place
-of 2 n_pairs.  Disk witnesses keep the full, cached evaluation, because
-the rho, beta and euclid checks of one family share the sups of one pair
-set through the cache.
+its argmax, and :func:`derivative_bound_check` the max of the limiting
+derivative bound's residual over seeded points.  For a witness both
+bound and prune (see :func:`_pruned_max`).  The screen sup, over a fixed
+subset of the sample (the centre and the outer ring on the disk, the
+first ``BALL_SCREEN_COUNT`` points on the ball), is a max over a subset
+of the same per-point values, so it is a lower bound h_lo <= h, and g
+formed with it bounds every residual from above.  Exact sups are then
+taken in descending bound order, in kernel passes of 1, 2, 4, ... items,
+until the next bound can no longer win; ties go to the lowest index, as
+in ``np.argmax``, so the result equals the full evaluation's, from a few
+exact sups in place of one per point.
 """
 from __future__ import annotations
 
@@ -53,8 +58,11 @@ BALL_SCREEN_COUNT = 32  # leading sample points of the ball verification screen
 DISK_METRICS = ("rho", "beta", "euclid")
 
 _UNIT_GRID = EuclideanDisk(0j, 1.0).polar_grid(*SUP_GRID)
+# the disk screen: the centre and the outer ring, 33 of the 993 points
+_DISK_SCREEN = _UNIT_GRID[np.r_[0, -SUP_GRID[1]:0]]
 _H_CACHE: OrderedDict = OrderedDict()
-_H_CACHE_MAX = 64  # sized so one full witness-suite family stays resident
+# one witness-suite family stays resident: 6 functions, 3 point arrays each
+_H_CACHE_MAX = 24
 
 
 def disk_constant(r: float) -> float:
@@ -68,35 +76,91 @@ def _ball_sup_sample(n: int):
     return sobol_ball(n, BALL_SUP_COUNT, seed=BALL_SUP_SEED)
 
 
-def _raw_local_sup(f: HoloFunction, z, r: float):
-    """Sampled sup over D(z, r), vectorized in z: of (1 - |u|^2)|f'(u)|
-    for a disk function, of the invariant gradient for a ball function
-    (z of shape (points, n))."""
+def _sup_samples(f: HoloFunction):
+    """(sup sample, screen sample) of f's domain; the screen sample is a
+    subset of the sup sample."""
     if f.domain == "ball":
-        return _kernels.ball_sup_invgrad(z, _ball_sup_sample(f.n), f, r)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+        sample = _ball_sup_sample(f.n)
+        return sample, sample[:BALL_SCREEN_COUNT]
+    return _UNIT_GRID, _DISK_SCREEN
+
+
+def _sampled_sup(f: HoloFunction, z, r: float, sample):
+    """Sup over ``sample`` mapped onto D(z, r), vectorized in z: of
+    (1 - |u|^2)|f'(u)| for a disk function, of the invariant gradient for
+    a ball function (z of shape (points, n)).
+
+    A kernel call never takes one point alone: its BLAS products would
+    take another path and may round differently in the last bit, so one
+    point goes in twice.  Two or more points give each point the values
+    of any other batch."""
+    if len(z) == 1:
+        return _sampled_sup(f, np.concatenate([z, z]), r, sample)[:1]
+    if f.domain == "ball":
+        return _kernels.ball_sup_invgrad(z, sample, f, r)
     centers, radii = pseudo_disk_params(z, r)
-    return _kernels.local_sup_poly(centers, radii, _UNIT_GRID, f)
+    return _kernels.local_sup_poly(centers, radii, sample, f)
 
 
-def _ball_screen_sup(f: BallPoly, z, r: float):
-    """The ball sup of ``_raw_local_sup`` over only the first
-    ``BALL_SCREEN_COUNT`` points of the sample: a lower bound on it."""
-    return _kernels.ball_sup_invgrad(
-        z, _ball_sup_sample(f.n)[:BALL_SCREEN_COUNT], f, r)
+def _raw_local_sup(f: HoloFunction, z, r: float):
+    """The sampled local sup h over the whole sample."""
+    return _sampled_sup(f, z, r, _sup_samples(f)[0])
 
 
-def _cached_local_sup(f: HoloFunction, z, r: float):
+def _screen_sup(f: HoloFunction, z, r: float):
+    """The sup over the screen sample: per point, a max over a subset of
+    the values whose max is ``_raw_local_sup``, so a lower bound on it,
+    bit for bit."""
+    return _sampled_sup(f, z, r, _sup_samples(f)[1])
+
+
+class _Sups:
+    """What the cache keeps of f and the radius r at one point array z,
+    which each call passes again: |f|, the screen sup (formed on first
+    use) and the exact sups taken so far, NaN where not yet taken."""
+
+    def __init__(self, f: HoloFunction, z, r: float, values):
+        self.f, self.r = f, r
+        self.abs_f = np.abs(f(z) if values is None else values)
+        self.h = np.full(len(z), np.nan)
+        self._screen = None
+
+    def screen(self, z):
+        if self._screen is None:
+            self._screen = _screen_sup(self.f, z, self.r)
+        return self._screen
+
+    def exact(self, z, idx):
+        """h at the points ``idx`` (distinct) of z, taking the missing ones
+        in one kernel call."""
+        need = idx[np.isnan(self.h[idx])]
+        if len(need):
+            self.h[need] = _raw_local_sup(self.f, z[need], self.r)
+        return self.h[idx]
+
+
+def _sups(f: HoloFunction, z, r: float, values) -> _Sups:
+    """The cache entry of f, r and the points z, made on a miss; ``values``
+    is f(z) where the caller has it, else None."""
     key = (json.dumps(f.to_json()), round(r, 15),
-           hashlib.sha1(np.asarray(z, dtype=complex).tobytes()).hexdigest())
-    if key in _H_CACHE:
+           hashlib.sha1(z.tobytes()).hexdigest())
+    entry = _H_CACHE.get(key)
+    if entry is not None:
         _H_CACHE.move_to_end(key)
-        return _H_CACHE[key]
-    val = _raw_local_sup(f, z, r)
-    _H_CACHE[key] = val
+        return entry
+    entry = _H_CACHE[key] = _Sups(f, z, r, values)
     if len(_H_CACHE) > _H_CACHE_MAX:
         _H_CACHE.popitem(last=False)
-    return val
+    return entry
+
+
+def _all_sups(f: HoloFunction, z, r: float):
+    """(points, cache entry, h at every point) for f, r and the points z,
+    taken to shape (points,) on the disk and (points, n) on the ball."""
+    z = np.asarray(z, dtype=complex)
+    z = np.atleast_2d(z) if f.domain == "ball" else np.atleast_1d(z)
+    sups = _sups(f, z, r, None)
+    return z, sups, sups.exact(z, np.arange(len(z)))
 
 
 def local_sup_h(f: HoloFunction, z, r: float):
@@ -104,7 +168,7 @@ def local_sup_h(f: HoloFunction, z, r: float):
     the pseudo-hyperbolic disk D(z, r)."""
     if f.domain != "disk":
         raise TypeError("local_sup_h requires a disk variant")
-    vals = disk_constant(r) * _cached_local_sup(f, z, r)
+    vals = disk_constant(r) * _all_sups(f, z, r)[2]
     return float(vals[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else vals
 
 
@@ -121,18 +185,16 @@ class Witness:
     def g_values(self, z) -> np.ndarray:
         """g = |f|/r + safety * C * h, with h the cached local sup of the
         disk or ball; the euclid witness is then divided by (1 - |z|)."""
-        z = np.asarray(z, dtype=complex)
-        z = np.atleast_2d(z) if self.f.domain == "ball" else np.atleast_1d(z)
-        g = self._g(np.abs(self.f(z)), _cached_local_sup(self.f, z, self.r))
+        z, sups, h = _all_sups(self.f, z, self.r)
+        return self._g(sups.abs_f, z, h)
+
+    def _g(self, abs_f, z, h):
+        """g at the points z from |f| and the local sups h there: the
+        exact ones, or the screen's for a lower bound on g."""
+        g = abs_f / self.r + self.safety * self.C * h
         if self.metric == "euclid":
             g = g / (1.0 - np.abs(z))
         return g
-
-    def _g(self, abs_f, h):
-        """|f|/r + safety * C * h from |f| and the local sup h at the same
-        points: ``g_values`` before any euclid factor, and the ball
-        verification's screen and exact pass."""
-        return abs_f / self.r + self.safety * self.C * h
 
     def __call__(self, z):
         vals = self.g_values(z)
@@ -202,10 +264,10 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
     pairs with rho(z, w) < r, half with rho(z, w) >= r).
 
     ``g`` is a Witness or any callable of a point array; a positive max
-    violation is a result, not an error.  A disk witness or a callable is
-    evaluated at all 2 n_pairs points, a disk witness through the sup
-    cache.  A ball witness is verified by bound and prune (see
-    :func:`_ball_max_residual`), with the same max and argmax.
+    violation is a result, not an error.  A callable is evaluated at all
+    2 n_pairs points.  A witness is verified by bound and prune, through
+    the sup cache, with the same max and argmax (see :func:`_pruned_max`);
+    ``n_exact`` counts 2 per pair taken.
     """
     if n_pairs < 1:
         raise ParameterError("need at least one pair")
@@ -218,12 +280,26 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
                                      n=f.n if isinstance(f, BallPoly) else 2)
     else:
         z, w = disk_pairs_stratified(seed, n_pairs, r)
-    if isinstance(g, Witness) and g.f.domain == "ball":
-        i, worst, n_exact = _ball_max_residual(f, g, metric, z, w)
+    pts = np.concatenate([z, w])
+    fv = f(pts)
+    diff = np.abs(fv[:n_pairs] - fv[n_pairs:])
+    dist = _metric_values(metric, z, w)
+    if isinstance(g, Witness):
+        sups = _sups(g.f, pts, g.r, fv if f is g.f else None)
+
+        def resid(idx, h):
+            both = np.concatenate([idx, idx + n_pairs])
+            gzw = g._g(sups.abs_f[both], pts[both], h)
+            return diff[idx] - dist[idx] * (gzw[:len(idx)] + gzw[len(idx):])
+
+        i, worst, taken = _pruned_max(
+            g.f, resid(np.arange(n_pairs), sups.screen(pts)),
+            lambda idx: resid(idx, sups.exact(
+                pts, np.concatenate([idx, idx + n_pairs]))), 2)
+        n_exact = 2 * taken
     else:
-        gz = g.g_values(z) if isinstance(g, Witness) else np.asarray(g(z), float)
-        gw = g.g_values(w) if isinstance(g, Witness) else np.asarray(g(w), float)
-        resid = np.abs(f(z) - f(w)) - _metric_values(metric, z, w) * (gz + gw)
+        gzw = np.asarray(g(pts), float)
+        resid = diff - dist * (gzw[:n_pairs] + gzw[n_pairs:])
         i = int(np.argmax(resid))
         worst, n_exact = float(resid[i]), 2 * n_pairs
     return ViolationReport(metric=metric, n_pairs=n_pairs, seed=seed,
@@ -232,52 +308,39 @@ def verify_lipschitz(f: HoloFunction, g, metric: str | None = None,
                            r=float(r), n_exact=n_exact)
 
 
-def _ball_max_residual(f: HoloFunction, g: Witness, metric: str, z, w):
-    """(argmax, max, points evaluated exactly) of the residual
-    |f(z) - f(w)| - metric(z, w) (g(z) + g(w)) for a ball witness g.
+def _pruned_max(f: HoloFunction, bound, exact, width: int):
+    """(argmax, max, items taken) of the exact residuals ``exact(idx)``
+    over all items, given an upper bound on each item's residual; an item
+    is a pair or a point, and takes ``width`` local sups of the witness's
+    function f, whose sample sets the kernel pass.
 
-    Screen: h_lo, the invariant-gradient sup over the first
-    ``BALL_SCREEN_COUNT`` points of the sup sample, is a max over a subset
-    of the per-point values whose max over the whole sample is h, so
-    h_lo <= h and the residual formed with h_lo bounds the exact one from
-    above.  Exact pass: pairs are taken in stable descending bound order,
-    ``_kernels._BUDGET // BALL_SUP_COUNT`` points at a time (one kernel
-    pass, z and w together, uncached), and the pass stops once the next
-    pair's bound falls strictly below the best exact residual, or equals it
-    at a higher index than the best pair's; equal bounds come in index
-    order, so every pair left has an exact residual below that best, or
-    equal to it at a higher index.  On equal residuals the lowest index
+    The bounds come from g formed with the screen sup, h_lo <= h bit for
+    bit; g and the residual are monotone in h under rounding, so each
+    bound is at least its exact residual.  Items are taken in stable
+    descending bound order, in kernel passes of 1, 2, 4, ... items up to
+    the element budget (8 pairs or 16 points), and the pass stops once the
+    next item's bound falls strictly below the best exact residual, or
+    equals it at a higher index than the best item's; equal bounds come in
+    index order, so every item left has an exact residual below that best,
+    or equal to it at a higher index.  On equal residuals the lowest index
     wins, as in ``np.argmax``, so max and argmax equal the full
     evaluation's.  The second stop ends f = 0, where every bound and
-    residual is 0, after one pass.
-
-    The disk keeps its full, cached evaluation: rho, beta and euclid reuse
-    one pair set's sups through ``_H_CACHE``, and a pruned rho pass would
-    leave pairs that the beta and euclid passes then need.
+    residual is 0, after one item.
     """
-    m = len(z)
-    diff = np.abs(f(z) - f(w))
-    dist = _metric_values(metric, z, w)
-    abs_fz, abs_fw = np.abs(g.f(z)), np.abs(g.f(w))
-    lo = _ball_screen_sup(g.f, np.concatenate([z, w]), g.r)
-    bound = diff - dist * (g._g(abs_fz, lo[:m]) + g._g(abs_fw, lo[m:]))
     order = np.argsort(-bound, kind="stable")
-    step = _kernels._BUDGET // BALL_SUP_COUNT // 2
-    best, best_i, pos = -np.inf, -1, 0
-    while pos < m:
+    top = max(1, _kernels._BUDGET // len(_sup_samples(f)[0]) // width)
+    best, best_i, pos, step = -np.inf, -1, 0, 1
+    while pos < len(order):
         nxt = order[pos]
         if bound[nxt] < best or (bound[nxt] == best and nxt > best_i):
             break
         idx = order[pos:pos + step]
-        h = _raw_local_sup(g.f, np.concatenate([z[idx], w[idx]]), g.r)
-        k = len(idx)
-        exact = diff[idx] - dist[idx] * (g._g(abs_fz[idx], h[:k])
-                                         + g._g(abs_fw[idx], h[k:]))
-        for i, v in zip(idx.tolist(), exact.tolist()):
+        for i, v in zip(idx.tolist(), exact(idx).tolist()):
             if v > best or (v == best and i < best_i):
                 best, best_i = v, i
-        pos += k
-    return best_i, best, 2 * pos
+        pos += len(idx)
+        step = min(2 * step, top)
+    return best_i, best, pos
 
 
 def witness_integrability(w: Witness, p: float, alpha: float,
@@ -307,16 +370,24 @@ def derivative_bound_check(f: HoloFunction, w: Witness,
                            metric: str | None = None, n_grid: int = 1000,
                            seed: int = 1) -> float:
     """Max over a seeded grid of the limiting derivative bound residual:
-    (1 - |z|^2)|f'| - 2g for rho/beta, |f'| - 2g for euclid."""
+    (1 - |z|^2)|f'| - 2g for rho/beta, |f'| - 2g for euclid.  The max is
+    found by bound and prune through the sup cache, one local sup per
+    point, and equals the full evaluation's (see :func:`_pruned_max`)."""
     if f.domain != "disk" or w.f.domain != "disk":
         raise TypeError("derivative bound check requires a disk variant")
+    if n_grid < 1:
+        raise ParameterError("need at least one point")
     metric = metric or w.metric
     z = sample_disk(seed, n_grid)
-    g = w.g_values(z)
     fp = np.abs(f.derivative_at(z))
-    if metric == "euclid":
-        return float(np.max(fp - 2.0 * g))
-    return float(np.max((1.0 - np.abs(z) ** 2) * fp - 2.0 * g))
+    lead = fp if metric == "euclid" else (1.0 - np.abs(z) ** 2) * fp
+    sups = _sups(w.f, z, w.r, None)
+
+    def resid(idx, h):
+        return lead[idx] - 2.0 * w._g(sups.abs_f[idx], z[idx], h)
+
+    return float(_pruned_max(w.f, resid(np.arange(n_grid), sups.screen(z)),
+                             lambda idx: resid(idx, sups.exact(z, idx)), 1)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,10 @@ class TestRun:
         ({"seed": "abc"}, []),
         ({"tolerances": [1, 2]}, []),
         ({}, ["--seed", "-1"]),
+        ({"tolerances": {"n_triples": "abc"}}, []),
+        ({"tolerances": {"n_triples": 2.5}}, []),
+        ({"tolerances": {"n_triples": True}}, []),
+        ({"out": 5}, []),
     ])
     def test_bad_seed_or_tolerances_exit_two(self, runner, tmp_path, config,
                                              args):
@@ -96,6 +100,31 @@ class TestRun:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "geometry.json").exists()
+
+    @pytest.mark.parametrize("config", [{"out": 5}, {"out": ["a"]},
+                                        {"tolerances": {"n_triples": "abc"}}])
+    def test_malformed_config_without_out_exit_two(self, runner, tmp_path,
+                                                   monkeypatch, config):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["run", "geometry", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not list(tmp_path.glob("*/geometry.json"))
+
+    def test_malformed_config_exit_two_in_a_fresh_process(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 5}))
+        src = str(Path(bergman.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "bergman.cli", "run", "geometry",
+             "--config", str(cfg)], capture_output=True, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "out must be a string" in out.stderr
 
     def test_config_file_supplies_defaults(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -171,6 +200,25 @@ class TestSuiteConfig:
     def test_seed_must_be_non_negative_int(self, seed):
         with pytest.raises(ParameterError, match="seed"):
             SuiteConfig("geometry", seed=seed)
+
+    @pytest.mark.parametrize("default,value,want", [
+        (10, 7, 7), (1e-5, 2, 2.0), (1e-5, 0.5, 0.5),
+        ((0.5, 1.0), [1, 0.25], (1.0, 0.25)), ((0.5,), (), ())])
+    def test_override_takes_the_default_type(self, default, value, want):
+        got = SuiteConfig("geometry", overrides={"k": value}).opt("k", default)
+        assert got == want and type(got) is type(want)
+        if isinstance(want, tuple):
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+    @pytest.mark.parametrize("default,value", [
+        (10, "abc"), (10, 2.5), (10, True), (10, None), (10, [1]),
+        (1e-5, "1e-5"), (1e-5, False), ((0.5,), 0.5), ((0.5,), ["a"]),
+        ((0.5,), "ab")])
+    def test_override_of_another_type_rejected(self, default, value):
+        cfg = SuiteConfig("geometry", overrides={"k": value})
+        with pytest.raises(ParameterError, match="'k'"):
+            cfg.opt("k", default)
+        assert cfg.opt("other", default) == default
 
     def test_overrides_must_be_dict(self):
         with pytest.raises(ParameterError, match="tolerances"):

@@ -241,6 +241,19 @@ def test_closed_form_local_derivative_sq_matches_30_digits(boundary_disks, f):
     np.testing.assert_allclose(got.ravel(), want, rtol=1e-14)
 
 
+def test_power_table_shared_and_read_only():
+    # the table of e^k depends on the sample and the degree alone: two
+    # polynomials of one degree share one read-only copy, equal to vander's
+    grid = witness._UNIT_GRID
+    f, g = TaylorPoly(np.arange(1.0, 8.0)), TaylorPoly(1j * np.ones(7))
+    E = f.local_derivative_table(grid)[1]
+    assert g.local_derivative_table(grid.copy())[1] is E
+    assert not E.flags.writeable
+    assert np.array_equal(E, np.vander(grid, 6, increasing=True).T)
+    assert TaylorPoly(np.ones(8)).local_derivative_table(grid)[1].shape \
+        == (7, len(grid))
+
+
 def test_local_derivative_degree_cap():
     f = TaylorPoly(np.ones(SHIFT_MAX_DEGREE + 2))
     with pytest.raises(ParameterError):

@@ -152,7 +152,13 @@ class TestVerifyLipschitz:
         obj = json.loads(json.dumps(rep.to_json()))
         assert obj["n_pairs"] == 500
         assert "max_violation" in obj
-        assert obj["n_exact"] == 1000
+        # the witness is pruned: 2 exact sups per pair taken, 1 pair here
+        assert obj["n_exact"] == 2
+        # a plain callable is evaluated at every point
+        plain = verify_lipschitz(section_04, w.g_values, metric="rho",
+                                 n_pairs=500, seed=5, r=0.5)
+        assert plain.to_json()["n_exact"] == 1000
+        assert plain.max_violation == rep.max_violation
 
 
 class TestStratifiedPairs:
@@ -204,6 +210,12 @@ class TestDerivativeBound:
         f = BallPoly(2, {(1, 0): 1.0})
         with pytest.raises(TypeError, match="disk variant"):
             derivative_bound_check(f, build_witness_ball(f, 0.5))
+
+    def test_rejects_empty_grid(self, section_04):
+        with pytest.raises(ParameterError, match="at least one point"):
+            derivative_bound_check(section_04,
+                                   build_witness(section_04, "rho", 0.5),
+                                   n_grid=0)
 
 
 class TestIntegrability:
@@ -472,17 +484,18 @@ class TestBallBoundAndPrune:
     @pytest.mark.parametrize("n", [2, 3])
     def test_zero_function_takes_one_pass(self, n):
         # every bound and exact residual is 0: pair 0 comes first and wins,
-        # and no equal bound at a higher index can displace it
+        # and no equal bound at a higher index can displace it; the first
+        # pass takes one pair
         f = BallPoly(n, {})
         rep = _assert_same_as_full(f, build_witness_ball(f, 0.5), 4000, 3)
         assert rep.max_violation == 0.0
-        assert rep.n_exact == _kernels._BUDGET // witness.BALL_SUP_COUNT
+        assert rep.n_exact == 2
 
     def test_weak_screen_takes_several_batches(self, monkeypatch):
         # f = 0 against the witness of p, on pairs at one distance, leaves
         # the residual order to g alone; a one-point screen then leaves
-        # candidates for several kernel passes, and for k = 1 the maximum
-        # lies in the second
+        # candidates for several kernel passes (23 to 31 pairs measured)
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
         monkeypatch.setattr(witness, "BALL_SCREEN_COUNT", 1)
         monkeypatch.setattr(witness, "ball_pairs_stratified", _equal_rho_pairs)
         batch = _kernels._BUDGET // witness.BALL_SUP_COUNT
@@ -492,27 +505,22 @@ class TestBallBoundAndPrune:
                                        _equal_rho_pairs)
             assert rep.n_exact > batch
 
-    def test_single_pair_to_rounding(self):
-        # the full path takes each point's sup in a one-point kernel call,
-        # whose BLAS product may round differently in the last bit from the
-        # two-point call of the exact pass; agreement is to 1e-14 of the
-        # residual's terms
+    def test_single_pair_bit_identical(self):
+        # the full path takes each point's sup alone, which the kernel
+        # call pads to two points, so it equals the exact pass's two-point
+        # call bit for bit
         for n, k in itertools.product((2, 3), range(10)):
             f = _seeded_ball_poly(n, k)
-            w = build_witness_ball(f, 0.5)
-            rep = verify_lipschitz(f, w, n_pairs=1, seed=k)
-            z, zw, resid = _full_residual(f, w, 1, k)
-            scale = np.abs(f(z) - f(zw)) + ball_metric(z, zw, kind="rho") \
-                * (w.g_values(z) + w.g_values(zw))
-            assert abs(rep.max_violation - resid[0]) <= 1e-14 * scale[0]
+            rep = _assert_same_as_full(f, build_witness_ball(f, 0.5), 1, k)
             assert rep.n_exact == 2
 
     def test_ties_go_to_the_lowest_index(self, monkeypatch):
         # f = 0 and a full sup of 0 make every exact residual 0.  A screen
         # of -1 everywhere except at pair 0, where it is 0, puts pair 0 last
         # in bound order, on a bound equal to the best exact residual; with
-        # 49 pairs it opens the seventh batch of 8 on its own, and the pass
-        # must still take it, since np.argmax picks the first maximum
+        # 48 pairs it opens the eighth pass (of 1, 2, 4, then 8 pairs) on
+        # its own, and the pass must still take it, since np.argmax picks
+        # the first maximum
         kernel = _kernels.ball_sup_invgrad
 
         def fake(zpts, esamp, f, r):
@@ -525,15 +533,16 @@ class TestBallBoundAndPrune:
             lo[[0, len(z) // 2]] = 0.0
             return lo
 
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
         monkeypatch.setattr(_kernels, "ball_sup_invgrad", fake)
-        monkeypatch.setattr(witness, "_ball_screen_sup", screen)
+        monkeypatch.setattr(witness, "_screen_sup", screen)
         f = BallPoly(2, {})
-        rep = verify_lipschitz(f, build_witness_ball(f, 0.5), n_pairs=49,
+        rep = verify_lipschitz(f, build_witness_ball(f, 0.5), n_pairs=48,
                                seed=1)
-        z, _ = ball_pairs_stratified(1, 49, 0.5, n=2)
+        z, _ = ball_pairs_stratified(1, 48, 0.5, n=2)
         assert rep.max_violation == 0.0
         assert np.array_equal(rep.argmax_pair[0], z[0])
-        assert rep.n_exact == 98
+        assert rep.n_exact == 96
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
@@ -543,7 +552,7 @@ class TestBallBoundAndPrune:
             f = _seeded_ball_poly(n, k, count=8, degree=4)
             z, zw = ball_pairs_stratified(k, 500, r, n=n)
             pts = np.concatenate([z, zw])
-            assert np.all(witness._ball_screen_sup(f, pts, r)
+            assert np.all(witness._screen_sup(f, pts, r)
                           <= witness._raw_local_sup(f, pts, r))
 
     def test_thm13_family_work_count(self):
@@ -552,4 +561,145 @@ class TestBallBoundAndPrune:
         for _, f in suites._ball_family():
             w = build_witness_ball(f, suites.WITNESS_RADIUS)
             rep = verify_lipschitz(f, w, n_pairs=10_000, seed=42)
+            assert rep.n_exact <= 64
+
+
+def _seeded_taylor(degree):
+    rng = np.random.default_rng(degree)
+    return TaylorPoly(rng.normal(size=degree + 1)
+                      + 1j * rng.normal(size=degree + 1))
+
+
+DISK_FAMILY = [*(_seeded_taylor(d) for d in (1, 2, 5, 13, 30, 50)),
+               PowerSingularity(0.4).taylor_section(50),
+               PowerSingularity(0.7), LogKernel()]
+# (witness metric, verification metric): a rho witness also under beta
+DISK_CASES = (("rho", "rho"), ("beta", "beta"), ("euclid", "euclid"),
+              ("rho", "beta"))
+
+
+def _full_disk_residual(f, w, metric, n_pairs, seed):
+    """The residual at every pair, with g from ``Witness.g_values``."""
+    z, zw = disk_pairs_stratified(seed, n_pairs, w.r)
+    resid = np.abs(f(z) - f(zw)) - witness._metric_values(metric, z, zw) \
+        * (w.g_values(z) + w.g_values(zw))
+    return z, zw, resid
+
+
+def _full_bound(f, w, metric, n_grid, seed):
+    """The derivative-bound residual's max, with g from ``g_values``."""
+    z = sample_disk(seed, n_grid)
+    fp = np.abs(f.derivative_at(z))
+    lead = fp if metric == "euclid" else (1.0 - np.abs(z) ** 2) * fp
+    return float(np.max(lead - 2.0 * w.g_values(z)))
+
+
+def _assert_disk_same_as_full(monkeypatch, f, r, n_pairs, seed):
+    """Both pruned checks of every case, in one fresh cache as a suite
+    shares it, against the full evaluation in another; returns n_exact."""
+    monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+    got = []
+    for wm, vm in DISK_CASES:
+        w = build_witness(f, wm, r)
+        got.append((verify_lipschitz(f, w, metric=vm, n_pairs=n_pairs,
+                                     seed=seed),
+                    derivative_bound_check(f, w, vm, n_grid=n_pairs,
+                                           seed=seed + 1)))
+    monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+    for (wm, vm), (rep, bound) in zip(DISK_CASES, got):
+        w = build_witness(f, wm, r)
+        z, zw, resid = _full_disk_residual(f, w, vm, n_pairs, seed)
+        i = int(np.argmax(resid))
+        assert rep.max_violation == resid[i]
+        assert rep.argmax_pair[0] == z[i] and rep.argmax_pair[1] == zw[i]
+        assert bound == _full_bound(f, w, vm, n_pairs, seed + 1)
+        assert 2 <= rep.n_exact <= 2 * n_pairs
+    return [rep.n_exact for rep, _ in got]
+
+
+class TestDiskBoundAndPrune:
+    """The pruned disk verification and derivative-bound check against
+    the full evaluation at every pair and point."""
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 150, 4000])
+    def test_bit_identical_to_full_evaluation(self, monkeypatch, n_pairs):
+        for k, f in enumerate(DISK_FAMILY):
+            _assert_disk_same_as_full(monkeypatch, f, (0.2, 0.5, 0.8)[k % 3],
+                                      n_pairs, k)
+
+    @pytest.mark.parametrize("f", [TaylorPoly([0.0]), TaylorPoly([2.0 + 1j])])
+    def test_zero_and_constant_take_one_pair(self, monkeypatch, f):
+        # f = 0: every bound and residual is 0, and pair 0 wins at once;
+        # a constant: every sup is 0, so the screen is exact
+        assert _assert_disk_same_as_full(monkeypatch, f, 0.5, 150, 3) \
+            == [2] * len(DISK_CASES)
+
+    def test_weak_screen_takes_several_batches(self, monkeypatch):
+        # the centre and the innermost ring: a lower bound as well, but a
+        # loose one, which leaves candidates for several kernel passes
+        monkeypatch.setattr(witness, "_DISK_SCREEN", witness._UNIT_GRID[:33])
+        counts = []
+        for k, f in enumerate(DISK_FAMILY):
+            counts += _assert_disk_same_as_full(monkeypatch, f, 0.5, 400, k)
+        assert max(counts) > 2 * (1 + 2)  # more than two passes
+
+    def test_ties_go_to_the_lowest_index(self, monkeypatch):
+        # as on the ball: every exact residual 0, and a screen that puts
+        # pair 0 last in bound order, alone in the eighth pass
+        kernel = _kernels.local_sup_poly
+
+        def fake(centers, radii, grid, f):
+            if len(grid) == len(witness._UNIT_GRID):
+                return np.zeros(len(centers))
+            return kernel(centers, radii, grid, f)
+
+        def screen(f, z, r):
+            lo = -np.ones(len(z))
+            lo[[0, len(z) // 2]] = 0.0
+            return lo
+
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+        monkeypatch.setattr(_kernels, "local_sup_poly", fake)
+        monkeypatch.setattr(witness, "_screen_sup", screen)
+        f = TaylorPoly([0.0])
+        rep = verify_lipschitz(f, build_witness(f, "rho", 0.5), n_pairs=48,
+                               seed=1)
+        z, _ = disk_pairs_stratified(1, 48, 0.5)
+        assert rep.max_violation == 0.0
+        assert rep.argmax_pair[0] == z[0]
+        assert rep.n_exact == 96
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_screen_is_a_lower_bound(self, r):
+        # bit for bit at every point, without slack
+        for k, f in enumerate(DISK_FAMILY):
+            pts = np.concatenate(disk_pairs_stratified(k, 500, r))
+            assert np.all(witness._screen_sup(f, pts, r)
+                          <= witness._raw_local_sup(f, pts, r))
+
+    def test_centre_value_is_no_lower_bound(self):
+        # z is not a sample node: at two of these points (1 - |z|^2)|f'(z)|
+        # exceeds the sampled sup, and the screen stays below it
+        f = dict(suites._witness_family(42))["poly_deg5"]
+        z = sample_disk(0, 20_000)
+        raw = witness._raw_local_sup(f, z, 0.5)
+        assert np.any((1.0 - np.abs(z) ** 2) * np.abs(f.derivative_at(z))
+                      > raw)
+        assert np.all(witness._screen_sup(f, z, 0.5) <= raw)
+
+    def test_single_points_are_padded(self):
+        # a one-point kernel call would round differently in the last bit;
+        # padded, each point takes its batched values
+        z = sample_disk(7, 40, rmax=0.95)
+        for f in DISK_FAMILY:
+            for sup in (witness._raw_local_sup, witness._screen_sup):
+                alone = [sup(f, z[i:i + 1], 0.5)[0] for i in range(len(z))]
+                assert np.array_equal(alone, sup(f, z, 0.5))
+
+    def test_thm6_family_work_count(self):
+        # 2 exact sups per function were measured; the full evaluation
+        # takes 200,000
+        for _, f in suites._witness_family(42):
+            w = build_witness(f, "rho", suites.WITNESS_RADIUS)
+            rep = verify_lipschitz(f, w, n_pairs=100_000, seed=42)
             assert rep.n_exact <= 64
