@@ -260,15 +260,29 @@ def divergence_demo(n_list=(100, 1000, 10000)) -> dict:
 
 @dataclass
 class LiftingScanRow:
+    """The source and lifted norms of (1-z)^(-s); the values, their
+    ratio and the joint convergence are read off them."""
+
     s: float
-    norm_f: float
-    norm_lf: float
-    ratio: float
-    converged: bool
-    verdict_f: str
-    verdict_lf: str
-    estimated_error_f: float
-    estimated_error_lf: float
+    f: NormResult
+    lf: NormResult
+
+    @property
+    def norm_f(self) -> float:
+        return self.f.value
+
+    @property
+    def norm_lf(self) -> float:
+        return self.lf.value
+
+    @property
+    def ratio(self) -> float:
+        return float(self.lf.value / self.f.value) if self.f.value > 0 \
+            else float("inf")
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.f.converged and self.lf.converged)
 
 
 @dataclass
@@ -288,9 +302,9 @@ class LiftingScanResult:
                 "beta": self.beta,
                 "rows": [{"s": r.s, "norm_f": r.norm_f, "norm_Lf": r.norm_lf,
                           "ratio": r.ratio, "converged": r.converged,
-                          "verdict_f": r.verdict_f, "verdict_Lf": r.verdict_lf,
-                          "estimated_error_f": r.estimated_error_f,
-                          "estimated_error_Lf": r.estimated_error_lf}
+                          "verdict_f": r.f.verdict, "verdict_Lf": r.lf.verdict,
+                          "estimated_error_f": r.f.estimated_error,
+                          "estimated_error_Lf": r.lf.estimated_error}
                          for r in self.rows]}
 
     def csv_block(self) -> tuple[list, list]:
@@ -335,13 +349,7 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
     for s in s_values:
         f = PowerSingularity(s)
-        nf = norm_p(f, wp, src_grid)
-        nlf = bidisk_norm(lift(f), p, beta_t, grid=tensor)
-        ratio = nlf.value / nf.value if nf.value > 0 else float("inf")
         out.rows.append(LiftingScanRow(
-            s=float(s), norm_f=nf.value, norm_lf=nlf.value, ratio=float(ratio),
-            converged=bool(nf.converged and nlf.converged),
-            verdict_f=nf.verdict, verdict_lf=nlf.verdict,
-            estimated_error_f=nf.estimated_error,
-            estimated_error_lf=nlf.estimated_error))
+            s=float(s), f=norm_p(f, wp, src_grid),
+            lf=bidisk_norm(lift(f), p, beta_t, grid=tensor)))
     return out

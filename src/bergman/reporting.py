@@ -55,7 +55,6 @@ class ExperimentReport:
     suite: str
     version: str
     seed: int
-    config: dict
     checks: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     csv_blocks: dict = field(default_factory=dict)  # name -> (header, rows)
@@ -68,7 +67,7 @@ class ExperimentReport:
     def numeric_core(self) -> dict:
         """The deterministic part (everything except the wall time)."""
         return {"suite": self.suite, "version": self.version,
-                "seed": self.seed, "config": self.config,
+                "seed": self.seed,
                 "checks": [c.to_json() for c in self.checks],
                 "notes": self.notes,
                 "csv": {k: {"header": h, "rows": r}

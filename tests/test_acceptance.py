@@ -11,18 +11,29 @@ growth factor from N = 100 to 10^4 is held to the bound that law gives
 (~1.388) instead of a fixed 1.5, which it only reaches near N ~ 6e4.
 """
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bergman.suites import INTEGRABILITY_CASES, SuiteConfig, run_suite
+from bergman.suites import INTEGRABILITY_CASES, SUITES, run_suite
 
 SEED = 42
 _CACHE = {}
+# every suite's checks, notes and CSV blocks at SEED; regenerate with
+# `PYTHONPATH=src python tests/test_acceptance.py` when a number moves
+STORED_CORE = Path(__file__).with_name("numeric_core_seed42.json")
+# values agree to CORE_RTOL relative; CORE_ATOL is the floor for rounding
+# residuals such as homogeneous_orthogonality_max_abs (~1.5e-16)
+CORE_RTOL = 1e-9
+CORE_ATOL = 1e-12
 
 
 def suite(name):
     if name not in _CACHE:
-        _CACHE[name] = run_suite(SuiteConfig(name, seed=SEED))
+        _CACHE[name] = run_suite(name, SEED)
     return _CACHE[name]
 
 
@@ -57,18 +68,19 @@ class TestCriterion2DifferenceQuotients:
         assert rep.wall_time_s < 60
 
 
-def _check_closed_form_info(rep, name, key):
+def _check_closed_form_info(rep, name, key, extra=()):
     """A check against closed forms records its worst case (under
     ``key``), that case's verdict, estimated and actual error, and
-    whether every norm read member; its value is the actual relative
-    error."""
+    whether every norm read member (and the ``extra`` keys); its value
+    is the actual relative error.  Returns the check."""
     c = next(c for c in rep.checks if c.name == name)
     assert set(c.info) == {key, "verdict", "estimated_error", "actual_error",
-                           "actual_rel_error", "all_member"}
+                           "actual_rel_error", "all_member", *extra}
     assert c.info["actual_rel_error"] == c.value
     assert c.info["verdict"] == "member" and c.info["all_member"] is True
     assert 0.0 <= c.info["estimated_error"] < np.inf
     assert c.info["actual_error"] >= 0.0
+    return c
 
 
 class TestCriterion3Quadrature:
@@ -158,9 +170,16 @@ class TestCriterion7Lifting:
 
 class TestCriterion8BorderlineDivergence:
     def test_partial_sum_and_termwise_checks(self):
+        # each log-weight integral against H_(k+1)/(k+1); the ratios of
+        # lifted to source terms, exactly 2 H_k / H_(k+1), ride as info
         rep = suite("a2-diverge")
-        assert _emit(rep, only=["a2_partial_sum_increment_1e3_to_1e4",
-                                "termwise_ratio_min", "termwise_ratio_max"])
+        name = "termwise_log_integral_max_rel_error"
+        ratios = [r for _, r in rep.csv_blocks["termwise"][1]]
+        c = _check_closed_form_info(rep, name, "k",
+                                    extra=("ratio_min", "ratio_max"))
+        assert (c.info["ratio_min"], c.info["ratio_max"]) == \
+            (min(ratios), max(ratios))
+        assert _emit(rep, only=["a2_partial_sum_increment_1e3_to_1e4", name])
 
     def test_lift_growth_factor_as_stated(self):
         # bar 1 + 2 log(log 10003 / log 103) / S_L(100) ~ 1.388 from the
@@ -192,9 +211,83 @@ class TestCriterion9Ball:
         assert _emit(rep, only=["ball_norm_integrals_converged"])
 
 
+def _split_work_counts(obj, path, counts):
+    """``obj`` without its ``n_exact`` entries, which go to ``counts``
+    under their '/'-joined path; list items are named by their ``name``."""
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            if key == "n_exact":
+                counts["/".join(path)] = value
+            else:
+                out[key] = _split_work_counts(value, path + [key], counts)
+        return out
+    if isinstance(obj, list):
+        return [_split_work_counts(
+            v, path + [v["name"] if isinstance(v, dict) and "name" in v
+                       else str(i)], counts) for i, v in enumerate(obj)]
+    return obj
+
+
+def stored_core(rep):
+    """(values, work counts) of a report as the stored file holds them:
+    its checks, notes and CSV blocks, through JSON as the report is
+    written."""
+    core = json.loads(json.dumps(rep.numeric_core(), default=float))
+    counts = {}
+    values = _split_work_counts({k: core[k] for k in ("checks", "notes",
+                                                      "csv")}, [], counts)
+    return values, counts
+
+
+def _assert_core_close(got, want, path="."):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_core_close(got[key], want[key], f"{path}/{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_core_close(g, w, f"{path}/{i}")
+    elif isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool) \
+            and isinstance(want, (int, float)), path
+        if math.isfinite(want):
+            assert abs(got - want) <= max(CORE_RTOL * abs(want), CORE_ATOL), \
+                f"{path}: {got!r} != {want!r}"
+        else:
+            assert got == want or (math.isnan(got) and math.isnan(want)), path
+    else:  # outcomes, verdicts, labels and integers: exactly
+        assert got == want and type(got) is type(want), \
+            f"{path}: {got!r} != {want!r}"
+
+
+def _stored():
+    return json.loads(STORED_CORE.read_text())
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_numeric_core_matches_stored(name):
+    values, _ = stored_core(suite(name))
+    _assert_core_close(values, _stored()["suites"][name])
+
+
+def test_work_counts_match_stored():
+    # exact sups taken by bound and prune: how much work, not what value
+    stored = _stored()["n_exact"]
+    assert {name: stored_core(suite(name))[1] for name in SUITES} == stored
+
+
 def test_total_runtime_report():
     total = sum(rep.wall_time_s for rep in _CACHE.values())
     print(f"[INFO] total suite wall time: {total:.1f}s "
           f"across {len(_CACHE)} suites")
     assert total > 0
 
+
+
+if __name__ == "__main__":
+    cores = {name: stored_core(suite(name)) for name in SUITES}
+    STORED_CORE.write_text(json.dumps(
+        {"seed": SEED, "suites": {k: v for k, (v, _) in cores.items()},
+         "n_exact": {k: c for k, (_, c) in cores.items()}}, indent=1) + "\n")

@@ -421,7 +421,7 @@ class TestLiftingScan:
     def test_csv_emission(self, tmp_path):
         # the scan's block as the suites write it, with converged as 0/1
         res = lifting_scan([0.5], 1.0, 0.0, "thm11")
-        rep = ExperimentReport(suite="thm11", version="", seed=0, config={})
+        rep = ExperimentReport(suite="thm11", version="", seed=0)
         rep.csv_blocks["scan"] = res.csv_block()
         path = emit_report(rep, tmp_path)[1]
         lines = path.read_text().strip().splitlines()

@@ -1,18 +1,21 @@
 """The library's settable values and public names, counted from its
 source: every parameter with a default in a ``def`` or ``lambda`` under
-``src/bergman``, every distinct suite option read through ``cfg.opt``,
-and the names ``bergman`` exports.  A new option or export changes a
-total here, so it shows up in the diff that adds it."""
+``src/bergman``, every suite option read through an ``opt`` call, the
+options of ``bergman-bench run``, and the names ``bergman`` exports.  A
+new option or export changes a total here, so it shows up in the diff
+that adds it."""
 
 import ast
 from pathlib import Path
 
 import bergman
+from bergman.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergman"
 
 DEFAULTED_PARAMETERS = 45
-SUITE_OPTIONS = 10
+SUITE_OPTIONS = 0  # a suite is a name and a seed
+RUN_OPTIONS = {"--seed", "--out"}
 PUBLIC_NAMES = 42
 
 
@@ -33,12 +36,11 @@ def _defaulted(args: ast.arguments) -> list:
                if d is not None])
 
 
-def _suite_options() -> set:
-    return {node.args[0].value for tree in _trees() for node in ast.walk(tree)
+def _suite_options() -> list:
+    return [node for tree in _trees() for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr == "opt"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "cfg"}
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "opt"]
 
 
 def test_defaulted_parameter_count():
@@ -48,6 +50,12 @@ def test_defaulted_parameter_count():
 
 def test_suite_option_count():
     assert len(_suite_options()) == SUITE_OPTIONS
+
+
+def test_run_takes_only_seed_and_out():
+    options = {o for p in run.params if p.param_type_name == "option"
+               for o in p.opts}
+    assert options == RUN_OPTIONS
 
 
 def test_no_tolerance_parameter():
