@@ -17,7 +17,7 @@ from .witness import (ViolationReport, Witness, build_witness,
                       build_witness_ball, derivative_bound_check,
                       local_sup_h, verify_lipschitz, witness_integrability)
 from .lifting import (LiftedFunction, TensorPoly, bidisk_norm,
-                      divergence_demo, lift, lift_norm_series_A2,
+                      divergence_demo, lift, lifted_norm_series,
                       lifting_scan, log_weighted_norm)
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "derivative_bound_check", "local_sup_h", "verify_lipschitz",
     "witness_integrability",
     "LiftedFunction", "TensorPoly", "bidisk_norm",
-    "divergence_demo", "lift", "lift_norm_series_A2",
+    "divergence_demo", "lift", "lifted_norm_series",
     "lifting_scan", "log_weighted_norm",
 ]

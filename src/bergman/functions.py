@@ -4,7 +4,8 @@ Four families are supported: finite Taylor polynomials and the closed
 forms (1 - z)^(-s) and log(1/(1 - z)) on the disk, and multi-variable
 monomial polynomials on the ball.  Everything evaluates vectorized over
 numpy arrays.  ``to_json`` describes a function by its variant and
-parameters: it keys the witness sup cache and fills ``Witness.metadata``.
+parameters for ``Witness.metadata``; the witness sup cache keys on the
+class and the coefficients' bytes or the parameters instead.
 """
 from __future__ import annotations
 

@@ -4,8 +4,13 @@ norms, the log-weight asymptotic, and the boundedness scans.
 The lift Lf(z, w) = (f(z) - f(w))/(z - w) has one representation per
 kind of f: a Taylor polynomial sum a_k z^k lifts to the ``TensorPoly``
 sum a_(i+j+1) z^i w^j, and a closed form ((1-z)^(-s), log(1/(1-z))) to
-the ``LiftedFunction`` quotient, whose lifted norms come from the pair
-kernel ``_kernels.pair_block_sums``."""
+the ``LiftedFunction`` quotient.  At p = 2 a lifted norm is a series in
+the Taylor coefficients, sum |a_k|^2 c_k(beta) (``lifted_norm_series``):
+finite for a polynomial, extrapolated in the truncation degree N for the
+closed forms, whose p = 2 lifted norms it gives.  Their other lifted
+norms come from the pair kernel ``_kernels.pair_block_sums`` on a tensor
+grid (``_closed_form_norm``), which is also the series' check at
+p = 2."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -15,8 +20,9 @@ import numpy as np
 from . import _kernels
 from .errors import ParameterError
 from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
-from .quadrature import BidiskGrid, DiskGrid, NormResult, WeightParams, \
-    bidisk_ladder, grid_for, log_ladder, matching_grid, norm_p, tail_head
+from .quadrature import LADDER_LEN, BidiskGrid, DiskGrid, NormResult, \
+    WeightParams, bidisk_ladder, classify_partials, grid_for, log_ladder, \
+    matching_grid, norm_p, richardson, tail_head
 
 
 class LiftedFunction:
@@ -143,9 +149,15 @@ def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
 
 def bidisk_norm(F, p: float, alpha: float,
                 grid: BidiskGrid | None = None) -> NormResult:
-    """Protocol integral of |F|^p dA_alpha x dA_alpha on the bidisk, for a
-    ``TensorPoly`` or the lift of a closed form; a given grid must carry
-    alpha."""
+    """Integral of |F|^p dA_alpha x dA_alpha on the bidisk, for a
+    ``TensorPoly`` or the lift of a closed form.
+
+    A ``TensorPoly`` takes the protocol on its coefficients
+    (``BidiskGrid.coefficient_norm``).  The lift of a closed form takes
+    its coefficient series at p = 2 (``lifted_norm_series``), which needs
+    no grid and refuses one, and otherwise the pair kernel's protocol
+    (``_closed_form_norm``) on ``default_scan_bidisk_grid(alpha)``.  A
+    given grid must carry alpha."""
     WeightParams(p, alpha)
     if isinstance(F, TensorPoly):
         grid = matching_grid(grid, lambda: default_poly_bidisk_grid(
@@ -153,6 +165,12 @@ def bidisk_norm(F, p: float, alpha: float,
         return grid.coefficient_norm(F.cmat, p)
     if isinstance(F, LiftedFunction) and isinstance(
             F.f, (PowerSingularity, LogKernel)):
+        if p == 2.0:
+            if grid is not None:
+                raise ParameterError("the p = 2 lifted norm of a closed form "
+                                     "is its coefficient series; it takes "
+                                     "no grid")
+            return lifted_norm_series(F.f, alpha)
         grid = matching_grid(grid, lambda: default_scan_bidisk_grid(alpha),
                              alpha)
         return _closed_form_norm(F.f, p, grid)
@@ -196,12 +214,84 @@ def harmonic_numbers(k_max: int) -> np.ndarray:
     return H
 
 
-def lift_norm_series_A2(coeffs) -> float:
-    """Exact int int |L f|^2 dA dA for f = sum a_k z^k:
-    2 sum_k |a_k|^2 H_k / (k+1)."""
-    a2 = np.abs(np.atleast_1d(np.asarray(coeffs, dtype=complex))[1:]) ** 2
-    return float(2.0 * np.sum(a2 * harmonic_numbers(len(a2))[1:]
-                              / np.arange(2.0, len(a2) + 2.0)))
+# truncation degrees N of the p = 2 lifted series, its levels
+_SERIES_DEGREES = 2 ** np.arange(6, 15)
+
+
+def _lift_weights(beta: float, n: int) -> np.ndarray:
+    """c_k(beta) = ||sum_(i+j=k-1) z^i w^j||^2 in L^2(dA_beta x dA_beta),
+    k = 1..n: sum_(i+j=k-1) gamma_i gamma_j with the monomial norms
+    gamma_i = Gamma(i+1) Gamma(beta+2) / Gamma(i+beta+2).  At beta = 0 it
+    is 2 H_k / (k+1); otherwise one FFT convolution of the gamma_i, taken
+    as the running product gamma_i = gamma_(i-1) i / (i+beta+1)."""
+    if beta == 0.0:
+        return 2.0 * harmonic_numbers(n)[1:] / np.arange(2.0, n + 2.0)
+    i = np.arange(1.0, n)
+    gamma = np.concatenate([[1.0], np.cumprod(i / (i + beta + 1.0))])
+    g = np.fft.rfft(gamma, 2 * len(gamma))
+    return np.fft.irfft(g * g, 2 * len(gamma))[:n]
+
+
+def _coefficients_sq(f, n: int) -> np.ndarray:
+    """|a_k|^2, k = 1..n, of (1-z)^(-s), a_k = (s)_k / k! as a running
+    product, or of log(1/(1-z)), a_k = 1/k."""
+    k = np.arange(1.0, n + 1.0)
+    a = np.cumprod((f.s + k - 1.0) / k) if isinstance(
+        f, PowerSingularity) else 1.0 / k
+    return a * a
+
+
+def lifted_norm_series(f, beta: float) -> NormResult:
+    """int int |L f|^2 dA_beta x dA_beta = sum_k |a_k|^2 c_k(beta) from
+    the Taylor coefficients a_k of f (``_lift_weights``: L z^k is
+    sum_(i+j=k-1) z^i w^j, and these are orthogonal).
+
+    For a ``TaylorPoly`` the sum is finite and exact: a member whose one
+    level is its degree, with the rounding bound of the sum as its
+    error.  For (1-z)^(-s) and log(1/(1-z)) the partial sums S_N over
+    k <= N at the levels N = 2^6, ..., 2^14 get the ``strict`` verdict of
+    ``classify_partials``, and a member is extrapolated by ``richardson``
+    in 1/N.  Since |a_k|^2 ~ k^(2s-2) / Gamma(s)^2 (s = 0 for the log
+    kernel) and c_k ~ A k^(-beta-1) (one index small: the edge) +
+    B k^(-2 beta-1) (both large: the corner), I - S_N has the edge
+    exponent beta + 2 - 2s and the corner exponent 2 beta + 2 - 2s; the
+    ladder takes both, then both shifted by 1, 2 and 3.  At beta = 0 the
+    two are equal, and each repeat absorbs the log N of
+    c_k = 2 H_k / (k+1).  The series converges iff s < min(beta + 1,
+    beta/2 + 1); past that the partials grow and read non-member.
+
+    ``estimated_error`` is the larger of the spread between the full
+    extrapolation and the one without the deepest level, and the rounding
+    bound N eps |S_N| of the partial sums.  ``eps_values`` holds the
+    levels as 1/N."""
+    WeightParams(2.0, beta)
+    ulp = np.finfo(float).eps
+    if isinstance(f, TaylorPoly):
+        a2 = np.abs(f.coeffs[1:]) ** 2
+        value = float(np.sum(a2 * _lift_weights(beta, len(a2))))
+        n = max(len(a2), 1)
+        return NormResult(value=value, eps_values=np.array([1.0 / n]),
+                          partials=np.array([value]),
+                          estimated_error=n * ulp * value, verdict="member")
+    if not isinstance(f, (PowerSingularity, LogKernel)):
+        raise TypeError(f"no coefficient series for {type(f).__name__}")
+    N = _SERIES_DEGREES
+    terms = _coefficients_sq(f, N[-1]) * _lift_weights(beta, N[-1])
+    S = np.cumsum(terms)[N - 1]
+    levels = 1.0 / N
+    verdict = classify_partials(S, rule="strict")
+    if verdict != "member":
+        value, err = float(S[-1]), float("inf")
+    else:
+        s = f.s if isinstance(f, PowerSingularity) else 0.0
+        edge, corner = beta + 2.0 - 2.0 * s, 2.0 * beta + 2.0 - 2.0 * s
+        ladder = [e + m for m in range(LADDER_LEN // 2)
+                  for e in (edge, corner)]
+        value = richardson(levels, S, ladder)[0]
+        shorter = richardson(levels[:-1], S[:-1], ladder)[0]
+        err = max(abs(value - shorter), N[-1] * ulp * abs(value))
+    return NormResult(value=value, eps_values=levels, partials=S,
+                      estimated_error=err, verdict=verdict)
 
 
 def monomial_log_norm_exact(k: int) -> float:
@@ -322,7 +412,8 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     weight; ``thm12`` mode (p > alpha+2) against the rescued weight
     beta = (p+alpha)/2 - 1.  Every s must satisfy p*s < 2+alpha so the
     source norm is finite.  The source norm is ``norm_p`` on a graded
-    grid to eps = 2^-11; the lifted norm is ``bidisk_norm`` on
+    grid to eps = 2^-11; the lifted norm is ``bidisk_norm``: the
+    coefficient series at p = 2, otherwise the pair kernel on
     ``default_scan_bidisk_grid(beta)``.
     """
     wp = WeightParams(p, alpha)
@@ -345,7 +436,7 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
             raise ParameterError(
                 f"s = {s} leaves the source space (need p*s < 2+alpha)")
     src_grid = DiskGrid.build_graded(alpha, eps_stop=2.0 ** -11)
-    tensor = default_scan_bidisk_grid(beta_t)
+    tensor = None if p == 2.0 else default_scan_bidisk_grid(beta_t)
     out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
     for s in s_values:
         f = PowerSingularity(s)

@@ -34,6 +34,11 @@ from the extrapolated number, and are stored once, as
 ``NormResult.verdict``.  Every disk and ball integral and every Taylor
 lift takes ``classify_partials``'s ``strict`` rule; only the closed-form
 lifts of ``lifting._closed_form_norm`` take the lenient ``scan`` rule.
+
+The same two functions serve ``lifting.lifted_norm_series``, whose
+levels are truncation degrees N = 2^6, ..., 2^14 of a series rather than
+radii: its partial sums take the ``strict`` verdict and ``richardson``
+in delta = 1/N, and its ``NormResult.eps_values`` hold those 1/N.
 """
 from __future__ import annotations
 
@@ -471,7 +476,7 @@ class BidiskGrid:
         O(N^2 d).  Otherwise the bidisk function is evaluated
         as Zpow @ C @ Wpow^T in row passes of the kernels' element budget
         and |.|^p is summed into ring blocks by
-        ``_kernels.ring_block_sums``."""
+        ``_kernels._ring_block_sums``."""
         cmat = np.asarray(cmat, dtype=complex)
         if p == 2.0:
             block = self.pairing_block(cmat, cmat).real
@@ -479,7 +484,7 @@ class BidiskGrid:
         g = self.factor
         zp = _powers(g.nodes, cmat.shape[0])
         right = cmat @ _powers(g.nodes, cmat.shape[1]).T
-        block = _kernels.ring_block_sums(
+        block = _kernels._ring_block_sums(
             lambda lo, hi: np.abs(zp[lo:hi] @ right) ** p,
             g.weights, g.ring, g.n_levels)
         return self.protocol_from_block(block, rule="strict")

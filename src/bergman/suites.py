@@ -14,10 +14,11 @@ from .functions import BallPoly, PowerSingularity, TaylorPoly, \
     radial_metric_ratio
 from .geometry import ball_metric, ball_phi, beta, double_radius, mobius, \
     pseudo_disk, rho
-from .lifting import TensorPoly, bidisk_norm, bidisk_pairing, \
-    default_poly_bidisk_grid, diagonal_norm, divergence_coefficients, \
-    divergence_demo, harmonic_numbers, homogeneous_lift_component, lift, \
-    lift_norm_series_A2, lifting_scan, monomial_log_norm_exact
+from .lifting import TensorPoly, _closed_form_norm, bidisk_norm, \
+    bidisk_pairing, default_poly_bidisk_grid, default_scan_bidisk_grid, \
+    diagonal_norm, divergence_coefficients, divergence_demo, \
+    harmonic_numbers, homogeneous_lift_component, lift, lifted_norm_series, \
+    lifting_scan, monomial_log_norm_exact
 from .quadrature import BallGrid, DiskGrid, WeightParams, ball_norm_p, \
     derivative_seminorm, fit_growth_exponent, forelli_rudin_exact, \
     forelli_rudin_scan, forelli_rudin_sup, grid_for, log_ladder, \
@@ -407,10 +408,23 @@ def _suite_thm11(seed: int, rep: ExperimentReport):
     for _ in range(50):
         deg = int(rng.integers(1, 21))
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        cases.append((deg, bidisk_norm(lift(TaylorPoly(c)), 2, 0.0,
-                                       grid=grid), lift_norm_series_A2(c)))
+        f = TaylorPoly(c)
+        cases.append((deg, bidisk_norm(lift(f), 2, 0.0, grid=grid),
+                      lifted_norm_series(f, 0.0).value))
     rep.checks.append(_max_rel_error_check("series_vs_quadrature_max_rel_dev",
                                            cases, 1e-6, "degree"))
+
+    # bidisk_norm takes the p = 2 lifts of (1-z)^(-s) from their series;
+    # this keeps the pair kernel's quadrature of them checked
+    scan_grid = default_scan_bidisk_grid(0.0)
+    cases = [(s, _closed_form_norm(PowerSingularity(s), 2.0, scan_grid),
+              lifted_norm_series(PowerSingularity(s), 0.0).value)
+             for s in (0.2, 0.4, 0.6)]
+    rec = _max_rel_error_check("p2_lift_quadrature_vs_series_max_rel_dev",
+                               cases, 1e-6, "s")
+    rec.info["rel_dev_by_s"] = {str(s): abs(res.value - exact) / exact
+                                for s, res, exact in cases}
+    rep.checks.append(rec)
 
     zs = sample_disk(rng, 1000)
     worst_diag = 0.0

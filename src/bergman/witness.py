@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -42,7 +41,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .functions import BallPoly, HoloFunction
+from .functions import BallPoly, HoloFunction, LogKernel, PowerSingularity, \
+    TaylorPoly
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
 from .quadrature import BallGrid, NormResult, WeightParams, disk_ladder, \
@@ -139,11 +139,26 @@ class _Sups:
         return self.h[idx]
 
 
+def _function_key(f: HoloFunction) -> tuple:
+    """f's part of the cache key: its class with its coefficient bytes
+    (``TaylorPoly``), its monomial table (``BallPoly``) or its
+    parameter, so that no float is formatted on a lookup."""
+    if isinstance(f, TaylorPoly):
+        return TaylorPoly, f.coeffs.tobytes()
+    if isinstance(f, BallPoly):
+        return BallPoly, f.n, tuple(sorted(f.terms.items()))
+    if isinstance(f, PowerSingularity):
+        return PowerSingularity, f.s
+    if isinstance(f, LogKernel):
+        return (LogKernel,)
+    raise TypeError(f"no witness for {type(f).__name__}")
+
+
 def _sups(f: HoloFunction, z, r: float, values) -> _Sups:
     """The cache entry of f, r and the points z, made on a miss; ``values``
     is f(z) where the caller has it, else None."""
-    key = (json.dumps(f.to_json()), round(r, 15),
-           hashlib.sha1(z.tobytes()).hexdigest())
+    key = (*_function_key(f), round(r, 15),
+           hashlib.sha1(z.tobytes()).digest())
     entry = _H_CACHE.get(key)
     if entry is not None:
         _H_CACHE.move_to_end(key)

@@ -367,16 +367,16 @@ def quotients(monkeypatch):
     """Records the off-diagonal pair quotients each chunk of the pass
     keeps: its cells j > i, twice over when it takes the mirrored term."""
     seen = []
-    chunk = _kernels._pair_chunk
+    chunk = _kernels._PairPass.__call__
 
-    def counting(z, parts, i0, i1, p, derivative, mirrored):
-        v = chunk(z, parts, i0, i1, p, derivative, mirrored)
+    def counting(self, i0, i1):
+        v = chunk(self, i0, i1)
         rows = i1 - i0
         kept = rows * v.shape[1] - rows * (rows + 1) // 2
-        seen.append(kept * (2 if mirrored else 1))
+        seen.append(kept * (2 if self.mirrored else 1))
         return v
 
-    monkeypatch.setattr(_kernels, "_pair_chunk", counting)
+    monkeypatch.setattr(_kernels._PairPass, "__call__", counting)
     return seen
 
 
@@ -418,6 +418,63 @@ def test_mirrored_pairs_all_under_the_switchover(p, s, variant):
                                    N_RINGS, p, s, variant)
     np.testing.assert_allclose(got, _direct(z, w, ring, p, s, variant),
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("variant,s", VARIANTS)
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("gap", [3e-7, 3e-11])
+def test_pair_across_the_axis_takes_the_shared_scan(mirrored, monkeypatch,
+                                                    gap, p, s, variant):
+    """Two nodes of U ``gap`` apart across the real axis, in passes of six
+    rows, far apart in index, so the pair lies off the square block of its
+    pass.  The pass scans the same-side distances, 0.98 gap for this pair;
+    the mirrored distance adds 4 Im z_i Im z_j to it, so a mirrored pair
+    under the switchover is always flagged by that scan.  At 3e-11 apart
+    the plain quotient would lose all but about five digits to the
+    difference of the real parts of f."""
+    monkeypatch.setattr(_kernels, "_BUDGET", 256)
+    n = 40
+    u, w, ring = (a[:n].copy() for a in mirrored)
+    u[3] = 0.6 + 0.1j * gap
+    u[35] = u[3] + np.sqrt(0.96) * gap
+    z, w, ring = (np.concatenate([u, u.conj()]), np.concatenate([w, w]),
+                  np.concatenate([ring, ring]))
+    assert abs(u[3] - u[35].conj()) == pytest.approx(gap, rel=1e-6)
+    got = _kernels.pair_block_sums(z, _family(z, s, variant), w, ring,
+                                   N_RINGS, p, s, variant)
+    np.testing.assert_allclose(got, _direct(z, w, ring, p, s, variant),
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("variant,s", VARIANTS)
+@pytest.mark.parametrize("p", [1.0, 4.0])
+def test_rows_in_one_ring_take_the_gemv(mirrored, p, s, variant):
+    """U sorted by ring, as the graded grids list their nodes: most passes
+    hold rows of one ring and are reduced by one gemv into that ring's
+    row of the accumulator, the others by the one-hot product."""
+    u, w, ring = (a[:N_HALF] for a in mirrored)
+    order = np.argsort(ring, kind="stable")
+    u, w, ring = u[order], w[order], ring[order]
+    z, w, ring = (np.concatenate([u, u.conj()]), np.concatenate([w, w]),
+                  np.concatenate([ring, ring]))
+    got = _kernels.pair_block_sums(z, _family(z, s, variant), w, ring,
+                                   N_RINGS, p, s, variant)
+    np.testing.assert_allclose(got, _direct(z, w, ring, p, s, variant),
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_outer_factors_are_the_outer_sum_bit_for_bit(mirrored, sign):
+    """The pass forms its difference and sum tables as BLAS products; each
+    cell must be the one rounding that numpy's outer takes, over nodes that
+    include pairs 1e-7 apart, on pass shapes of 5 to 128 rows."""
+    z = mirrored[0][:N_HALF]
+    ufunc = np.add if sign > 0 else np.subtract
+    for x in (z.real, z.imag, _family(z, 0.4, 0).imag):
+        left, right = _kernels._outer_factors(x, sign)
+        for rows in (5, 33, 128):
+            assert np.array_equal(left[40:40 + rows] @ right[:, 40:],
+                                  ufunc.outer(x[40:40 + rows], x[40:]))
 
 
 def test_mirrored_pass_visits_half_the_pairs(mirrored, quotients):

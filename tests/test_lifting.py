@@ -5,14 +5,16 @@ import pytest
 from scipy.special import gammaln
 
 from bergman.errors import ParameterError
-from bergman.functions import LogKernel, PowerSingularity, TaylorPoly
-from bergman.lifting import (LiftedFunction, TensorPoly, bidisk_norm,
-                             bidisk_pairing, diagonal_norm,
+from bergman.functions import (BallPoly, LogKernel, PowerSingularity,
+                               TaylorPoly)
+from bergman.lifting import (LiftedFunction, TensorPoly, _closed_form_norm,
+                             _lift_weights, bidisk_norm, bidisk_pairing,
+                             default_poly_bidisk_grid,
+                             default_scan_bidisk_grid, diagonal_norm,
                              divergence_coefficients, divergence_demo,
                              harmonic_numbers, homogeneous_lift_component,
-                             lift, lift_norm_series_A2, lifting_scan,
-                             log_weighted_norm, monomial_log_norm_exact,
-                             default_poly_bidisk_grid)
+                             lift, lifted_norm_series, lifting_scan,
+                             log_weighted_norm, monomial_log_norm_exact)
 from bergman import _kernels
 from bergman.quadrature import (BidiskGrid, DiskGrid, WeightParams,
                                 grid_for, monomial_norm_exact, norm_p,
@@ -149,7 +151,7 @@ class TestBidiskNorm:
             deg = int(rng.integers(2, 21))
             c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             res = bidisk_norm(lift(TaylorPoly(c)), 2, 0.0, grid=grid)
-            series = lift_norm_series_A2(c)
+            series = lifted_norm_series(TaylorPoly(c), 0.0).value
             assert res.converged
             np.testing.assert_allclose(res.value, series, rtol=1e-6)
 
@@ -199,19 +201,116 @@ class TestBidiskNorm:
         assert max(ratios) < 50.0
 
 
+def _series(coeffs, beta=0.0):
+    return lifted_norm_series(TaylorPoly(coeffs), beta).value
+
+
 class TestSeriesNorm:
     def test_identity(self):
-        assert lift_norm_series_A2([0, 1]) == pytest.approx(1.0)
+        assert _series([0, 1]) == pytest.approx(1.0)
 
     def test_square(self):
-        assert lift_norm_series_A2([0, 0, 1]) == pytest.approx(1.0)
+        assert _series([0, 0, 1]) == pytest.approx(1.0)
 
     def test_zero(self):
-        assert lift_norm_series_A2([0.0]) == 0.0
+        assert _series([0.0]) == 0.0
+        assert _series([2.0], beta=0.5) == 0.0
 
     def test_single_high_term(self):
         # k = 2 contribution is 2 |a|^2 H_2 / 3 = |a|^2 for a_2 = 1
-        assert lift_norm_series_A2([0, 0, 1.0]) == pytest.approx(1.0)
+        assert _series([0, 0, 1.0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("beta", [-0.25, 0.5, 1.0, 2.0])
+    def test_taylor_series_is_the_weighted_quadrature(self, beta):
+        # the finite sum against the ring-moment quadrature at weight
+        # beta, within the quadrature's own error estimate: 1.2e-6
+        # relative at beta = -0.25, 9e-10 at 0.5, and rounding at the
+        # integer weights, where the radial rule is exact
+        c = np.random.default_rng(11).normal(size=13) + 0.5j
+        res = lifted_norm_series(TaylorPoly(c), beta)
+        quad = bidisk_norm(lift(TaylorPoly(c)), 2, beta)
+        assert res.verdict == quad.verdict == "member"
+        assert abs(res.value - quad.value) \
+            <= quad.estimated_error + 1e-12 * res.value
+
+
+def _mpmath_lifted_norm(f):
+    """int int |L f|^2 dA dA to 20 digits.  For (1-z)^(-s) it is
+    2 sum_k (s)_k^2 H_k / (k! (k+1)!) = 2 int_0^1 (F(1) - F(x)) / (1-x) dx
+    with F = 2F1(s, s; 2; .), by H_k = int_0^1 (1 - x^k) / (1-x) dx; F(1)
+    is Gamma(2 - 2s) / Gamma(2 - s)^2.  The digits lost to F(1) - F(x) as
+    x -> 1 are made up by working at 50.  For log(1/(1-z)) it is
+    2 sum H_k / (k^2 (k+1)) = 4 zeta(3) - 2 zeta(2)."""
+    import mpmath
+    with mpmath.workdps(50):
+        if isinstance(f, LogKernel):
+            return float(4 * mpmath.zeta(3) - 2 * mpmath.zeta(2))
+        s = mpmath.mpf(f.s)
+        top = mpmath.gamma(2 - 2 * s) / mpmath.gamma(2 - s) ** 2
+        return float(2 * mpmath.quad(
+            lambda x: (top - mpmath.hyp2f1(s, s, 2, x)) / (1 - x),
+            [0, 0.5, 1]))
+
+
+class TestLiftedNormSeries:
+    @pytest.mark.parametrize("f", [PowerSingularity(0.1),
+                                   PowerSingularity(0.2),
+                                   PowerSingularity(0.4),
+                                   PowerSingularity(0.6),
+                                   PowerSingularity(0.8), LogKernel()],
+                             ids=["s0.1", "s0.2", "s0.4", "s0.6", "s0.8",
+                                  "log"])
+    def test_matches_mpmath(self, f):
+        # measured: 5e-15 to 1.4e-12; the estimate covers each error
+        exact = _mpmath_lifted_norm(f)
+        res = lifted_norm_series(f, 0.0)
+        assert res.verdict == "member"
+        assert abs(res.value - exact) <= 1e-10 * exact
+        assert abs(res.value - exact) <= res.estimated_error
+
+    @pytest.mark.parametrize("f", [PowerSingularity(0.4), LogKernel()],
+                             ids=["power", "log"])
+    def test_is_the_lift_norm_at_p2(self, f):
+        res = bidisk_norm(lift(f), 2, 0.0)
+        assert res.value == lifted_norm_series(f, 0.0).value
+        with pytest.raises(ParameterError, match="no grid"):
+            bidisk_norm(lift(f), 2, 0.0, grid=default_scan_bidisk_grid(0.0))
+
+    @pytest.mark.parametrize("s", [1.0, 1.2])
+    def test_non_member_at_and_past_the_threshold(self, s):
+        res = lifted_norm_series(PowerSingularity(s), 0.0)
+        assert res.verdict == "non-member"
+        assert res.estimated_error == float("inf")
+
+    @pytest.mark.parametrize("beta", [-0.25, 0.5, 1.0])
+    def test_weights_are_the_convolution(self, beta):
+        # the monomial norms as an extended-precision running product
+        # (``monomial_norm_exact`` through gammaln is 2e-12 off at
+        # i = 2^14), then the direct convolution
+        n = 2 ** 14
+        i = np.arange(1, n, dtype=np.longdouble)
+        gamma = np.concatenate([[1.0], np.cumprod(i / (i + beta + 1))])
+        np.testing.assert_allclose(gamma[:40].astype(float), [
+            monomial_norm_exact(k, beta) for k in range(40)], rtol=1e-12)
+        gamma = gamma.astype(float)
+        want = np.convolve(gamma, gamma)[:n]
+        np.testing.assert_allclose(_lift_weights(beta, n), want,
+                                   rtol=1e-13, atol=1e-15 * want[0])
+
+    @pytest.mark.parametrize("beta", [-0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("s", [0.2, 0.4])
+    def test_matches_the_pair_kernel_off_beta_zero(self, s, beta):
+        # measured: 2.8e-9 to 5.4e-6, largest at beta = -0.25, where the
+        # corner exponent 1.5 - 2s is smallest
+        f = PowerSingularity(s)
+        quad = _closed_form_norm(f, 2.0, default_scan_bidisk_grid(beta))
+        res = lifted_norm_series(f, beta)
+        assert quad.verdict == res.verdict == "member"
+        np.testing.assert_allclose(res.value, quad.value, rtol=1e-5)
+
+    def test_refuses_other_functions(self):
+        with pytest.raises(TypeError):
+            lifted_norm_series(BallPoly(2, {(1, 0): 1.0}), 0.0)
 
 
 class TestLogWeightedNorm:
@@ -279,16 +378,6 @@ def _power_coefficients(s, n):
     """a_k = (s)_k / k! of (1 - z)^(-s), k < n."""
     k = np.arange(n, dtype=float)
     return np.exp(gammaln(k + s) - gammaln(s) - gammaln(k + 1.0))
-
-
-def _lifted_series_of_power(s, n_terms=2 ** 20):
-    """int int |Lf|^2 dA dA = 2 sum_k |a_k|^2 H_k / (k+1) for (1-z)^(-s),
-    0 < s < 1: ``n_terms`` terms plus the integral of the asymptotic tail
-    2 k^(2s-3) (log k + gamma) / Gamma(s)^2."""
-    head = lift_norm_series_A2(_power_coefficients(s, n_terms))
-    K, e = float(n_terms), 2.0 - 2.0 * s
-    return head + 2.0 * np.exp(-2.0 * gammaln(s)) * K ** (-e) * (
-        (np.log(K) + np.euler_gamma) / e + 1.0 / e ** 2)
 
 
 def _lifted_square_partials(s, beta, degrees):
@@ -389,10 +478,14 @@ class TestLiftingScan:
 
     @pytest.mark.parametrize("s", [0.2, 0.4, 0.6])
     def test_p2_lifted_norms_match_series(self, s):
-        # without the ladder the errors are 1.8e-4, 2.2e-3 and 2.4e-2
-        res = bidisk_norm(lift(PowerSingularity(s)), 2, 0.0)
+        # the pair kernel's quadrature, which bidisk_norm no longer takes
+        # at p = 2: 1.0e-7, 5.3e-7 and 7.7e-8 off; without the ladder the
+        # errors are 1.8e-4, 2.2e-3 and 2.4e-2
+        f = PowerSingularity(s)
+        res = _closed_form_norm(f, 2.0, default_scan_bidisk_grid(0.0))
         assert res.converged
-        np.testing.assert_allclose(res.value, _lifted_series_of_power(s),
+        np.testing.assert_allclose(res.value,
+                                   lifted_norm_series(f, 0.0).value,
                                    rtol=1e-5)
 
     @pytest.mark.parametrize("s,p,beta", [(1.5, 1.0, 0.0), (0.6, 2.0, 0.0),
@@ -401,12 +494,13 @@ class TestLiftingScan:
         # the default scan grid (6 x 5 panels) against the 12 x 6 graded
         # grid: deviations 2.1e-8 to 3.3e-8; with 4 x 5 panels up to
         # 4.0e-7, with 6 x 4 up to 1.2e-6
+        # (the quadrature itself: at p = 2 bidisk_norm takes the series)
         fine = BidiskGrid(DiskGrid.build_graded(
             beta, eps_stop=2.0 ** -10, nodes_per_panel=12, theta_per_panel=6))
-        F = lift(PowerSingularity(s))
-        np.testing.assert_allclose(bidisk_norm(F, p, beta).value,
-                                   bidisk_norm(F, p, beta, grid=fine).value,
-                                   rtol=1e-7)
+        f = PowerSingularity(s)
+        np.testing.assert_allclose(
+            _closed_form_norm(f, p, default_scan_bidisk_grid(beta)).value,
+            _closed_form_norm(f, p, fine).value, rtol=1e-7)
 
     def test_mode_preconditions(self):
         with pytest.raises(ParameterError):

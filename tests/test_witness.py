@@ -71,6 +71,24 @@ class TestLocalSup:
             local_sup_h(BallPoly(2, {(1, 0): 1.0}), np.zeros((3, 2), complex),
                         0.5)
 
+    def test_cache_keeps_one_bit_apart(self, monkeypatch):
+        # two polynomials whose coefficients differ in the last bit of one
+        # of them get two cache entries; an equal copy hits the first
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+        c = np.array([0.3, 1.0 - 0.5j, 0.25j, 0.7])
+        bumped = c.copy()
+        bumped[2] = complex(0.0, np.nextafter(0.25, 1.0))
+        assert not np.array_equal(bumped, c)
+        z = sample_disk(np.random.default_rng(3), 40)
+        for coeffs in (c, bumped, c.copy()):
+            local_sup_h(TaylorPoly(coeffs), z, 0.5)
+        assert len(witness._H_CACHE) == 2
+        keys = [witness._function_key(TaylorPoly(a)) for a in (c, bumped)]
+        assert keys[0] != keys[1]
+        assert keys[0] == witness._function_key(TaylorPoly(c.copy()))
+        assert witness._function_key(PowerSingularity(0.4)) \
+            != witness._function_key(PowerSingularity(np.nextafter(0.4, 1)))
+
 
 class TestBuildWitness:
     def test_zero_function(self):
