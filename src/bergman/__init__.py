@@ -11,8 +11,7 @@ from .functions import (BallPoly, HoloFunction, LogKernel, PowerSingularity,
                         TaylorPoly, radial_metric_ratio)
 from .quadrature import (BallGrid, BidiskGrid, DiskGrid, NormResult,
                          WeightParams, derivative_seminorm,
-                         fit_growth_exponent, forelli_rudin_integral,
-                         monomial_norm_exact, norm_p)
+                         fit_growth_exponent, monomial_norm_exact, norm_p)
 from .witness import (ViolationReport, Witness, build_witness,
                       build_witness_ball, derivative_bound_check,
                       local_sup_h, verify_lipschitz, witness_integrability)
@@ -28,7 +27,7 @@ __all__ = [
     "TaylorPoly", "radial_metric_ratio",
     "BallGrid", "BidiskGrid", "DiskGrid", "NormResult", "WeightParams",
     "derivative_seminorm", "fit_growth_exponent",
-    "forelli_rudin_integral", "monomial_norm_exact", "norm_p",
+    "monomial_norm_exact", "norm_p",
     "ViolationReport", "Witness", "build_witness", "build_witness_ball",
     "derivative_bound_check", "local_sup_h", "verify_lipschitz",
     "witness_integrability",

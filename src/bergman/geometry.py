@@ -95,13 +95,23 @@ class EuclideanDisk:
 
 
 def pseudo_disk_params(z, r: float):
-    """Vectorized (center, radius) of D(z, r) for an array of centers z."""
+    """Vectorized (center, radius) of D(z, r) for an array of centers z:
+    (1 - r^2) z / d and r (1 - |z|^2) / d with d = 1 - r^2 |z|^2.
+
+    1 - |z|^2 is formed as (1 - |z|)(1 + |z|), where 1 - |z| is exact
+    for |z| >= 1/2, and d as (1 - r^2) + r^2 (1 - |z|^2), a sum of two
+    positive terms.  Both are then within a few ulps of their values at
+    numpy's |z|, which is exact on the axes; from the rounded |z|^2 they
+    would be up to eps / (1 - |z|^2) off (3.5e-11 relative at
+    |z| = 0.999997).  Off the axes the rounding of |z| itself still moves
+    1 - |z| by up to eps / (1 - |z|) relative."""
     if not 0.0 < r < 1.0:
         raise ParameterError("radius must lie in (0, 1)")
     z = _as_disk(z)
-    zz = np.abs(z) ** 2
-    den = 1.0 - r * r * zz
-    return (1.0 - r * r) * z / den, r * (1.0 - zz) / den
+    mod = np.abs(z)
+    gap = (1.0 - mod) * (1.0 + mod)
+    den = (1.0 - r * r) + r * r * gap
+    return (1.0 - r * r) * z / den, r * gap / den
 
 
 def pseudo_disk(z: complex, r: float) -> EuclideanDisk:

@@ -39,11 +39,24 @@ The same two functions serve ``lifting.lifted_norm_series``, whose
 levels are truncation degrees N = 2^6, ..., 2^14 of a series rather than
 radii: its partial sums take the ``strict`` verdict and ``richardson``
 in delta = 1/N, and its ``NormResult.eps_values`` hold those 1/N.
+
+The protocol runs on Python floats.  Its sequences are short (7-9
+levels on most grids), and on them each numpy call costs more in
+dispatch than in arithmetic: on arrays, the verdict and extrapolation
+of a p = 2 Taylor lift would take longer than its ring blocks.  The
+float loops keep numpy's operation order.  ``richardson``'s
+eliminations are bit for bit the array ones: the ladders and the
+per-stage denominators of each level set are computed once, by numpy,
+and cached (ladders are handed out as fresh lists).
+``classify_partials`` takes the geometric mean of its ratios through
+``math``'s log and exp, which may differ from numpy's in the last bit;
+that moves a verdict only for a mean within an ulp of DIVERGE_RATIO.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +75,7 @@ MEMBER_RATIO = 0.9    # increments must decay faster than this, last 4 ratios
 DIVERGE_RATIO = 1.05  # geometric-mean ratio at/above this flags divergence
 SCAN_RATIO = 0.95     # lenient final-ratio bound for slowly decaying tails
 LADDER_LEN = 8        # tail exponents per extrapolation ladder
+_CACHE_SIZE = 256     # entries per ladder and denominator cache
 
 
 @dataclass(frozen=True)
@@ -101,10 +115,20 @@ class NormResult:
 
 
 def disk_ladder(alpha: float):
-    return [alpha + 1.0 + m for m in range(LADDER_LEN)]
+    return list(_disk_ladder(alpha))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _disk_ladder(alpha: float) -> tuple:
+    return tuple([alpha + 1.0 + m for m in range(LADDER_LEN)])
 
 
 def bidisk_ladder(alpha: float):
+    return list(_bidisk_ladder(alpha))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _bidisk_ladder(alpha: float) -> tuple:
     a = alpha + 1.0
     cand = sorted({round(e, 12) for m in range(LADDER_LEN)
                    for e in (a + m, 2.0 * a + m)})
@@ -112,13 +136,40 @@ def bidisk_ladder(alpha: float):
     for e in cand:
         if not out or e - out[-1] > 1e-9:
             out.append(e)
-    return out[:LADDER_LEN]
+    return tuple(out[:LADDER_LEN])
+
+
+_LOG_LADDER = tuple([float(1 + m // 2) for m in range(LADDER_LEN)])
 
 
 def log_ladder():
     """Repeated integer exponents 1, 1, 2, 2, ...; each repeat absorbs
     one log factor."""
-    return [float(1 + m // 2) for m in range(LADDER_LEN)]
+    return list(_LOG_LADDER)
+
+
+def _float_key(values) -> tuple:
+    """``values`` as a tuple of Python floats, a cache key.  Every tuple
+    the protocol builds is built from a list: one grown from an iterator
+    is resized, and on release it stays on the interpreter's tuple free
+    list of its final size, which then holds up to 2,000 of them."""
+    return tuple(np.asarray(values, float).tolist())
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _richardson_denominators(deltas: tuple, ladder: tuple) -> tuple:
+    """Per stage j the tuple (d_i / d_(i+1))^(a_j) - 1 over the levels
+    still in play, by numpy's power as an array, so the floats equal the
+    ones an array elimination divides by.  A zero denominator (a zero
+    exponent) is kept as a numpy float: dividing by it gives inf or nan
+    under numpy's warning, where a Python float would raise."""
+    d = np.array(deltas)
+    stages = []
+    for a in ladder[: len(d) - 1]:
+        q = ((d[:-1] / d[1:]) ** a - 1.0).tolist()
+        stages.append(tuple([x if x else np.float64(x) for x in q]))
+        d = d[1:]
+    return tuple(stages)
 
 
 def richardson(deltas, partials, ladder):
@@ -131,17 +182,17 @@ def richardson(deltas, partials, ladder):
     module docstring); a repeated exponent absorbs a delta^a log delta
     term.  Returns (estimate, error_estimate); the error estimate is the
     change introduced by the last elimination stage.
-    """
-    d = np.asarray(deltas, float)
-    T = np.asarray(partials, float).copy()
-    stages = min(len(ladder), len(T) - 1)
+
+    Each stage's denominators depend only on the levels and the ladder
+    and are computed once per pair (``_richardson_denominators``)."""
+    T = np.asarray(partials, float).tolist()
+    if len(deltas) < len(T):
+        raise ParameterError("need a truncation depth for every partial")
+    den = _richardson_denominators(_float_key(deltas), _float_key(ladder))
+    stages = min(len(den), len(T) - 1)
     prev_last = T[-1]
     for j in range(stages):
-        a = ladder[j]
-        m = len(T)
-        ratio = (d[: m - 1] / d[1:m]) ** a
-        T = T[1:] + (T[1:] - T[:-1]) / (ratio - 1.0)
-        d = d[1:]
+        T = [t1 + (t1 - t0) / q for t0, t1, q in zip(T, T[1:], den[j])]
         if j == stages - 2:
             prev_last = T[-1]
     return float(T[-1]), float(abs(T[-1] - prev_last))
@@ -158,22 +209,25 @@ def classify_partials(partials, rule: str = "strict") -> str:
     ``scan``: additionally accepts slowly decaying tails whose ratios are
     below 1 with the final ratio at most SCAN_RATIO.
     """
-    F = np.asarray(partials, float)
+    F = np.asarray(partials, float).tolist()
     if len(F) < 3:
         return "undecided"
     scale = max(abs(F[-1]), 1e-300)
-    inc = np.diff(F)
-    if np.all(np.abs(inc) <= 1e-13 * scale):
+    inc = [b - a for a, b in zip(F, F[1:])]
+    if all(abs(x) <= 1e-13 * scale for x in inc):
         return "member"
-    pos = np.maximum(inc, 1e-300)
-    ratios = pos[1:] / pos[:-1]
-    last = ratios[-4:] if len(ratios) >= 4 else ratios
-    gm = float(np.exp(np.mean(np.log(last))))
-    if np.all(last < MEMBER_RATIO):
+    pos = [max(x, 1e-300) for x in inc]  # a nan stays nan
+    last = [b / a for a, b in zip(pos, pos[1:])][-4:]
+    if all(r < MEMBER_RATIO for r in last):
         return "member"
-    if gm >= DIVERGE_RATIO or np.all(last >= 1.0):
+    log_sum = 0.0  # summed in order, as numpy reduces four terms
+    for r in last:  # a ratio underflows to 0 past a 1e-300 floor
+        log_sum += math.log(r) if r != 0.0 else -math.inf
+    gm = math.exp(log_sum / len(last))
+    if gm >= DIVERGE_RATIO or all(r >= 1.0 for r in last):
         return "non-member"
-    if rule == "scan" and np.all(last < 1.0) and last[-1] <= SCAN_RATIO:
+    if rule == "scan" and all(r < 1.0 for r in last) \
+            and last[-1] <= SCAN_RATIO:
         return "member"
     return "undecided"
 
@@ -414,14 +468,17 @@ class BidiskGrid:
     def __init__(self, factor: DiskGrid):
         self.factor = factor
         self.alpha = factor.alpha
-        self._moments = {}  # (d1, d2) -> read-only ring moment table
+        self._moments = {}  # (d1, d2) -> read-only ring moment tables
 
     @property
     def node_count(self) -> int:
         return self.factor.node_count ** 2
 
     def block_partials(self, block) -> np.ndarray:
-        return np.cumsum(np.cumsum(block, axis=0), axis=1).diagonal().copy()
+        """Diagonal partials S_i = sum_(a, b <= i) block[a, b]: the
+        diagonal of the doubly accumulated blocks, as a strided view."""
+        acc = np.add.accumulate(np.add.accumulate(block, 0), 1)
+        return acc.ravel()[:: len(acc) + 1]
 
     def protocol_from_block(self, block, rule: str,
                             ladder=None) -> NormResult:
@@ -439,9 +496,15 @@ class BidiskGrid:
         Computed on the first request for (d1, d2) and returned, read-only,
         on every later one; the factor's arrays are read-only, so the
         table cannot go stale.  A table is levels * d1 * d2 complex: 45 KB
-        at 7 levels and d1 = d2 = 20."""
-        M = self._moments.get((d1, d2))
-        if M is None:
+        at 7 levels and d1 = d2 = 20, kept twice (``_moment_tables``)."""
+        return self._moment_tables(d1, d2)[0]
+
+    def _moment_tables(self, d1: int, d2: int):
+        """``ring_moments(d1, d2)`` and the same table laid out
+        [k, a, l], both read-only and kept per shape: ``pairing_block``
+        contracts each layout with one flat GEMM."""
+        tables = self._moments.get((d1, d2))
+        if tables is None:
             g = self.factor
             wz = g.weights[:, None] * _powers(g.nodes, d1)
             cz = _powers(np.conj(g.nodes), d2)
@@ -449,31 +512,40 @@ class BidiskGrid:
             for a in range(g.n_levels):
                 m = g.ring == a
                 M[a] = wz[m].T @ cz[m]
-            _read_only(M)
-            self._moments[(d1, d2)] = M
-        return M
+            tables = M, np.ascontiguousarray(M.transpose(1, 0, 2))
+            _read_only(*tables)
+            self._moments[(d1, d2)] = tables
+        return tables
 
     def pairing_block(self, A, B) -> np.ndarray:
         """Ring blocks of the weighted pairing of sum A_km z^k w^m with
         sum B_ln z^l w^n: block[a, b] = sum A_km conj(B_ln) Mz_a[k, l]
         Mw_b[m, n], from the ring moments alone (no pass over node pairs).
-        The blocks sum to the pairing over the whole tensor grid."""
+        The blocks sum to the pairing over the whole tensor grid.
+
+        Three plain 2-D GEMMs on flattened tables, in O(levels d^3 +
+        levels^2 d^2): A against the w-table laid out [m, b, n], then
+        conj(B) against n, giving P[k, b, l] = (A Mw_b B^H)[k, l]; one
+        transposing copy of P to [b, (k, l)]; then the z-table as
+        [a, (k, l)] against it."""
         A = np.asarray(A, dtype=complex)
         B = np.asarray(B, dtype=complex)
-        Mz = self.ring_moments(A.shape[0], B.shape[0])
-        Mw = self.ring_moments(A.shape[1], B.shape[1])
-        # P[b, k, l] = sum_(m, n) A_km Mw_b[m, n] conj(B_ln)
-        P = A @ Mw @ np.conj(B).T
-        return np.einsum("akl,bkl->ab", Mz, P)
+        (k, m), (l, n) = A.shape, B.shape
+        Mz = self._moment_tables(k, l)[0]
+        Mw = self._moment_tables(m, n)[1]
+        levels = len(Mz)
+        P = (A @ Mw.reshape(m, -1)).reshape(-1, n) @ np.conj(B).T
+        P = P.reshape(k, levels, l).transpose(1, 0, 2).reshape(levels, -1)
+        return Mz.reshape(levels, -1) @ P.T
 
     def coefficient_norm(self, cmat, p: float) -> NormResult:
         """Protocol integral of |sum_ij c_ij z^i w^j|^p.
 
         At p = 2 the node double sum factors exactly by ring through the
-        ring moments (``pairing_block`` of C with itself): O(levels N d^2)
-        for the first matrix of its shape on this grid, then
-        O(levels d^3) from the grid's read-only moment tables, instead of
-        O(N^2 d).  Otherwise the bidisk function is evaluated
+        ring moments (``pairing_block`` of C with itself, three flat
+        GEMMs): O(levels N d^2) for the first matrix of its shape on this
+        grid, then O(levels d^3) from the grid's read-only moment tables,
+        instead of O(N^2 d).  Otherwise the bidisk function is evaluated
         as Zpow @ C @ Wpow^T in row passes of the kernels' element budget
         and |.|^p is summed into ring blocks by
         ``_kernels._ring_block_sums``."""
@@ -633,12 +705,6 @@ def derivative_seminorm(f: HoloFunction, wp: WeightParams,
 # Forelli-Rudin growth integrals and exponent fitting
 # ---------------------------------------------------------------------------
 
-def forelli_rudin_integral(x: float, s: float, t: float) -> NormResult:
-    """I(x) = int (1-|w|^2)^s / |1 - x w|^(2+s+t) dA(w) for 0 <= x < 1,
-    the one-radius ``forelli_rudin_scan``."""
-    return forelli_rudin_scan([x], [(s, t)])[(s, t)][0]
-
-
 def forelli_rudin_exact(x: float, s: float, t: float) -> float:
     """Closed form of I(x): 2F1(lam, lam; s+2; x^2) / (s+1) with
     lam = (2+s+t)/2, from the Taylor expansion of the kernel."""
@@ -660,8 +726,9 @@ def forelli_rudin_sup(s: float, t: float) -> float:
 
 
 def forelli_rudin_scan(radii, st_pairs) -> dict:
-    """I(x) for every |z| in ``radii`` and (s, t) in ``st_pairs``, sharing
-    one graded grid per radius; returns {(s, t): [NormResult, ...]}.
+    """I(x) = int (1-|w|^2)^s / |1 - x w|^(2+s+t) dA(w) for every
+    0 <= x < 1 in ``radii`` and (s, t) in ``st_pairs``, sharing one graded
+    grid per radius; returns {(s, t): [NormResult, ...]}.
 
     By rotation invariance only |z| = x matters.  The grid is angularly
     graded (the kernel peaks at w = 1), carries dA = dA_0 with

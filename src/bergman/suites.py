@@ -458,17 +458,32 @@ def _suite_thm11(seed: int, rep: ExperimentReport):
         + 1.5j * lift(TaylorPoly(c2))(z, w)))
     rep.checks.append(check("lifting_linearity_max_defect", lin, 1e-12, "<="))
 
-    # diagonal restriction lands boundedly in the heavier weight
-    ratios = []
+    # diagonal restriction lands boundedly in the heavier weight: F(z, z)
+    # = f', so the ratio is sum |a_k|^2 6k/((k+1)(k+2)) over
+    # sum |a_k|^2 2 H_k/(k+1), at most max_k 3k/((k+2) H_k) = 1 (k = 1, 2)
+    ratios, nums, dens = [], [], []
     for _ in range(5):
         deg = int(rng.integers(1, 9))
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         F = lift(TaylorPoly(c))
         num = diagonal_norm(F, 2, 2.0)
         den = bidisk_norm(F, 2, 0.0)
+        a2, k = np.abs(c[1:]) ** 2, np.arange(1.0, deg + 1.0)
+        nums.append((deg, num, float(np.sum(
+            a2 * 6 * k / ((k + 1) * (k + 2))))))
+        dens.append((deg, den, float(np.sum(
+            a2 * 2 * harmonic_numbers(deg)[1:] / (k + 1)))))
         ratios.append(num.value / den.value)
+    rep.checks.append(_max_rel_error_check(
+        "diagonal_restriction_numerator_max_rel_error", nums, 1e-8, "degree"))
+    rep.checks.append(_max_rel_error_check(
+        "diagonal_restriction_denominator_max_rel_error", dens, 1e-8,
+        "degree"))
     rep.checks.append(check("diagonal_restriction_empirical_constant",
-                            max(ratios), 1e3, "<="))
+                            max(ratios), 1.0 + 1e-8, "<=", info={
+                                "closed_form_ratios": [
+                                    n / d for (_, _, n), (_, _, d)
+                                    in zip(nums, dens)]}))
     rep.notes["diagonal_restriction_ratios"] = [float(x) for x in ratios]
 
     scan = lifting_scan((0.5, 1.0, 1.5), p=1.0, alpha=0.0, mode="thm11")

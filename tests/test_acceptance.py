@@ -161,6 +161,9 @@ class TestCriterion7Lifting:
         rep = suite("thm11")
         _check_closed_form_info(rep, "series_vs_quadrature_max_rel_dev",
                                 "degree")
+        for part in ("numerator", "denominator"):
+            _check_closed_form_info(
+                rep, f"diagonal_restriction_{part}_max_rel_error", "degree")
         assert _emit(rep)
 
     def test_rescued_weight_scan(self):

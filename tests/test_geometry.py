@@ -1,11 +1,14 @@
 """Tests for disk/ball metrics, pseudo-hyperbolic disks and automorphisms."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bergman.errors import DomainError, ParameterError
 from bergman.geometry import (EuclideanDisk, ball_metric, ball_phi, beta,
-                              double_radius, mobius, pseudo_disk, rho)
+                              double_radius, mobius, pseudo_disk,
+                              pseudo_disk_params, rho)
 from bergman.sampling import sample_ball, sample_disk
 
 
@@ -125,6 +128,43 @@ class TestPseudoDisk:
     def test_parameter_error(self):
         with pytest.raises(ParameterError):
             pseudo_disk(0.1, 1.0)
+
+    @staticmethod
+    def _exact(mod: Fraction, r: float):
+        """Centre factor (1 - r^2) / d and radius r (1 - |z|^2) / d,
+        d = 1 - r^2 |z|^2, in exact rationals."""
+        R = Fraction(r)
+        den = 1 - R * R * mod * mod
+        return (1 - R * R) / den, R * (1 - mod * mod) / den
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
+    def test_near_boundary_axes_match_exact_rationals(self, r):
+        # on the axes |z| is exact, and so are centre and radius as
+        # rationals; from the rounded |z|^2 the radius was up to
+        # eps / (1 - |z|^2) off, 3.5e-11 relative at |z| = 0.999997
+        mods = 1.0 - 3e-6 * (1.0 + np.arange(40) / 7.0)
+        z = np.concatenate([mods, -mods, 1j * mods, -1j * mods])
+        centers, radii = pseudo_disk_params(z, r)
+        tol = 8 * np.finfo(float).eps
+        for zi, c, rad in zip(z, centers, radii):
+            factor, want = self._exact(Fraction(abs(zi.real + zi.imag)), r)
+            assert abs(Fraction(float(rad)) - want) <= tol * want
+            for got, part in ((c.real, zi.real), (c.imag, zi.imag)):
+                exact = factor * Fraction(part)
+                assert abs(Fraction(float(got)) - exact) <= tol * abs(exact)
+
+    def test_near_boundary_exact_at_numpys_modulus(self):
+        # off the axes |z| is rounded once (numpy's abs); the radius is
+        # then within a few ulps of the exact one at that modulus
+        rng = np.random.default_rng(12)
+        gap = 10.0 ** rng.uniform(-6, -3, 200)
+        z = (1.0 - gap) * np.exp(2j * np.pi * rng.uniform(size=200))
+        r = 0.5
+        _, radii = pseudo_disk_params(z, r)
+        tol = 8 * np.finfo(float).eps
+        for zi, rad in zip(z, radii):
+            _, want = self._exact(Fraction(float(np.abs(zi))), r)
+            assert abs(Fraction(float(rad)) - want) <= tol * want
 
 
 class TestDoubleRadius:

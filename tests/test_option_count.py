@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bergman"
 DEFAULTED_PARAMETERS = 45
 SUITE_OPTIONS = 0  # a suite is a name and a seed
 RUN_OPTIONS = {"--seed", "--out"}
-PUBLIC_NAMES = 42
+PUBLIC_NAMES = 41
 
 
 def _trees():

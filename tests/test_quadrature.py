@@ -19,8 +19,8 @@ from bergman.quadrature import (BallGrid, BidiskGrid, DiskGrid, WeightParams,
                                 ball_norm_p, bidisk_ladder, classify_partials,
                                 derivative_seminorm, disk_ladder,
                                 fit_growth_exponent, forelli_rudin_exact,
-                                forelli_rudin_integral, forelli_rudin_scan,
-                                forelli_rudin_sup, grid_for, log_ladder,
+                                forelli_rudin_scan, forelli_rudin_sup,
+                                grid_for, log_ladder,
                                 monomial_norm_exact, norm_p,
                                 richardson, tail_head)
 from bergman.sampling import sample_disk
@@ -360,6 +360,183 @@ class TestProtocol:
         assert res.estimated_error == float("inf")
 
 
+# The numpy protocol that ``classify_partials`` and ``richardson`` replaced
+# with float loops, kept as the reference they must reproduce.
+def _numpy_richardson(deltas, partials, ladder):
+    d = np.asarray(deltas, float)
+    T = np.asarray(partials, float).copy()
+    stages = min(len(ladder), len(T) - 1)
+    prev_last = T[-1]
+    for j in range(stages):
+        a = ladder[j]
+        m = len(T)
+        ratio = (d[: m - 1] / d[1:m]) ** a
+        T = T[1:] + (T[1:] - T[:-1]) / (ratio - 1.0)
+        d = d[1:]
+        if j == stages - 2:
+            prev_last = T[-1]
+    return float(T[-1]), float(abs(T[-1] - prev_last))
+
+
+def _numpy_classify_partials(partials, rule="strict"):
+    F = np.asarray(partials, float)
+    if len(F) < 3:
+        return "undecided"
+    scale = max(abs(F[-1]), 1e-300)
+    inc = np.diff(F)
+    if np.all(np.abs(inc) <= 1e-13 * scale):
+        return "member"
+    pos = np.maximum(inc, 1e-300)
+    ratios = pos[1:] / pos[:-1]
+    last = ratios[-4:] if len(ratios) >= 4 else ratios
+    gm = float(np.exp(np.mean(np.log(last))))
+    if np.all(last < quadrature.MEMBER_RATIO):
+        return "member"
+    if gm >= quadrature.DIVERGE_RATIO or np.all(last >= 1.0):
+        return "non-member"
+    if rule == "scan" and np.all(last < 1.0) \
+            and last[-1] <= quadrature.SCAN_RATIO:
+        return "member"
+    return "undecided"
+
+
+def _seeded_sequence(rng):
+    """(deltas, partials, ladder): 3-25 levels, halving eps or a
+    geometric depth ladder, a tail of up to four power terms (growing in
+    about a third of the cases), relative noise 1e-16 to 1e-8, and a
+    ladder of 1-8 exponents in [0.01, 8] with repeats in about half."""
+    n = int(rng.integers(3, 26))
+    if rng.random() < 0.5:
+        eps = rng.uniform(0.02, 0.1) / 2.0 ** np.arange(n)
+        d = 1.0 - (1.0 - eps) ** 2
+    else:
+        d = rng.uniform(0.05, 0.5) * rng.uniform(0.2, 0.8) ** np.arange(n)
+    low = -1.0 if rng.random() < 0.3 else 0.01
+    tail = rng.uniform(low, 8.0, int(rng.integers(1, 5)))
+    value = rng.normal()
+    F = value - sum(rng.normal() * d ** e for e in tail)
+    F = F + 10.0 ** rng.uniform(-16, -8) * max(1.0, abs(value)) \
+        * rng.normal(size=n)
+    ladder = list(rng.uniform(0.01, 8.0, int(rng.integers(1, 9))))
+    if len(ladder) > 1 and rng.random() < 0.5:
+        i, j = rng.choice(len(ladder), 2, replace=False)
+        ladder[j] = ladder[i]
+    return d, F, ladder
+
+
+class TestProtocolOnFloats:
+    """``classify_partials`` and ``richardson`` run on Python floats; the
+    numpy versions they replaced are the reference."""
+
+    def test_matches_numpy_on_seeded_sequences(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(10_000):
+            d, F, ladder = _seeded_sequence(rng)
+            for rule in ("strict", "scan"):
+                verdict = classify_partials(F, rule=rule)
+                assert verdict == _numpy_classify_partials(F, rule), \
+                    (F, rule)
+                seen.add((rule, verdict))
+            got = richardson(d, F, ladder)
+            want = _numpy_richardson(d, F, ladder)
+            scale = max(abs(want[0]), abs(want[1]))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * scale, (d, F, ladder)
+        assert seen == {(rule, v) for rule in ("strict", "scan")
+                        for v in ("member", "non-member", "undecided")}
+
+    def test_protocol_matches_numpy(self):
+        rng = np.random.default_rng(32)
+        eps = quadrature.EPS_START / 2.0 ** np.arange(7)
+        d = 1.0 - (1.0 - eps) ** 2
+        for _ in range(200):
+            F = 1.0 - 0.3 * d ** rng.uniform(0.5, 4.0) \
+                + 1e-12 * rng.normal(size=7)
+            ladder = bidisk_ladder(rng.uniform(-0.5, 1.0))
+            res = quadrature._protocol(F, eps, ladder, "strict")
+            assert res.verdict == _numpy_classify_partials(F)
+            if res.verdict == "member":
+                value, err = _numpy_richardson(d, F, ladder)
+                assert abs(res.value - value) <= 1e-13 * abs(value)
+                assert abs(res.estimated_error - err) <= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize("rule", ["strict", "scan"])
+    def test_all_zero_increments_read_member(self, rule):
+        for F in ([2.5] * 5, [0.0] * 4, [1.0, 1.0 + 1e-14, 1.0]):
+            assert classify_partials(F, rule=rule) == "member"
+            assert _numpy_classify_partials(F, rule) == "member"
+
+    def test_zero_exponent_gives_inf_or_nan_without_raising(self):
+        d = GEOMETRIC_DELTAS
+        F = 1.0 - d
+        for ladder in ([0.0, 1.0], [1.0, 0.0, 2.0]):
+            with pytest.warns(RuntimeWarning):
+                got = richardson(d, F, ladder)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = _numpy_richardson(d, F, ladder)
+            assert not np.isfinite(got[0])
+            np.testing.assert_array_equal(got, want)
+        # equal partials over a zero denominator: 0/0 is nan
+        with np.errstate(invalid="ignore"):
+            got = richardson(d, np.ones(len(d)), [0.0])
+        assert np.isnan(got[0])
+
+    def test_ladder_longer_than_levels(self):
+        # one stage per level pair: the extra exponents go unread
+        d = GEOMETRIC_DELTAS[:4]
+        F = 1.7 - 0.5 * d - 0.2 * d ** 2 + 0.1 * d ** 3
+        ladder = disk_ladder(0.0)
+        assert len(ladder) > len(d)
+        got = richardson(d, F, ladder)
+        assert got == _numpy_richardson(d, F, ladder)
+        assert got == richardson(d, F, ladder[: len(d) - 1])
+        np.testing.assert_allclose(got[0], 1.7, rtol=1e-13)
+        # one level: no stage, the partial itself
+        assert richardson(d[:1], F[:1], ladder) == (F[0], 0.0)
+
+    def test_deltas_must_cover_the_partials(self):
+        with pytest.raises(ParameterError):
+            richardson(GEOMETRIC_DELTAS[:3], np.ones(4), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    @pytest.mark.parametrize("rule", ["strict", "scan"])
+    def test_non_finite_partials(self, bad, where, rule):
+        F = np.cumsum(0.5 ** np.arange(7))
+        F[where] = bad
+        with np.errstate(all="ignore"):
+            want = _numpy_classify_partials(F, rule)
+        assert classify_partials(F, rule=rule) == want
+        got = richardson(GEOMETRIC_DELTAS[:7], F, disk_ladder(0.0))
+        with np.errstate(all="ignore"):
+            ref = _numpy_richardson(GEOMETRIC_DELTAS[:7], F, disk_ladder(0.0))
+        np.testing.assert_array_equal(got, ref)
+
+    def test_extreme_increment_ratios(self):
+        # increments from 1e300 down to the 1e-300 floor and back: ratios
+        # that underflow to 0 and overflow to inf
+        for F in ([0.0, 1e300, 1e300, 1e300 + 1e290, 2e300],
+                  [0.0, 1e-300, 1e-300, 1e300, 1e300],
+                  [0.0, 1e300, 1.0, 1e300, 2e300]):
+            for rule in ("strict", "scan"):
+                with np.errstate(all="ignore"):
+                    want = _numpy_classify_partials(F, rule)
+                assert classify_partials(F, rule=rule) == want, (F, rule)
+
+    @pytest.mark.parametrize("make", [lambda: disk_ladder(0.5),
+                                      lambda: bidisk_ladder(0.5),
+                                      lambda: log_ladder()],
+                             ids=["disk", "bidisk", "log"])
+    def test_callers_cannot_mutate_cached_ladders(self, make):
+        first = make()
+        kept = list(first)
+        first[0] = -99.0
+        first.append(123.0)
+        assert make() == kept
+        assert make() is not make()
+
+
 class TestMonomialExactness:
     """Quadrature of |z^k|^2 dA_alpha against the Gamma-function formula."""
 
@@ -610,22 +787,25 @@ class TestSubharmonicBound:
 
 class TestForelliRudin:
     def test_value_at_origin(self):
-        for s in (0.0, 0.5, 1.0):
-            res = forelli_rudin_integral(0.0, s, 1.0)
-            np.testing.assert_allclose(res.value, 1.0 / (s + 1), rtol=1e-6)
+        pairs = [(s, 1.0) for s in (0.0, 0.5, 1.0)]
+        scan = forelli_rudin_scan([0.0], pairs)
+        for s, t in pairs:
+            np.testing.assert_allclose(scan[(s, t)][0].value, 1.0 / (s + 1),
+                                       rtol=1e-6)
 
     def test_growth_when_positive_exponent(self):
         # I(x) (1 - x^2) approaches a positive constant for t = 1
-        v1 = forelli_rudin_integral(0.99, 0.0, 1.0).value * (1 - 0.99 ** 2)
-        v2 = forelli_rudin_integral(0.999, 0.0, 1.0).value * (1 - 0.999 ** 2)
+        r1, r2 = forelli_rudin_scan([0.99, 0.999], [(0.0, 1.0)])[(0.0, 1.0)]
+        v1 = r1.value * (1 - 0.99 ** 2)
+        v2 = r2.value * (1 - 0.999 ** 2)
         assert v1 > 0 and v2 > 0
         np.testing.assert_allclose(v1, v2, rtol=0.05)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            forelli_rudin_integral(0.5, -1.5, 0.0)
+            forelli_rudin_scan([0.5], [(-1.5, 0.0)])
         with pytest.raises(ParameterError):
-            forelli_rudin_integral(1.0, 0.0, 0.0)
+            forelli_rudin_scan([1.0], [(0.0, 0.0)])
         with pytest.raises(ParameterError, match="exceed -1"):
             forelli_rudin_scan([0.5], [(0.0, 1.0), (-1.5, 0.0)])
         with pytest.raises(ParameterError, match="must lie in"):
@@ -657,7 +837,7 @@ class TestForelliRudin:
                                  ladder=disk_ladder(s)).value
             for omu in (g.one_minus_u, 1.0 - np.abs(g.nodes) ** 2))
         assert exact != rounded
-        assert forelli_rudin_integral(x, s, t).value == exact
+        assert forelli_rudin_scan([x], [(s, t)])[(s, t)][0].value == exact
 
     def test_bounded_case_supremum(self):
         # Gauss's value: Gamma(1/2) / Gamma(5/4)^2 for s = 0, t = -1/2
@@ -677,7 +857,8 @@ class TestGrowthExponentFit:
 
     def test_slope_from_quadrature(self):
         xs = [0.99, 0.995, 0.999, 0.9995, 0.9999]
-        Is = [forelli_rudin_integral(x, 0.0, 1.0).value for x in xs]
+        scan = forelli_rudin_scan(xs, [(0.0, 1.0)])[(0.0, 1.0)]
+        Is = [r.value for r in scan]
         slope = fit_growth_exponent(zip(xs, Is))
         assert abs(slope - 1.0) <= 0.05
 
