@@ -73,11 +73,15 @@ scan of the same-side distances finds every pair under the derivative
 switchover.  ``_ring_block_sums`` reduces each pass by its row ring into
 a (rings, N) accumulator, one gemv where the pass's rows share a ring
 (as on the graded grids, which list their nodes ring by ring), and
-forms the ring blocks once at the end.  On the six ``lifting`` scan
-calls (p = 1, beta = 0 and p = 4, beta = 1; one thread, medians of
-seven interleaved runs) this takes 0.54-0.64 of the time of per-pass
+forms the ring blocks once at the end.  On six ``lifting`` scan calls
+(p = 1, beta = 0 and p = 4, beta = 1; one thread, medians of seven
+interleaved runs) this took 0.54-0.64 of the time of per-pass
 temporaries from numpy's outer reduced by a 7-column GEMM each, with
-block sums within 1.8e-15 relative of theirs.
+block sums within 1.8e-15 relative of theirs.  The scans now take their
+p = 4 lifts from the even-p series (``lifting.lifted_norm_series``), so
+in the benchmark's ``lifting`` round the kernel has one call left, the
+p = 1 scan; the ``thm11`` and ``thm12`` suites call it to check the
+series at p = 2 and p = 4.
 """
 from __future__ import annotations
 

@@ -4,18 +4,23 @@ norms, the log-weight asymptotic, and the boundedness scans.
 The lift Lf(z, w) = (f(z) - f(w))/(z - w) has one representation per
 kind of f: a Taylor polynomial sum a_k z^k lifts to the ``TensorPoly``
 sum a_(i+j+1) z^i w^j, and a closed form ((1-z)^(-s), log(1/(1-z))) to
-the ``LiftedFunction`` quotient.  At p = 2 a lifted norm is a series in
-the Taylor coefficients, sum |a_k|^2 c_k(beta) (``lifted_norm_series``):
-finite for a polynomial, extrapolated in the truncation degree N for the
-closed forms, whose p = 2 lifted norms it gives.  Their other lifted
-norms come from the pair kernel ``_kernels.pair_block_sums`` on a tensor
-grid (``_closed_form_norm``), which is also the series' check at
-p = 2."""
+the ``LiftedFunction`` quotient.  At p = 2 and p = 4 a lifted norm is a
+series in the Taylor coefficients (``lifted_norm_series``): at p = 2
+sum |a_k|^2 c_k(beta), at p = 4 the p = 2 norm of (Lf)^2.  It is finite
+for a polynomial and extrapolated in the truncation degree N for the
+closed forms, whose p = 2 and p = 4 lifted norms it gives.  Their other
+lifted norms (the ``thm11`` p = 1 scan) come from the pair kernel
+``_kernels.pair_block_sums`` on a tensor grid (``_closed_form_norm``),
+which is also the series' check at p = 2 and p = 4.  The p = 4 series
+and the pair kernel read their partials under the lenient ``scan`` rule
+of ``classify_partials``; the p = 2 series under ``strict``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .errors import ParameterError
@@ -106,10 +111,10 @@ def default_scan_bidisk_grid(alpha: float) -> BidiskGrid:
     """Tensor grid for the boundary-singular scan integrands: angularly
     graded toward z = 1 and eps down to 2^-10, 6 radial and 5 angular
     nodes per panel, 6,010 nodes at every alpha.  Over the ``thm11``
-    and ``thm12`` scans, the log kernel at p = 1 and 2 and the p = 4
-    probes at beta = 0.7 and 0.85, its converged closed-form lifted
-    norms lie within 6.3e-8 relative of a 16 x 8 grid's (25,744
-    nodes), with the same verdicts."""
+    and ``thm12`` scan cases, the log kernel at p = 1 and 2 and the p = 4
+    probes at beta = 0.7 and 0.85, all on the pair kernel, its converged
+    closed-form lifted norms lie within 6.3e-8 relative of a 16 x 8
+    grid's (25,744 nodes), with the same verdicts."""
     factor = DiskGrid.build_graded(alpha, eps_stop=2.0 ** -10,
                                    nodes_per_panel=6, theta_per_panel=5)
     return BidiskGrid(factor)
@@ -117,7 +122,9 @@ def default_scan_bidisk_grid(alpha: float) -> BidiskGrid:
 
 def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
     """Protocol integral of |(f(z)-f(w))/(z-w)|^p over the tensor grid
-    for f = (1-z)^(-s) or log(1/(1-z)), by the pair kernel.
+    for f = (1-z)^(-s) or log(1/(1-z)), by the pair kernel: the lifted
+    norm at p other than 2 and 4, and the suites' check of the series
+    (``lifted_norm_series``) at p = 2 and 4.
 
     Tail exponents of (1-z)^(-s), in delta ~ 2 eps.  Under the scaling
     z = 1 - delta zeta, w = 1 - delta omega, (1-z)^(-s) - (1-w)^(-s)
@@ -134,9 +141,9 @@ def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
     2 sum |a_k|^2 H_k / (k+1).  The log kernel has neither and keeps
     ``bidisk_ladder(beta)``.
 
-    The only protocol call under the lenient ``scan`` rule: under
-    ``strict`` the lift of (1-z)^(-0.45) at p = 4, beta = 1 reads
-    undecided."""
+    Its verdict takes the lenient ``scan`` rule, as the p = 4 series'
+    does: under ``strict`` the lift of (1-z)^(-0.45) at p = 4, beta = 1
+    reads undecided."""
     g, b = grid.factor, grid.alpha
     power = isinstance(f, PowerSingularity)
     s = f.s if power else 0.0
@@ -154,10 +161,11 @@ def bidisk_norm(F, p: float, alpha: float,
 
     A ``TensorPoly`` takes the protocol on its coefficients
     (``BidiskGrid.coefficient_norm``).  The lift of a closed form takes
-    its coefficient series at p = 2 (``lifted_norm_series``), which needs
-    no grid and refuses one, and otherwise the pair kernel's protocol
-    (``_closed_form_norm``) on ``default_scan_bidisk_grid(alpha)``.  A
-    given grid must carry alpha."""
+    its coefficient series at p = 2 and p = 4 (``lifted_norm_series``),
+    which needs no grid and refuses one, and at any other p the pair
+    kernel's protocol (``_closed_form_norm``) on
+    ``default_scan_bidisk_grid(alpha)``.  A given grid must carry
+    alpha."""
     WeightParams(p, alpha)
     if isinstance(F, TensorPoly):
         grid = matching_grid(grid, lambda: default_poly_bidisk_grid(
@@ -165,12 +173,12 @@ def bidisk_norm(F, p: float, alpha: float,
         return grid.coefficient_norm(F.cmat, p)
     if isinstance(F, LiftedFunction) and isinstance(
             F.f, (PowerSingularity, LogKernel)):
-        if p == 2.0:
+        if p in _SERIES_DEGREES:
             if grid is not None:
-                raise ParameterError("the p = 2 lifted norm of a closed form "
-                                     "is its coefficient series; it takes "
-                                     "no grid")
-            return lifted_norm_series(F.f, alpha)
+                raise ParameterError(f"the p = {p:g} lifted norm of a closed "
+                                     "form is its coefficient series; it "
+                                     "takes no grid")
+            return lifted_norm_series(F.f, alpha, p)
         grid = matching_grid(grid, lambda: default_scan_bidisk_grid(alpha),
                              alpha)
         return _closed_form_norm(F.f, p, grid)
@@ -214,79 +222,174 @@ def harmonic_numbers(k_max: int) -> np.ndarray:
     return H
 
 
-# truncation degrees N of the p = 2 lifted series, its levels
-_SERIES_DEGREES = 2 ** np.arange(6, 15)
+# truncation degrees N of the lifted series at p = 2 and p = 4, their levels
+_SERIES_DEGREES = {2: 2 ** np.arange(6, 15), 4: 2 ** np.arange(4, 11)}
+
+
+def _monomial_norms(beta: float, n: int) -> np.ndarray:
+    """gamma_i = ||z^i||^2 in A^2_beta = Gamma(i+1) Gamma(beta+2) /
+    Gamma(i+beta+2), i < n, as the running product gamma_i =
+    gamma_(i-1) i / (i+beta+1)."""
+    i = np.arange(1.0, n)
+    return np.concatenate([[1.0], np.cumprod(i / (i + beta + 1.0))])
 
 
 def _lift_weights(beta: float, n: int) -> np.ndarray:
     """c_k(beta) = ||sum_(i+j=k-1) z^i w^j||^2 in L^2(dA_beta x dA_beta),
     k = 1..n: sum_(i+j=k-1) gamma_i gamma_j with the monomial norms
-    gamma_i = Gamma(i+1) Gamma(beta+2) / Gamma(i+beta+2).  At beta = 0 it
-    is 2 H_k / (k+1); otherwise one FFT convolution of the gamma_i, taken
-    as the running product gamma_i = gamma_(i-1) i / (i+beta+1)."""
+    gamma_i (``_monomial_norms``).  At beta = 0 it is 2 H_k / (k+1);
+    otherwise one FFT convolution of the gamma_i."""
     if beta == 0.0:
         return 2.0 * harmonic_numbers(n)[1:] / np.arange(2.0, n + 2.0)
-    i = np.arange(1.0, n)
-    gamma = np.concatenate([[1.0], np.cumprod(i / (i + beta + 1.0))])
+    gamma = _monomial_norms(beta, n)
     g = np.fft.rfft(gamma, 2 * len(gamma))
     return np.fft.irfft(g * g, 2 * len(gamma))[:n]
 
 
-def _coefficients_sq(f, n: int) -> np.ndarray:
-    """|a_k|^2, k = 1..n, of (1-z)^(-s), a_k = (s)_k / k! as a running
+def _coefficients(f, n: int) -> np.ndarray:
+    """a_k, k = 1..n, of (1-z)^(-s), a_k = (s)_k / k! as a running
     product, or of log(1/(1-z)), a_k = 1/k."""
     k = np.arange(1.0, n + 1.0)
-    a = np.cumprod((f.s + k - 1.0) / k) if isinstance(
+    return np.cumprod((f.s + k - 1.0) / k) if isinstance(
         f, PowerSingularity) else 1.0 / k
-    return a * a
 
 
-def lifted_norm_series(f, beta: float) -> NormResult:
-    """int int |L f|^2 dA_beta x dA_beta = sum_k |a_k|^2 c_k(beta) from
-    the Taylor coefficients a_k of f (``_lift_weights``: L z^k is
-    sum_(i+j=k-1) z^i w^j, and these are orthogonal).
+def _square_lift_terms(b, gamma) -> np.ndarray:
+    """T_M = sum_(i+j=M) |d_ij|^2 gamma_i gamma_j, M < n = len(b): the
+    degree-M part of ||(Lf)^2||^2 in L^2(dA_beta x dA_beta), for
+    Lf = sum_m b_m sum_(i+j=m) z^i w^j (b_m = a_(m+1)) and gamma the
+    monomial norms of A^2_beta (``_monomial_norms``, length n).
 
-    For a ``TaylorPoly`` the sum is finite and exact: a member whose one
-    level is its degree, with the rounding bound of the sum as its
-    error.  For (1-z)^(-s) and log(1/(1-z)) the partial sums S_N over
-    k <= N at the levels N = 2^6, ..., 2^14 get the ``strict`` verdict of
-    ``classify_partials``, and a member is extrapolated by ``richardson``
-    in 1/N.  Since |a_k|^2 ~ k^(2s-2) / Gamma(s)^2 (s = 0 for the log
-    kernel) and c_k ~ A k^(-beta-1) (one index small: the edge) +
-    B k^(-2 beta-1) (both large: the corner), I - S_N has the edge
-    exponent beta + 2 - 2s and the corner exponent 2 beta + 2 - 2s; the
-    ladder takes both, then both shifted by 1, 2 and 3.  At beta = 0 the
-    two are equal, and each repeat absorbs the log N of
-    c_k = 2 H_k / (k+1).  The series converges iff s < min(beta + 1,
+    With g_t = b_t b_(M-t), the coefficient d_ij of (Lf)^2 counts the
+    splittings i = i1 + i2, j = j1 + j2 with i1 + j1 = t; for i <= j,
+    t < i has t + 1 of them, i <= t <= j has i + 1 and t > j has M - t + 1,
+    so by g_t = g_(M-t)
+        d_i = 2 P1(i) + (i+1) (S0 - 2 P0(i)),
+    P0(i) = sum_(t<i) g_t, P1(i) = sum_(t<i) (t+1) g_t, S0 = sum_t g_t.
+    For the closed forms, whose b_m are positive, every term is
+    positive, so nothing cancels.  d is symmetric, so only
+    i <= M/2 is formed, weighted 2 below M/2 and 1 at it.  Rows of M go
+    in passes of about ``_kernels._BUDGET`` elements; b_(M-t) and
+    gamma_(M-i) are strided windows of reversed, zero-padded copies, and
+    S0 is one direct convolution."""
+    n = len(b)
+    width = (n - 1) // 2 + 1
+    rev_b = sliding_window_view(
+        np.concatenate([b[::-1], np.zeros(width, b.dtype)]), width)
+    rev_g = sliding_window_view(
+        np.concatenate([gamma[::-1], np.zeros(width)]), width)
+    s0 = np.convolve(b, b)[:n, None]
+    complex_d = np.iscomplexobj(b)
+    out = np.empty(n)
+    m0 = 0
+    while m0 < n:
+        # r rows with r (m0 + r + 1) / 2 <= _BUDGET, so a pass of width
+        # (m0 + r - 1) // 2 + 1 stays within it
+        c = m0 + 1.0
+        rows = max(1, min(n - m0, int((sqrt(c * c + 8.0 * _kernels._BUDGET)
+                                       - c) / 2.0)))
+        m1 = m0 + rows
+        w = (m1 - 1) // 2 + 1
+        i1 = np.arange(1.0, w + 1.0)
+        g = rev_b[n - m1:n - m0, :w][::-1] * b[:w]
+        p0 = np.zeros_like(g)
+        p1 = np.zeros_like(g)
+        np.cumsum(g[:, :-1], axis=1, out=p0[:, 1:])
+        np.cumsum(g[:, :-1] * i1[:-1], axis=1, out=p1[:, 1:])
+        d = 2.0 * p1 + i1 * (s0[m0:m1] - 2.0 * p0)
+        d2 = d.real * d.real + d.imag * d.imag if complex_d else d * d
+        half = np.clip(np.arange(m0 + 1, m1 + 1)[:, None]
+                       - 2 * np.arange(w), 0, 2)
+        wt = half * gamma[:w] * rev_g[n - m1:n - m0, :w][::-1]
+        out[m0:m1] = np.einsum("ij,ij->i", d2, wt)
+        m0 = m1
+    return out
+
+
+def _series_terms(f, beta: float, p: float, n: int) -> np.ndarray:
+    """The first n terms of the p-th power lifted series of a closed
+    form f (p = 2 or 4); its partial sum to degree N is the cumulative
+    sum at N - 1."""
+    a = _coefficients(f, n)
+    if p == 2.0:
+        return a * a * _lift_weights(beta, n)
+    return _square_lift_terms(a, _monomial_norms(beta, n))
+
+
+def lifted_norm_series(f, beta: float, p: float) -> NormResult:
+    """int int |L f|^p dA_beta x dA_beta for p = 2 or 4, from the Taylor
+    coefficients a_k of f.
+
+    At p = 2 it is sum_k |a_k|^2 c_k(beta) (``_lift_weights``: L z^k is
+    sum_(i+j=k-1) z^i w^j, and these are orthogonal).  At p = 4 it is
+    ||(Lf)^2||_2^2, the sum of |d_ij|^2 gamma_i gamma_j over the
+    coefficients d_ij of (Lf)^2 and the monomial norms gamma_i of
+    A^2_beta (``_square_lift_terms``, Hedenmalm-Korenblum-Zhu, Theory of
+    Bergman Spaces, ch. 1).
+
+    For a ``TaylorPoly`` the sum is finite and exact (at p = 4 with
+    complex d_ij): a member whose one level is 1/n for its n terms, with
+    n eps value as its error.  For (1-z)^(-s) and log(1/(1-z)) the
+    partial sums S_N, over the terms of degree below N (p = 2: k <= N),
+    get the verdict of ``classify_partials``, and a member is
+    extrapolated by ``richardson`` in 1/N (Sidi, Practical Extrapolation
+    Methods, ch. 1).  s = 0 for the log kernel.
+
+    At p = 2 the levels are N = 2^6, ..., 2^14 under the ``strict`` rule.
+    Since |a_k|^2 ~ k^(2s-2) / Gamma(s)^2 and c_k ~ A k^(-beta-1) (one
+    index small: the edge) + B k^(-2 beta-1) (both large: the corner),
+    I - S_N has the edge exponent beta + 2 - 2s and the corner exponent
+    2 beta + 2 - 2s; the ladder takes both, then both shifted by 1, 2 and
+    3.  At beta = 0 the two are equal, and each repeat absorbs the log N
+    of c_k = 2 H_k / (k+1).  The series converges iff s < min(beta + 1,
     beta/2 + 1); past that the partials grow and read non-member.
+
+    At p = 4 the levels are N = 2^4, ..., 2^10 under the ``scan`` rule of
+    the pair kernel's protocol (``strict`` reads s = 0.45, beta = 1
+    undecided: its increment ratios fall from 0.94 to 0.88).  The ladder
+    is the corner 2 beta - 4s, the edge beta + 2 - 4s, 1, both shifted by
+    1, then 2; the series converges iff both exponents are positive, so
+    the log kernel at beta = 0 reads non-member.
 
     ``estimated_error`` is the larger of the spread between the full
     extrapolation and the one without the deepest level, and the rounding
     bound N eps |S_N| of the partial sums.  ``eps_values`` holds the
     levels as 1/N."""
-    WeightParams(2.0, beta)
+    WeightParams(p, beta)
+    if p not in _SERIES_DEGREES:
+        raise ParameterError(f"the lifted series is for p = 2 and p = 4, "
+                             f"not p = {p:g}")
     ulp = np.finfo(float).eps
     if isinstance(f, TaylorPoly):
-        a2 = np.abs(f.coeffs[1:]) ** 2
-        value = float(np.sum(a2 * _lift_weights(beta, len(a2))))
-        n = max(len(a2), 1)
+        if p == 2.0:
+            a2 = np.abs(f.coeffs[1:]) ** 2
+            terms = a2 * _lift_weights(beta, len(a2))
+        else:
+            b = f.coeffs[1:] if f.degree else np.zeros(1, complex)
+            terms = _square_lift_terms(np.pad(b, (0, len(b) - 1)),
+                                       _monomial_norms(beta, 2 * len(b) - 1))
+        value = float(np.sum(terms))
+        n = max(len(terms), 1)
         return NormResult(value=value, eps_values=np.array([1.0 / n]),
                           partials=np.array([value]),
                           estimated_error=n * ulp * value, verdict="member")
     if not isinstance(f, (PowerSingularity, LogKernel)):
         raise TypeError(f"no coefficient series for {type(f).__name__}")
-    N = _SERIES_DEGREES
-    terms = _coefficients_sq(f, N[-1]) * _lift_weights(beta, N[-1])
-    S = np.cumsum(terms)[N - 1]
+    N = _SERIES_DEGREES[p]
+    S = np.cumsum(_series_terms(f, beta, p, N[-1]))[N - 1]
     levels = 1.0 / N
-    verdict = classify_partials(S, rule="strict")
+    verdict = classify_partials(S, rule="strict" if p == 2.0 else "scan")
     if verdict != "member":
         value, err = float(S[-1]), float("inf")
     else:
         s = f.s if isinstance(f, PowerSingularity) else 0.0
-        edge, corner = beta + 2.0 - 2.0 * s, 2.0 * beta + 2.0 - 2.0 * s
-        ladder = [e + m for m in range(LADDER_LEN // 2)
-                  for e in (edge, corner)]
+        if p == 2.0:
+            edge, corner = beta + 2.0 - 2.0 * s, 2.0 * beta + 2.0 - 2.0 * s
+            ladder = [e + m for m in range(LADDER_LEN // 2)
+                      for e in (edge, corner)]
+        else:
+            corner, edge = 2.0 * beta - 4.0 * s, beta + 2.0 - 4.0 * s
+            ladder = [corner, edge, 1.0, corner + 1.0, edge + 1.0, 2.0]
         value = richardson(levels, S, ladder)[0]
         shorter = richardson(levels[:-1], S[:-1], ladder)[0]
         err = max(abs(value - shorter), N[-1] * ulp * abs(value))
@@ -367,8 +470,11 @@ class LiftingScanRow:
 
     @property
     def ratio(self) -> float:
-        return float(self.lf.value / self.f.value) if self.f.value > 0 \
-            else float("inf")
+        """||Lf||^p / ||f||^p, inf where the lift reads non-member (its
+        value is then a truncated partial) or the source norm is 0."""
+        if self.lf.verdict == "non-member" or not self.f.value > 0:
+            return float("inf")
+        return float(self.lf.value / self.f.value)
 
     @property
     def converged(self) -> bool:
@@ -413,8 +519,8 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
     beta = (p+alpha)/2 - 1.  Every s must satisfy p*s < 2+alpha so the
     source norm is finite.  The source norm is ``norm_p`` on a graded
     grid to eps = 2^-11; the lifted norm is ``bidisk_norm``: the
-    coefficient series at p = 2, otherwise the pair kernel on
-    ``default_scan_bidisk_grid(beta)``.
+    coefficient series at p = 2 and p = 4, otherwise the pair kernel on
+    ``default_scan_bidisk_grid(beta)``, which is built only then.
     """
     wp = WeightParams(p, alpha)
     if mode == "thm11":
@@ -436,7 +542,8 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
             raise ParameterError(
                 f"s = {s} leaves the source space (need p*s < 2+alpha)")
     src_grid = DiskGrid.build_graded(alpha, eps_stop=2.0 ** -11)
-    tensor = None if p == 2.0 else default_scan_bidisk_grid(beta_t)
+    tensor = None if p in _SERIES_DEGREES \
+        else default_scan_bidisk_grid(beta_t)
     out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
     for s in s_values:
         f = PowerSingularity(s)

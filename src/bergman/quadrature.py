@@ -33,12 +33,14 @@ Verdicts come from the increment decay of the partials alone, never
 from the extrapolated number, and are stored once, as
 ``NormResult.verdict``.  Every disk and ball integral and every Taylor
 lift takes ``classify_partials``'s ``strict`` rule; only the closed-form
-lifts of ``lifting._closed_form_norm`` take the lenient ``scan`` rule.
+lifts take the lenient ``scan`` rule: the pair kernel's
+(``lifting._closed_form_norm``) and the p = 4 series'.
 
 The same two functions serve ``lifting.lifted_norm_series``, whose
-levels are truncation degrees N = 2^6, ..., 2^14 of a series rather than
-radii: its partial sums take the ``strict`` verdict and ``richardson``
-in delta = 1/N, and its ``NormResult.eps_values`` hold those 1/N.
+levels are truncation degrees N of a series rather than radii: at p = 2
+N = 2^6, ..., 2^14 under the ``strict`` rule, at p = 4 N = 2^4, ...,
+2^10 under ``scan``, with ``richardson`` in delta = 1/N; its
+``NormResult.eps_values`` hold those 1/N.
 
 The protocol runs on Python floats.  Its sequences are short (7-9
 levels on most grids), and on them each numpy call costs more in

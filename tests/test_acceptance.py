@@ -94,6 +94,8 @@ class TestCriterion3Quadrature:
 class TestCriterion4SeminormEquivalence:
     def test_constant_and_stability(self):
         rep = suite("lemma5")
+        _check_closed_form_info(
+            rep, "ratio_closed_form_max_rel_error_p2_alpha0.0", "function")
         assert _emit(rep)
 
 
@@ -168,6 +170,8 @@ class TestCriterion7Lifting:
 
     def test_rescued_weight_scan(self):
         rep = suite("thm12")
+        _check_closed_form_info(rep, "p4_lift_quadrature_vs_series_max_rel_dev",
+                                "s", extra=("rel_dev_by_s",))
         assert _emit(rep)
 
 

@@ -8,14 +8,15 @@ from bergman.errors import ParameterError
 from bergman.functions import (BallPoly, LogKernel, PowerSingularity,
                                TaylorPoly)
 from bergman.lifting import (LiftedFunction, TensorPoly, _closed_form_norm,
-                             _lift_weights, bidisk_norm, bidisk_pairing,
+                             _lift_weights, _series_terms, bidisk_norm,
+                             bidisk_pairing,
                              default_poly_bidisk_grid,
                              default_scan_bidisk_grid, diagonal_norm,
                              divergence_coefficients, divergence_demo,
                              harmonic_numbers, homogeneous_lift_component,
                              lift, lifted_norm_series, lifting_scan,
                              log_weighted_norm, monomial_log_norm_exact)
-from bergman import _kernels
+from bergman import _kernels, lifting
 from bergman.quadrature import (BidiskGrid, DiskGrid, WeightParams,
                                 grid_for, monomial_norm_exact, norm_p,
                                 richardson)
@@ -151,7 +152,7 @@ class TestBidiskNorm:
             deg = int(rng.integers(2, 21))
             c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             res = bidisk_norm(lift(TaylorPoly(c)), 2, 0.0, grid=grid)
-            series = lifted_norm_series(TaylorPoly(c), 0.0).value
+            series = lifted_norm_series(TaylorPoly(c), 0.0, 2).value
             assert res.converged
             np.testing.assert_allclose(res.value, series, rtol=1e-6)
 
@@ -202,7 +203,7 @@ class TestBidiskNorm:
 
 
 def _series(coeffs, beta=0.0):
-    return lifted_norm_series(TaylorPoly(coeffs), beta).value
+    return lifted_norm_series(TaylorPoly(coeffs), beta, 2).value
 
 
 class TestSeriesNorm:
@@ -227,7 +228,7 @@ class TestSeriesNorm:
         # relative at beta = -0.25, 9e-10 at 0.5, and rounding at the
         # integer weights, where the radial rule is exact
         c = np.random.default_rng(11).normal(size=13) + 0.5j
-        res = lifted_norm_series(TaylorPoly(c), beta)
+        res = lifted_norm_series(TaylorPoly(c), beta, 2)
         quad = bidisk_norm(lift(TaylorPoly(c)), 2, beta)
         assert res.verdict == quad.verdict == "member"
         assert abs(res.value - quad.value) \
@@ -263,7 +264,7 @@ class TestLiftedNormSeries:
     def test_matches_mpmath(self, f):
         # measured: 5e-15 to 1.4e-12; the estimate covers each error
         exact = _mpmath_lifted_norm(f)
-        res = lifted_norm_series(f, 0.0)
+        res = lifted_norm_series(f, 0.0, 2)
         assert res.verdict == "member"
         assert abs(res.value - exact) <= 1e-10 * exact
         assert abs(res.value - exact) <= res.estimated_error
@@ -272,13 +273,13 @@ class TestLiftedNormSeries:
                              ids=["power", "log"])
     def test_is_the_lift_norm_at_p2(self, f):
         res = bidisk_norm(lift(f), 2, 0.0)
-        assert res.value == lifted_norm_series(f, 0.0).value
+        assert res.value == lifted_norm_series(f, 0.0, 2).value
         with pytest.raises(ParameterError, match="no grid"):
             bidisk_norm(lift(f), 2, 0.0, grid=default_scan_bidisk_grid(0.0))
 
     @pytest.mark.parametrize("s", [1.0, 1.2])
     def test_non_member_at_and_past_the_threshold(self, s):
-        res = lifted_norm_series(PowerSingularity(s), 0.0)
+        res = lifted_norm_series(PowerSingularity(s), 0.0, 2)
         assert res.verdict == "non-member"
         assert res.estimated_error == float("inf")
 
@@ -304,13 +305,18 @@ class TestLiftedNormSeries:
         # corner exponent 1.5 - 2s is smallest
         f = PowerSingularity(s)
         quad = _closed_form_norm(f, 2.0, default_scan_bidisk_grid(beta))
-        res = lifted_norm_series(f, beta)
+        res = lifted_norm_series(f, beta, 2)
         assert quad.verdict == res.verdict == "member"
         np.testing.assert_allclose(res.value, quad.value, rtol=1e-5)
 
     def test_refuses_other_functions(self):
         with pytest.raises(TypeError):
-            lifted_norm_series(BallPoly(2, {(1, 0): 1.0}), 0.0)
+            lifted_norm_series(BallPoly(2, {(1, 0): 1.0}), 0.0, 2)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 6.0])
+    def test_refuses_other_p(self, p):
+        with pytest.raises(ParameterError, match="p = 2 and p = 4"):
+            lifted_norm_series(PowerSingularity(0.2), 0.0, p)
 
 
 class TestLogWeightedNorm:
@@ -382,19 +388,22 @@ def _power_coefficients(s, n):
 
 def _lifted_square_partials(s, beta, degrees):
     """Partial sums over i + j < N, for N in ``degrees``, of
-    int int |Lf|^4 dA_beta dA_beta for f = (1-z)^(-s), the norm of
-    (Lf)^2 = sum d_ij z^i w^j: sum |d_ij|^2 B(i) B(j), with
-    B(k) = Gamma(beta+2) k! / Gamma(k+beta+2).
+    int int |Lf|^4 dA_beta dA_beta for f = (1-z)^(-s) (s = None: the log
+    kernel), the norm of (Lf)^2 = sum d_ij z^i w^j: sum |d_ij|^2 B(i) B(j),
+    with B(k) = Gamma(beta+2) k! / Gamma(k+beta+2).
 
     Lf = sum_m b_m h_m with b_m = a_(m+1) and h_m = sum_(i+j=m) z^i w^j, so
     for i + j = M, d_ij = sum_t g_t #{i1 <= min(t, i), i1 >= t - j} with
     g_t = b_t b_(M-t), that is sum_t g_t (t + 1 - (t-i)_+ - (t-j)_+): one
-    weighted sum less two ramp sums R(k) = sum_(t>k) (t-k) g_t."""
+    weighted sum less two ramp sums R(k) = sum_(t>k) (t-k) g_t.  a_k and
+    B(k) are extended-precision running products (``gammaln`` is about
+    5e-12 off by k = 2^11)."""
     N = max(degrees)
-    b = _power_coefficients(s, N + 1)[1:]
-    k = np.arange(N, dtype=float)
-    B = np.exp(gammaln(beta + 2.0) + gammaln(k + 1.0)
-               - gammaln(k + beta + 2.0))
+    k = np.arange(1, N + 1, dtype=np.longdouble)
+    b = (1.0 / k if s is None
+         else np.cumprod((s + k - 1) / k)).astype(float)
+    B = np.concatenate([[1.0], np.cumprod(k[:-1] / (k[:-1] + beta + 1))])
+    B = B.astype(float)
     terms = np.empty(N)
     for M in range(N):
         t = np.arange(M + 1)
@@ -407,23 +416,15 @@ def _lifted_square_partials(s, beta, degrees):
     return np.cumsum(terms)[np.asarray(degrees) - 1]
 
 
-def _lifted_square_series(s, beta, degrees=(128, 256, 512, 1024, 2048)):
-    """The partial sums extrapolated in 1/N with the exponents e, e + 1
-    and 1, where e = 2 beta + 4 - 4 (s+1)."""
-    e = 2.0 * beta + 4.0 - 4.0 * (s + 1.0)
-    return richardson(1.0 / np.asarray(degrees, float),
-                      _lifted_square_partials(s, beta, degrees),
-                      [e, e + 1.0, 1.0])[0]
-
-
 @pytest.fixture(scope="module")
 def thm12_scan():
     return lifting_scan((0.1, 0.3, 0.45), 4.0, 0.0, "thm12")
 
 
 def test_lifted_square_series_is_the_convolution():
-    # the ramp sums against the 2-d convolution of c_ij = a_(i+j+1),
-    # summed over i + j < N without extrapolation
+    # the ramp sums and the library's prefix sums against the 2-d
+    # convolution of c_ij = a_(i+j+1), summed over i + j < N without
+    # extrapolation
     s, beta, N = 0.3, 1.0, 12
     a = _power_coefficients(s, 2 * N + 2)
     c = a[np.add.outer(np.arange(N), np.arange(N)) + 1]
@@ -438,6 +439,127 @@ def test_lifted_square_series_is_the_convolution():
     want = np.sum((d ** 2 * np.outer(B, B))[inside])
     np.testing.assert_allclose(_lifted_square_partials(s, beta, [N]), [want],
                                rtol=1e-13)
+    np.testing.assert_allclose(
+        np.sum(_series_terms(PowerSingularity(s), beta, 4.0, N)), want,
+        rtol=1e-13)
+
+
+def _deep_p4_reference(f, beta):
+    """The p = 4 lifted norm from the library's partials at N = 2^7, ...,
+    2^13, extrapolated with this file's own ladder: the corner
+    2 beta + 4 - 4 (s+1) and the edge beta + 2 - 4s of the quadrature's
+    tail exponents, each also shifted by 1, and the integer powers 1 and
+    2 of the truncated double sum."""
+    s = f.s if isinstance(f, PowerSingularity) else 0.0
+    corner, edge = 2.0 * beta + 4.0 - 4.0 * (s + 1.0), beta + 2.0 - 4.0 * s
+    N = 2 ** np.arange(7, 14)
+    S = np.cumsum(_series_terms(f, beta, 4.0, N[-1]))[N - 1]
+    return richardson(1.0 / N, S, [corner, edge, 1.0, corner + 1.0,
+                                   edge + 1.0, 2.0])[0]
+
+
+class TestP4LiftedNormSeries:
+    @pytest.mark.parametrize("beta", [0.7, 1.0])
+    @pytest.mark.parametrize("s", [0.1, 0.45, None], ids=["s0.1", "s0.45",
+                                                          "log"])
+    def test_partials_match_the_ramp_sums(self, s, beta):
+        # the prefix-sum passes against the per-degree ramp-sum loop at
+        # N = 2^4, ..., 2^11: measured within 4.4e-15
+        f = LogKernel() if s is None else PowerSingularity(s)
+        N = 2 ** np.arange(4, 12)
+        got = np.cumsum(_series_terms(f, beta, 4.0, N[-1]))[N - 1]
+        np.testing.assert_allclose(got, _lifted_square_partials(s, beta, N),
+                                   rtol=1e-13, atol=0)
+        # the public partials are these sums, to 2^10
+        np.testing.assert_array_equal(
+            lifted_norm_series(f, beta, 4).partials, got[:-1])
+
+    @pytest.mark.parametrize("f,rtol", [(PowerSingularity(0.1), 2e-7),
+                                        (PowerSingularity(0.3), 2.5e-5),
+                                        (PowerSingularity(0.45), 1e-4),
+                                        (LogKernel(), 2e-7)],
+                             ids=["s0.1", "s0.3", "s0.45", "log"])
+    def test_within_estimated_error_of_deep_reference(self, f, rtol):
+        # measured at beta = 1: errors 4.6e-8, 6.0e-6, 2.6e-5 and 4.2e-8
+        # of the value, estimates 1.0e-6, 2.2e-5, 3.5e-4 and 4.9e-7.
+        # Without the edge exponent the errors are 1.6e-6, 1.5e-5, 2.1e-4
+        # and 4.8e-7, still inside their estimates, so each case also
+        # has a bar of about four times its error.  (The pair kernel on
+        # the scan grid: 2.7e-6, 1.2e-4, 2.4e-3.)  The reference moves by
+        # at most 6.5e-7 from 2^13 to 2^14 levels.
+        res = lifted_norm_series(f, 1.0, 4)
+        ref = _deep_p4_reference(f, 1.0)
+        assert res.verdict == "member"
+        assert abs(res.value - ref) <= res.estimated_error
+        assert abs(res.value - ref) <= rtol * ref
+        assert res.estimated_error <= 1e-3 * res.value
+
+    @pytest.mark.parametrize("f,beta", [(PowerSingularity(0.45), 0.7),
+                                        (PowerSingularity(0.45), 0.85),
+                                        (PowerSingularity(0.55), 1.0),
+                                        (LogKernel(), 0.0)],
+                             ids=["s0.45-b0.7", "s0.45-b0.85", "s0.55-b1",
+                                  "log-b0"])
+    def test_non_member_past_the_threshold(self, f, beta):
+        # the corner exponent 2 beta - 4s is -0.4, -0.1, -0.2 and 0: the
+        # partials grow like N^0.4, N^0.1, N^0.2 and log N
+        res = lifted_norm_series(f, beta, 4)
+        assert res.verdict == "non-member"
+        assert res.estimated_error == float("inf")
+        assert res.value == res.partials[-1]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_taylor_is_the_coefficient_quadrature(self, beta):
+        # complex d_ij: the finite sum against the p = 4 protocol on the
+        # coefficients, whose angular rule (4 degree + 16 angles) is
+        # exact for |(Lf)^2|^2 = |Lf|^4
+        c = np.random.default_rng(12).normal(size=9) \
+            + 1j * np.random.default_rng(13).normal(size=9)
+        F = lift(TaylorPoly(c))
+        grid = BidiskGrid(DiskGrid.build(beta, eps_stop=2.0 ** -10,
+                                         n_angular=4 * 8 + 16,
+                                         nodes_per_panel=10))
+        quad = grid.coefficient_norm(F.cmat, 4)
+        res = lifted_norm_series(TaylorPoly(c), beta, 4)
+        assert res.verdict == quad.verdict == "member"
+        assert abs(res.value - quad.value) \
+            <= quad.estimated_error + 1e-12 * res.value
+
+    def test_taylor_low_degrees(self):
+        # z: Lf = 1; z^2: (Lf)^2 = z^2 + 2 z w + w^2, whose norm is
+        # 2 gamma_2 + 4 gamma_1^2 = 2/3 + 1 at beta = 0
+        assert lifted_norm_series(TaylorPoly([3.0]), 0.0, 4).value == 0.0
+        assert lifted_norm_series(TaylorPoly([0, 1]), 0.5, 4).value == 1.0
+        assert lifted_norm_series(TaylorPoly([0, 0, 1]), 0.0, 4).value \
+            == pytest.approx(2.0 / 3.0 + 4.0 / 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("f", [PowerSingularity(0.3), LogKernel(),
+                                   TaylorPoly(np.arange(1.0, 40.0) - 2j)],
+                             ids=["power", "log", "taylor"])
+    def test_passes_do_not_move_the_sums(self, f, monkeypatch):
+        # at a budget of 2^6 a pass holds 10 rows at first and one row
+        # from about degree 60: every pass edge moves, and each degree's
+        # sum is formed the same way
+        want = lifted_norm_series(f, 1.0, 4)
+        monkeypatch.setattr(_kernels, "_BUDGET", 2 ** 6)
+        got = lifted_norm_series(f, 1.0, 4)
+        np.testing.assert_allclose(got.partials, want.partials, rtol=1e-14)
+
+    def test_scan_and_norm_call_no_kernel(self, monkeypatch):
+        # the p = 4 lifts of the closed forms take the series: no pair
+        # kernel call and no tensor grid, so no silent fallback
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair kernel path was taken")
+        monkeypatch.setattr(_kernels, "pair_block_sums", refuse)
+        monkeypatch.setattr(lifting, "default_scan_bidisk_grid", refuse)
+        row = lifting_scan((0.3,), 4.0, 0.0, "thm12").rows[0]
+        assert row.converged
+        assert row.lf.value == lifted_norm_series(PowerSingularity(0.3),
+                                                  1.0, 4).value
+        assert bidisk_norm(lift(LogKernel()), 4, 1.0).converged
+        with pytest.raises(ParameterError, match="no grid"):
+            bidisk_norm(lift(LogKernel()), 4, 1.0,
+                        grid=BidiskGrid(DiskGrid.build(1.0, n_angular=8)))
 
 
 class TestLiftingScan:
@@ -468,13 +590,23 @@ class TestLiftingScan:
     @pytest.mark.parametrize("s,rtol", [(0.1, 2e-5), (0.3, 1e-3),
                                         (0.45, 1e-2)])
     def test_p4_lifted_norms_match_even_p_series(self, thm12_scan, s, rtol):
-        # the series is settled to about 1e-6, 4e-5 and 2e-4 of itself;
-        # without the edge and corner exponents the errors are 2.4e-4,
-        # 1.9e-2 and 0.40
+        # the scan's lifts are the series; the pair kernel's quadrature on
+        # the scan grid, which bidisk_norm no longer takes at p = 4, is
+        # 2.7e-6, 1.2e-4 and 2.4e-3 off them
         row = next(r for r in thm12_scan.rows if r.s == s)
         assert row.converged
-        np.testing.assert_allclose(row.norm_lf, _lifted_square_series(s, 1.0),
-                                   rtol=rtol)
+        quad = _closed_form_norm(PowerSingularity(s), 4.0,
+                                 default_scan_bidisk_grid(1.0))
+        assert quad.converged
+        np.testing.assert_allclose(quad.value, row.norm_lf, rtol=rtol)
+
+    def test_non_member_lift_has_no_ratio(self):
+        # beta' = 0.7 is lighter than the rescued weight: the source is a
+        # member and the lift is not, so its truncated value has no ratio
+        row = lifting_scan((0.45,), 4.0, 0.0, "thm12",
+                           beta_override=0.7).rows[0]
+        assert (row.f.verdict, row.lf.verdict) == ("member", "non-member")
+        assert row.ratio == float("inf") and not row.converged
 
     @pytest.mark.parametrize("s", [0.2, 0.4, 0.6])
     def test_p2_lifted_norms_match_series(self, s):
@@ -485,7 +617,7 @@ class TestLiftingScan:
         res = _closed_form_norm(f, 2.0, default_scan_bidisk_grid(0.0))
         assert res.converged
         np.testing.assert_allclose(res.value,
-                                   lifted_norm_series(f, 0.0).value,
+                                   lifted_norm_series(f, 0.0, 2).value,
                                    rtol=1e-5)
 
     @pytest.mark.parametrize("s,p,beta", [(1.5, 1.0, 0.0), (0.6, 2.0, 0.0),
