@@ -3,9 +3,11 @@
 Four families are supported: finite Taylor polynomials and the closed
 forms (1 - z)^(-s) and log(1/(1 - z)) on the disk, and multi-variable
 monomial polynomials on the ball.  Everything evaluates vectorized over
-numpy arrays.  ``to_json`` describes a function by its variant and
-parameters for ``Witness.metadata``; the witness sup cache keys on the
-class and the coefficients' bytes or the parameters instead.
+numpy arrays.  The two closed forms own what the other modules know of
+them (``_ClosedForm``): their Taylor coefficients, their boundary order
+s and the tail exponents it sets.  ``to_json`` describes a function by
+its variant and parameters for ``Witness.metadata``; the witness sup
+cache keys on the class and the coefficients' bytes or s instead.
 """
 from __future__ import annotations
 
@@ -149,7 +151,32 @@ def _power_rows(grid: bytes, D: int) -> np.ndarray:
     return E
 
 
-class PowerSingularity(HoloFunction):
+class _ClosedForm(HoloFunction):
+    """A closed form singular at z = 1, the one owner of its facts: its
+    Taylor coefficients a_1, ..., a_n (``coefficients``), its boundary
+    order ``s`` (|f| ~ |1 - z|^(-s) near 1; 0 for the log kernel) and
+    the tail exponents that order sets (``tail_exponents``).  Every
+    module reads them from here (Hedenmalm-Korenblum-Zhu, Theory of
+    Bergman Spaces, ch. 1)."""
+
+    def tail_exponents(self, p: float, w: float) -> tuple:
+        """(edge, corner) = (w + 2 - p s, 2w + 4 - p (s+1)) at weight w.
+
+        The edge is the tail of |f|^p against dA_w: |f|^p ~ delta^(-ps)
+        on a region near z = 1 of measure delta^(w+2).  A witness of f
+        and ((1-|z|^2)|f'|)^p carry the same one, and so does the lift
+        Lf(z, u) = (f(z) - f(u))/(z - u) against dA_w x dA_w along an
+        edge, z near 1 and u away from it.  The corner is the lift's tail
+        near (1, 1): under z = 1 - delta zeta, u = 1 - delta omega,
+        f(z) - f(u) = delta^(-s) (zeta^(-s) - omega^(-s)) and z - u =
+        delta (omega - zeta), so |Lf| ~ delta^(-(s+1)) on a region of
+        measure delta^(2w+4).  The lifted coefficient series at p = 2
+        and 4 have the same two exponents in 1/N.  The lifted norm is
+        finite iff both are positive."""
+        return w + 2.0 - p * self.s, 2.0 * w + 4.0 - p * (self.s + 1.0)
+
+
+class PowerSingularity(_ClosedForm):
     """f(z) = (1 - z)^(-s) for s > 0, principal branch."""
 
     def __init__(self, s: float):
@@ -169,20 +196,25 @@ class PowerSingularity(HoloFunction):
         q *= self.s * self.s
         return q
 
+    def coefficients(self, n: int) -> np.ndarray:
+        """a_k = (s)_k / k!, k = 1..n, as the running product of
+        (s + k - 1) / k."""
+        k = np.arange(1.0, n + 1.0)
+        return np.cumprod((self.s + k - 1.0) / k)
+
     def taylor_section(self, degree: int) -> TaylorPoly:
-        """Taylor polynomial of degree ``degree``; a_k = (s)_k / k!."""
-        c = np.empty(degree + 1, dtype=complex)
-        c[0] = 1.0
-        for k in range(1, degree + 1):
-            c[k] = c[k - 1] * (self.s + k - 1) / k
-        return TaylorPoly(c)
+        """Taylor polynomial of degree ``degree``: a_0 = 1, then
+        ``coefficients``."""
+        return TaylorPoly(np.concatenate([[1.0], self.coefficients(degree)]))
 
     def to_json(self) -> dict:
         return {"variant": "power", "s": self.s}
 
 
-class LogKernel(HoloFunction):
+class LogKernel(_ClosedForm):
     """f(z) = log(1/(1 - z)), principal branch; f(0) = 0."""
+
+    s = 0.0  # boundary order: a log, no power
 
     def __call__(self, z):
         return -np.log(1.0 - np.asarray(z, dtype=complex))
@@ -194,10 +226,14 @@ class LogKernel(HoloFunction):
         """|f'(u)|^2 = 1 / q, in place in q = |1 - u|^2."""
         return np.reciprocal(q, out=q)
 
+    def coefficients(self, n: int) -> np.ndarray:
+        """a_k = 1/k, k = 1..n."""
+        return 1.0 / np.arange(1.0, n + 1.0)
+
     def taylor_section(self, degree: int) -> TaylorPoly:
-        c = np.zeros(degree + 1, dtype=complex)
-        c[1:] = 1.0 / np.arange(1, degree + 1)
-        return TaylorPoly(c)
+        """Taylor polynomial of degree ``degree``: a_0 = 0, then
+        ``coefficients``."""
+        return TaylorPoly(np.concatenate([[0.0], self.coefficients(degree)]))
 
     def to_json(self) -> dict:
         return {"variant": "log"}

@@ -11,9 +11,13 @@ for a polynomial and extrapolated in the truncation degree N for the
 closed forms, whose p = 2 and p = 4 lifted norms it gives.  Their other
 lifted norms (the ``thm11`` p = 1 scan) come from the pair kernel
 ``_kernels.pair_block_sums`` on a tensor grid (``_closed_form_norm``),
-which is also the series' check at p = 2 and p = 4.  The p = 4 series
-and the pair kernel read their partials under the lenient ``scan`` rule
-of ``classify_partials``; the p = 2 series under ``strict``."""
+which is also the series' check at p = 2 and p = 4.  Both read what
+they know of a closed form from it: the series its Taylor coefficients
+(``coefficients``), the series and the kernel their tail exponents
+(``tail_exponents``), one term builder (``_series_terms``) serving the
+closed forms and ``TaylorPoly`` alike.  The p = 4 series and the pair
+kernel read their partials under the lenient ``scan`` rule of
+``classify_partials``; the p = 2 series under ``strict``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -24,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .errors import ParameterError
-from .functions import HoloFunction, LogKernel, PowerSingularity, TaylorPoly
+from .functions import HoloFunction, PowerSingularity, TaylorPoly, _ClosedForm
 from .quadrature import LADDER_LEN, BidiskGrid, DiskGrid, NormResult, \
     WeightParams, bidisk_ladder, classify_partials, grid_for, log_ladder, \
     matching_grid, norm_p, richardson, tail_head
@@ -126,32 +130,22 @@ def _closed_form_norm(f, p: float, grid: BidiskGrid) -> NormResult:
     norm at p other than 2 and 4, and the suites' check of the series
     (``lifted_norm_series``) at p = 2 and 4.
 
-    Tail exponents of (1-z)^(-s), in delta ~ 2 eps.  Under the scaling
-    z = 1 - delta zeta, w = 1 - delta omega, (1-z)^(-s) - (1-w)^(-s)
-    = delta^(-s) (zeta^(-s) - omega^(-s)) and z - w = delta (omega -
-    zeta), so |Lf| ~ delta^(-(s+1)) near the corner (1, 1), on a region
-    of dA_beta x dA_beta measure delta^(beta+2) delta^(beta+2): the
-    corner adds a tail in delta^(2 beta + 4 - p (s+1)).  Along an
-    edge, z near 1 and w away from it, |Lf| ~ |f(z)| ~ delta^(-s) on a
-    region of measure delta^(beta+2) times O(1): the tail of |f|^p
-    against dA_beta, ``tail_head(f, p, beta)``.  The ladder puts the
-    edge and then the corner before the weight's own
-    ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are 2 - 2s, and the
-    repeated exponent absorbs the delta^(2-2s) log delta of the series
-    2 sum |a_k|^2 H_k / (k+1).  The log kernel has neither and keeps
-    ``bidisk_ladder(beta)``.
+    The ladder puts the edge and then the corner of
+    ``f.tail_exponents(p, beta)``, in delta ~ 2 eps, before the weight's
+    own ``bidisk_ladder(beta)``; at p = 2, beta = 0 both are 2 - 2s, and
+    the repeated exponent absorbs the delta^(2-2s) log delta of the
+    series 2 sum |a_k|^2 H_k / (k+1).  The log kernel keeps
+    ``bidisk_ladder(beta)`` alone.
 
     Its verdict takes the lenient ``scan`` rule, as the p = 4 series'
     does: under ``strict`` the lift of (1-z)^(-0.45) at p = 4, beta = 1
     reads undecided."""
     g, b = grid.factor, grid.alpha
     power = isinstance(f, PowerSingularity)
-    s = f.s if power else 0.0
     block = _kernels.pair_block_sums(g.nodes, f(g.nodes), g.weights, g.ring,
-                                     g.n_levels, p, s, 0 if power else 1)
-    corner = [2.0 * b + 4.0 - p * (s + 1.0)] if power else []
+                                     g.n_levels, p, f.s, 0 if power else 1)
     return grid.protocol_from_block(block, rule="scan", ladder=[
-        *tail_head(f, p, b), *corner, *bidisk_ladder(b)])
+        *(f.tail_exponents(p, b) if power else ()), *bidisk_ladder(b)])
 
 
 def bidisk_norm(F, p: float, alpha: float,
@@ -171,8 +165,7 @@ def bidisk_norm(F, p: float, alpha: float,
         grid = matching_grid(grid, lambda: default_poly_bidisk_grid(
             alpha, max(max(F.cmat.shape) - 1, 1)), alpha)
         return grid.coefficient_norm(F.cmat, p)
-    if isinstance(F, LiftedFunction) and isinstance(
-            F.f, (PowerSingularity, LogKernel)):
+    if isinstance(F, LiftedFunction) and isinstance(F.f, _ClosedForm):
         if p in _SERIES_DEGREES:
             if grid is not None:
                 raise ParameterError(f"the p = {p:g} lifted norm of a closed "
@@ -246,14 +239,6 @@ def _lift_weights(beta: float, n: int) -> np.ndarray:
     return np.fft.irfft(g * g, 2 * len(gamma))[:n]
 
 
-def _coefficients(f, n: int) -> np.ndarray:
-    """a_k, k = 1..n, of (1-z)^(-s), a_k = (s)_k / k! as a running
-    product, or of log(1/(1-z)), a_k = 1/k."""
-    k = np.arange(1.0, n + 1.0)
-    return np.cumprod((f.s + k - 1.0) / k) if isinstance(
-        f, PowerSingularity) else 1.0 / k
-
-
 def _square_lift_terms(b, gamma) -> np.ndarray:
     """T_M = sum_(i+j=M) |d_ij|^2 gamma_i gamma_j, M < n = len(b): the
     degree-M part of ||(Lf)^2||^2 in L^2(dA_beta x dA_beta), for
@@ -306,14 +291,16 @@ def _square_lift_terms(b, gamma) -> np.ndarray:
     return out
 
 
-def _series_terms(f, beta: float, p: float, n: int) -> np.ndarray:
-    """The first n terms of the p-th power lifted series of a closed
-    form f (p = 2 or 4); its partial sum to degree N is the cumulative
-    sum at N - 1."""
-    a = _coefficients(f, n)
+def _series_terms(a, beta: float, p: float) -> np.ndarray:
+    """The terms of the p-th power lifted series (p = 2 or 4) of the
+    Taylor coefficients a = a_1, ..., a_n, one per degree: at p = 2
+    |a_k|^2 c_k(beta) (``_lift_weights``), at p = 4 the degree-M parts
+    of ||(Lf)^2||^2, M < n (``_square_lift_terms``; a polynomial's whole
+    p = 4 sum needs a zero-padded to length 2n - 1).  The partial sum to
+    degree N is the cumulative sum at N - 1."""
     if p == 2.0:
-        return a * a * _lift_weights(beta, n)
-    return _square_lift_terms(a, _monomial_norms(beta, n))
+        return np.abs(a) ** 2 * _lift_weights(beta, len(a))
+    return _square_lift_terms(a, _monomial_norms(beta, len(a)))
 
 
 def lifted_norm_series(f, beta: float, p: float) -> NormResult:
@@ -333,23 +320,26 @@ def lifted_norm_series(f, beta: float, p: float) -> NormResult:
     partial sums S_N, over the terms of degree below N (p = 2: k <= N),
     get the verdict of ``classify_partials``, and a member is
     extrapolated by ``richardson`` in 1/N (Sidi, Practical Extrapolation
-    Methods, ch. 1).  s = 0 for the log kernel.
+    Methods, ch. 1).  The coefficients and the tail exponents (edge,
+    corner) come from ``f.coefficients`` and ``f.tail_exponents(p,
+    beta)``, the pair kernel's exponents in delta; s = 0 for the log
+    kernel.
 
     At p = 2 the levels are N = 2^6, ..., 2^14 under the ``strict`` rule.
     Since |a_k|^2 ~ k^(2s-2) / Gamma(s)^2 and c_k ~ A k^(-beta-1) (one
     index small: the edge) + B k^(-2 beta-1) (both large: the corner),
     I - S_N has the edge exponent beta + 2 - 2s and the corner exponent
-    2 beta + 2 - 2s; the ladder takes both, then both shifted by 1, 2 and
-    3.  At beta = 0 the two are equal, and each repeat absorbs the log N
-    of c_k = 2 H_k / (k+1).  The series converges iff s < min(beta + 1,
+    2 beta + 4 - 2(s+1); the ladder takes both, then both shifted by 1, 2
+    and 3.  At beta = 0 the two are equal, and each repeat absorbs the
+    log N of c_k = 2 H_k / (k+1).  The series converges iff s < min(beta + 1,
     beta/2 + 1); past that the partials grow and read non-member.
 
     At p = 4 the levels are N = 2^4, ..., 2^10 under the ``scan`` rule of
     the pair kernel's protocol (``strict`` reads s = 0.45, beta = 1
     undecided: its increment ratios fall from 0.94 to 0.88).  The ladder
-    is the corner 2 beta - 4s, the edge beta + 2 - 4s, 1, both shifted by
-    1, then 2; the series converges iff both exponents are positive, so
-    the log kernel at beta = 0 reads non-member.
+    is the corner 2 beta + 4 - 4(s+1), the edge beta + 2 - 4s, 1, both
+    shifted by 1, then 2; the series converges iff both exponents are
+    positive, so the log kernel at beta = 0 reads non-member.
 
     ``estimated_error`` is the larger of the spread between the full
     extrapolation and the one without the deepest level, and the rounding
@@ -361,34 +351,28 @@ def lifted_norm_series(f, beta: float, p: float) -> NormResult:
                              f"not p = {p:g}")
     ulp = np.finfo(float).eps
     if isinstance(f, TaylorPoly):
-        if p == 2.0:
-            a2 = np.abs(f.coeffs[1:]) ** 2
-            terms = a2 * _lift_weights(beta, len(a2))
-        else:
-            b = f.coeffs[1:] if f.degree else np.zeros(1, complex)
-            terms = _square_lift_terms(np.pad(b, (0, len(b) - 1)),
-                                       _monomial_norms(beta, 2 * len(b) - 1))
+        a = f.coeffs[1:] if f.degree else np.zeros(1, complex)
+        terms = _series_terms(a if p == 2.0 else np.pad(a, (0, len(a) - 1)),
+                              beta, p)
         value = float(np.sum(terms))
-        n = max(len(terms), 1)
+        n = len(terms)
         return NormResult(value=value, eps_values=np.array([1.0 / n]),
                           partials=np.array([value]),
                           estimated_error=n * ulp * value, verdict="member")
-    if not isinstance(f, (PowerSingularity, LogKernel)):
+    if not isinstance(f, _ClosedForm):
         raise TypeError(f"no coefficient series for {type(f).__name__}")
     N = _SERIES_DEGREES[p]
-    S = np.cumsum(_series_terms(f, beta, p, N[-1]))[N - 1]
+    S = np.cumsum(_series_terms(f.coefficients(N[-1]), beta, p))[N - 1]
     levels = 1.0 / N
     verdict = classify_partials(S, rule="strict" if p == 2.0 else "scan")
     if verdict != "member":
         value, err = float(S[-1]), float("inf")
     else:
-        s = f.s if isinstance(f, PowerSingularity) else 0.0
+        edge, corner = f.tail_exponents(p, beta)
         if p == 2.0:
-            edge, corner = beta + 2.0 - 2.0 * s, 2.0 * beta + 2.0 - 2.0 * s
             ladder = [e + m for m in range(LADDER_LEN // 2)
                       for e in (edge, corner)]
         else:
-            corner, edge = 2.0 * beta - 4.0 * s, beta + 2.0 - 4.0 * s
             ladder = [corner, edge, 1.0, corner + 1.0, edge + 1.0, 2.0]
         value = richardson(levels, S, ladder)[0]
         shorter = richardson(levels[:-1], S[:-1], ladder)[0]
@@ -516,10 +500,11 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
 
     ``thm11`` mode (p < alpha+2) integrates the lift against the source
     weight; ``thm12`` mode (p > alpha+2) against the rescued weight
-    beta = (p+alpha)/2 - 1.  Every s must satisfy p*s < 2+alpha so the
-    source norm is finite.  The source norm is ``norm_p`` on a graded
-    grid to eps = 2^-11; the lifted norm is ``bidisk_norm``: the
-    coefficient series at p = 2 and p = 4, otherwise the pair kernel on
+    beta = (p+alpha)/2 - 1.  Every s must satisfy p*s < 2+alpha, a
+    positive edge exponent (``tail_exponents``), so the source norm is
+    finite.  The source norm is ``norm_p`` on a graded grid to
+    eps = 2^-11; the lifted norm is ``bidisk_norm``: the coefficient
+    series at p = 2 and p = 4, otherwise the pair kernel on
     ``default_scan_bidisk_grid(beta)``, which is built only then.
     """
     wp = WeightParams(p, alpha)
@@ -537,17 +522,15 @@ def lifting_scan(s_values, p: float, alpha: float, mode: str,
         beta_t = float(beta_override)
     if not beta_t > -1:
         raise ParameterError("target weight must exceed -1")
-    for s in s_values:
-        if not p * s < 2.0 + alpha:
-            raise ParameterError(
-                f"s = {s} leaves the source space (need p*s < 2+alpha)")
+    family = [PowerSingularity(s) for s in s_values]
+    for f in family:
+        if not f.tail_exponents(p, alpha)[0] > 0:
+            raise ParameterError(f"s = {f.s:g} leaves the source space "
+                                 "(need p*s < 2+alpha)")
     src_grid = DiskGrid.build_graded(alpha, eps_stop=2.0 ** -11)
     tensor = None if p in _SERIES_DEGREES \
         else default_scan_bidisk_grid(beta_t)
-    out = LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t)
-    for s in s_values:
-        f = PowerSingularity(s)
-        out.rows.append(LiftingScanRow(
-            s=float(s), f=norm_p(f, wp, src_grid),
-            lf=bidisk_norm(lift(f), p, beta_t, grid=tensor)))
-    return out
+    return LiftingScanResult(mode=mode, p=p, alpha=alpha, beta=beta_t, rows=[
+        LiftingScanRow(s=f.s, f=norm_p(f, wp, src_grid),
+                       lf=bidisk_norm(lift(f), p, beta_t, grid=tensor))
+        for f in family])

@@ -29,6 +29,10 @@ passes:
 - Forelli-Rudin integrals: ``disk_ladder(s)`` for their (1-|w|^2)^s
   weight, on graded grids down to eps = (1-x)/256.
 
+Every exponent a closed form adds, ``tail_head``'s edge and the lifts'
+edge and corner, comes from one place, the closed form's
+``tail_exponents(p, weight)``.
+
 Verdicts come from the increment decay of the partials alone, never
 from the extrapolated number, and are stored once, as
 ``NormResult.verdict``.  Every disk and ball integral and every Taylor
@@ -39,7 +43,8 @@ lifts take the lenient ``scan`` rule: the pair kernel's
 The same two functions serve ``lifting.lifted_norm_series``, whose
 levels are truncation degrees N of a series rather than radii: at p = 2
 N = 2^6, ..., 2^14 under the ``strict`` rule, at p = 4 N = 2^4, ...,
-2^10 under ``scan``, with ``richardson`` in delta = 1/N; its
+2^10 under ``scan``, with ``richardson`` in delta = 1/N and the same
+edge and corner exponents as the pair kernel's in delta; its
 ``NormResult.eps_values`` hold those 1/N.
 
 The protocol runs on Python floats.  Its sequences are short (7-9
@@ -438,15 +443,13 @@ def grid_for(f: HoloFunction, alpha: float) -> DiskGrid:
 
 def tail_head(f: HoloFunction, p: float, alpha: float) -> list:
     """Tail exponents that |f|^p adds ahead of the weight's ladder
-    against dA_alpha, the one place they are derived.
-
-    For f = (1-z)^(-s), |f|^p ~ delta^(-ps) on a region near z = 1 of
-    dA_alpha measure delta^(alpha+2): a tail in delta^(alpha + 2 - ps).
-    ((1-|z|^2)|f'|)^p and a witness g^p of f carry the same one.  A
-    Taylor polynomial adds none; neither does the log kernel, whose
-    log^p factor sits at the weight's own alpha + 2 (its p = 2 norm is
-    within 1.3e-7 on ``disk_ladder``)."""
-    return [alpha + 2.0 - p * f.s] if isinstance(f, PowerSingularity) else []
+    against dA_alpha: for f = (1-z)^(-s) the edge alpha + 2 - ps of
+    ``f.tail_exponents``, which a witness g^p of f and
+    ((1-|z|^2)|f'|)^p carry too.  A Taylor polynomial adds none; neither
+    does the log kernel, whose log^p factor sits at the weight's own
+    alpha + 2 (its p = 2 norm is within 1.3e-7 on ``disk_ladder``)."""
+    return [f.tail_exponents(p, alpha)[0]] \
+        if isinstance(f, PowerSingularity) else []
 
 
 # ---------------------------------------------------------------------------

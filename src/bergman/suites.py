@@ -5,6 +5,7 @@ ones its bars were derived for, and nothing overrides them."""
 from __future__ import annotations
 
 import time
+from math import factorial, prod
 
 import numpy as np
 
@@ -224,15 +225,16 @@ def _lemma5_family(rng, max_degree: int):
     return fam
 
 
-def _ratio_result(num: NormResult, den: NormResult) -> NormResult:
-    """num / den on one grid: the values and partials divided, the first
-    verdict that is not member (else member), and the first-order error
-    of the quotient."""
-    value = num.value / den.value
+def _ratio_result(num: NormResult, den: NormResult, head: float):
+    """(head + num) / den on one grid: the values and partials shifted by
+    the constant head and divided, the first verdict that is not member
+    (else member), and the first-order error of the quotient."""
+    value = (head + num.value) / den.value
     return NormResult(
         value=value, eps_values=den.eps_values,
-        partials=num.partials / den.partials,
-        estimated_error=abs(value) * (num.estimated_error / abs(num.value)
+        partials=(head + num.partials) / den.partials,
+        estimated_error=abs(value) * (num.estimated_error
+                                      / abs(head + num.value)
                                       + den.estimated_error / abs(den.value)),
         verdict=next((r.verdict for r in (num, den)
                       if r.verdict != "member"), "member"))
@@ -245,7 +247,7 @@ def _lemma5_ratios(family, p, alpha):
     for f in family:
         grid = grid_for(f, alpha)
         out.append(_ratio_result(derivative_seminorm(f, wp, grid),
-                                 norm_p(f, wp, grid)))
+                                 norm_p(f, wp, grid), 0.0))
     return out
 
 
@@ -440,6 +442,22 @@ def _suite_lemma10(seed: int, rep: ExperimentReport):
 # suites: thm11 / thm12 (lifting boundedness)
 # ---------------------------------------------------------------------------
 
+def _kernel_vs_series_check(p: float, beta: float, series: dict,
+                            threshold: float):
+    """``bidisk_norm`` takes the p = 2 and 4 lifts of (1-z)^(-s) from
+    their series; this keeps the pair kernel's quadrature of them on
+    ``default_scan_bidisk_grid(beta)`` checked against the series values
+    ``series`` {s: value}, with every s's deviation in its info."""
+    grid = default_scan_bidisk_grid(beta)
+    cases = [(s, _closed_form_norm(PowerSingularity(s), p, grid), v)
+             for s, v in series.items()]
+    name = f"p{p:g}_lift_quadrature_vs_series_max_rel_dev"
+    rec = _max_rel_error_check(name, cases, threshold, "s")
+    rec.info["rel_dev_by_s"] = {str(s): abs(res.value - exact) / exact
+                                for s, res, exact in cases}
+    return rec
+
+
 def _suite_thm11(seed: int, rep: ExperimentReport):
     rng = np.random.default_rng(seed)
     grid = default_poly_bidisk_grid(0.0, 20)
@@ -453,17 +471,9 @@ def _suite_thm11(seed: int, rep: ExperimentReport):
     rep.checks.append(_max_rel_error_check("series_vs_quadrature_max_rel_dev",
                                            cases, 1e-6, "degree"))
 
-    # bidisk_norm takes the p = 2 lifts of (1-z)^(-s) from their series;
-    # this keeps the pair kernel's quadrature of them checked
-    scan_grid = default_scan_bidisk_grid(0.0)
-    cases = [(s, _closed_form_norm(PowerSingularity(s), 2.0, scan_grid),
-              lifted_norm_series(PowerSingularity(s), 0.0, 2).value)
-             for s in (0.2, 0.4, 0.6)]
-    rec = _max_rel_error_check("p2_lift_quadrature_vs_series_max_rel_dev",
-                               cases, 1e-6, "s")
-    rec.info["rel_dev_by_s"] = {str(s): abs(res.value - exact) / exact
-                                for s, res, exact in cases}
-    rep.checks.append(rec)
+    rep.checks.append(_kernel_vs_series_check(2.0, 0.0, {
+        s: lifted_norm_series(PowerSingularity(s), 0.0, 2).value
+        for s in (0.2, 0.4, 0.6)}, 1e-6))
 
     zs = sample_disk(rng, 1000)
     worst_diag = 0.0
@@ -539,16 +549,8 @@ def _suite_thm12(seed: int, rep: ExperimentReport):
                                  scan.all_converged, info=scan.to_json()))
     rep.csv_blocks["scan"] = scan.csv_block()
 
-    # bidisk_norm takes the p = 4 lifts of (1-z)^(-s) from their series;
-    # this keeps the pair kernel's quadrature of them checked
-    scan_grid = default_scan_bidisk_grid(scan.beta)
-    cases = [(r.s, _closed_form_norm(PowerSingularity(r.s), 4.0, scan_grid),
-              r.norm_lf) for r in scan.rows]
-    rec = _max_rel_error_check("p4_lift_quadrature_vs_series_max_rel_dev",
-                               cases, 5e-3, "s")
-    rec.info["rel_dev_by_s"] = {str(s): abs(res.value - exact) / exact
-                                for s, res, exact in cases}
-    rep.checks.append(rec)
+    rep.checks.append(_kernel_vs_series_check(
+        4.0, scan.beta, {r.s: r.norm_lf for r in scan.rows}, 5e-3))
 
     # sharpness: against lighter target weights the lift of (1-z)^(-0.45)
     # leaves the space while the source stays in it (the corner exponent
@@ -629,6 +631,30 @@ def _ball_family():
              BallPoly(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 2): 0.3}))]
 
 
+def _ball_closed_form_ratios(f: BallPoly) -> dict:
+    """The suite's radial, gradient and invariant-gradient ratios
+    (|f(0)|^2 + Q) / ||f||^2 against the normalized volume dv, from the
+    monomial moments M_j = int (1-|z|^2)^j |z^m|^2 dv = n! j! m! /
+    (n + d + j)!, d = |m| (Rudin, Function Theory in the Unit Ball of
+    C^n, 1980, 1.4.9).  Rf = sum d c_m z^m and d_k f = sum m_k c_m
+    z^(m - e_k) are sums of orthogonal monomials, and the moment of
+    z^(m - e_k) is M_j (n + d + j) / m_k, so with a = |c_m|^2 each
+    monomial adds a M_0 to the norm, a d^2 M_2 to the radial,
+    a d (n + d + 2) M_2 to the gradient and a d (n + d + 1) M_1 -
+    a d^2 M_1 = a d (n + 1) M_1 to the invariant-gradient integral; in
+    units of a M_0, with k = n + d + 1, that is 1, 2 d^2 / (k (k + 1)),
+    2 d / k and d (n + 1) / k."""
+    n, q = f.n, np.zeros(4)
+    for m, c in f.terms.items():
+        d, k = sum(m), n + sum(m) + 1.0
+        unit = abs(c) ** 2 * prod(map(factorial, (n, *m))) / factorial(n + d)
+        q += unit * np.array([1.0, 2 * d * d / (k * (k + 1)), 2 * d / k,
+                              d * (n + 1) / k])
+    head = abs(f.terms.get((0,) * n, 0.0)) ** 2
+    return dict(zip(("radial", "gradient", "invariant_gradient"),
+                    map(float, (head + q[1:]) / q[0])))
+
+
 def _suite_ball_thm13(seed: int, rep: ExperimentReport):
     family = _ball_family()
     details = {}
@@ -646,7 +672,7 @@ def _suite_ball_thm13(seed: int, rep: ExperimentReport):
     # derivative-notion p-integrals comparable across the family
     grid = BallGrid(2, 0.0)
     one_minus, z = grid.one_minus_u, grid.nodes
-    ratios, cases = {}, {}
+    ratios, cases, closed = {}, {}, []
     for name, f in family:
         head = float(np.abs(f(np.zeros(2, dtype=complex))) ** 2)
         res = {"base": ball_norm_p(f, WeightParams(2, 0.0), grid),
@@ -659,15 +685,21 @@ def _suite_ball_thm13(seed: int, rep: ExperimentReport):
         cases[name] = {k: {"converged": r.converged, "verdict": r.verdict,
                            "estimated_error": r.estimated_error}
                        for k, r in res.items()}
-        base = res.pop("base").value
-        ratios[name] = {k: (head + r.value) / base for k, r in res.items()}
-    worst_ratio = max(max(v, 1.0 / v) for fam in ratios.values()
-                      for v in fam.values())
+        base = res.pop("base")
+        quot = {k: _ratio_result(r, base, head) for k, r in res.items()}
+        ratios[name] = {k: q.value for k, q in quot.items()}
+        closed += [(f"{name}/{k}", quot[k], exact)
+                   for k, exact in _ball_closed_form_ratios(f).items()]
+    worst_ratio = max(max(q.value, 1.0 / q.value) for _, q, _ in closed)
     rep.checks.append(check("derivative_norm_equivalence_empirical_constant",
                             worst_ratio, 100.0, "<=", info=ratios))
     rep.checks.append(check_true("ball_norm_integrals_converged", all(
         q["converged"] for fam in cases.values() for q in fam.values()),
         info=cases))
+    # each ratio against its closed form from the monomial moments (here
+    # 1/10, 1/2, 3/4, 4/15, 4/5 or 6/5), at the suites' closed-form bar
+    rep.checks.append(_max_rel_error_check(
+        "derivative_ratio_closed_form_max_rel_error", closed, 1e-8, "ratio"))
 
 
 SUITES = {

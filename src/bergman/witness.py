@@ -41,8 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .functions import BallPoly, HoloFunction, LogKernel, PowerSingularity, \
-    TaylorPoly
+from .functions import BallPoly, HoloFunction, TaylorPoly, _ClosedForm
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
 from .quadrature import BallGrid, NormResult, WeightParams, disk_ladder, \
@@ -141,16 +140,15 @@ class _Sups:
 
 def _function_key(f: HoloFunction) -> tuple:
     """f's part of the cache key: its class with its coefficient bytes
-    (``TaylorPoly``), its monomial table (``BallPoly``) or its
-    parameter, so that no float is formatted on a lookup."""
+    (``TaylorPoly``), its monomial table (``BallPoly``) or its boundary
+    order ``s`` (the closed forms), so that no float is formatted on a
+    lookup."""
     if isinstance(f, TaylorPoly):
         return TaylorPoly, f.coeffs.tobytes()
     if isinstance(f, BallPoly):
         return BallPoly, f.n, tuple(sorted(f.terms.items()))
-    if isinstance(f, PowerSingularity):
-        return PowerSingularity, f.s
-    if isinstance(f, LogKernel):
-        return (LogKernel,)
+    if isinstance(f, _ClosedForm):
+        return type(f), f.s
     raise TypeError(f"no witness for {type(f).__name__}")
 
 

@@ -198,6 +198,8 @@ class TestCriterion8BorderlineDivergence:
 class TestCriterion9Ball:
     def test_witnesses_and_derivative_norms(self):
         rep = suite("ball-thm13")
+        _check_closed_form_info(
+            rep, "derivative_ratio_closed_form_max_rel_error", "ratio")
         assert _emit(rep)
 
     def test_every_ball_integral_recorded(self):

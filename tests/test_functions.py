@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -173,6 +174,42 @@ class TestTaylorSections:
     def test_log_section(self):
         sec = LogKernel().taylor_section(80)
         np.testing.assert_allclose(sec(0.3), -np.log(0.7), rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [0.1, 0.45, 0.8, 1.5, 2.5])
+    def test_power_coefficients_to_deep_degree(self, s):
+        # the running product against (s)_k / k! in 30 digits at every
+        # k <= 64 and 64 geometric k up to 2^14 (measured within 4.0e-13),
+        # and against gammaln, whose own error grows with k, to k = 256
+        n = 2 ** 14
+        a = PowerSingularity(s).coefficients(n)
+        assert a.shape == (n,)
+        k = np.unique(np.concatenate([
+            np.arange(1, 65), np.geomspace(1, n, 64).round().astype(int)]))
+        with mpmath.workdps(30):
+            want = [float(mpmath.rf(mpmath.mpf(s), int(j))
+                          / mpmath.factorial(int(j))) for j in k]
+        np.testing.assert_allclose(a[k - 1], want, rtol=1e-12, atol=0)
+        j = np.arange(1.0, 257.0)
+        np.testing.assert_allclose(
+            a[:256], np.exp(gammaln(j + s) - gammaln(s) - gammaln(j + 1.0)),
+            rtol=1e-12, atol=0)
+
+    def test_log_coefficients(self):
+        assert LogKernel.s == 0.0  # its boundary order: a log, no power
+        np.testing.assert_array_equal(LogKernel().coefficients(5),
+                                      [1.0, 0.5, 1.0 / 3.0, 0.25, 0.2])
+
+    @pytest.mark.parametrize("f,a0", [(PowerSingularity(0.3), 1.0),
+                                      (PowerSingularity(1.7), 1.0),
+                                      (LogKernel(), 0.0)],
+                             ids=["s0.3", "s1.7", "log"])
+    def test_section_is_the_coefficients(self, f, a0):
+        # bit for bit: one recurrence serves the sections and the series
+        for d in (0, 1, 50, 300):
+            sec = f.taylor_section(d)
+            assert sec.degree == d and sec.coeffs[0] == a0
+            assert np.array_equal(sec.coeffs[1:], f.coefficients(d))
+            assert not sec.coeffs.imag.any()
 
 
 class TestRadialMetricRatio:

@@ -440,7 +440,8 @@ def test_lifted_square_series_is_the_convolution():
     np.testing.assert_allclose(_lifted_square_partials(s, beta, [N]), [want],
                                rtol=1e-13)
     np.testing.assert_allclose(
-        np.sum(_series_terms(PowerSingularity(s), beta, 4.0, N)), want,
+        np.sum(_series_terms(PowerSingularity(s).coefficients(N), beta,
+                             4.0)), want,
         rtol=1e-13)
 
 
@@ -453,9 +454,43 @@ def _deep_p4_reference(f, beta):
     s = f.s if isinstance(f, PowerSingularity) else 0.0
     corner, edge = 2.0 * beta + 4.0 - 4.0 * (s + 1.0), beta + 2.0 - 4.0 * s
     N = 2 ** np.arange(7, 14)
-    S = np.cumsum(_series_terms(f, beta, 4.0, N[-1]))[N - 1]
+    S = np.cumsum(_series_terms(f.coefficients(N[-1]), beta, 4.0))[N - 1]
     return richardson(1.0 / N, S, [corner, edge, 1.0, corner + 1.0,
                                    edge + 1.0, 2.0])[0]
+
+
+def _fitted_exponent(terms) -> float:
+    """e with terms ~ k^-(e+1), so that the tail I - S_N ~ N^-e, from the
+    log-log slope of the terms between k = n/2 and k = n."""
+    n = len(terms)
+    return float(np.log2(terms[n // 2 - 1] / terms[n - 1]) - 1.0)
+
+
+class TestSeriesTailExponents:
+    # the exponent the series' terms show, against the one the closed
+    # form's owner predicts and the ladders take: min(edge, corner).  At
+    # p = 2, beta > 0, the edge binds (measured within 1.04e-3); at p = 4,
+    # beta = 0.7, the corner (within 9.6e-3, 1.1e-2 with the log kernel's
+    # log factor)
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("f", [PowerSingularity(0.3),
+                                   PowerSingularity(0.8), LogKernel()],
+                             ids=["s0.3", "s0.8", "log"])
+    def test_p2_edge(self, f, beta):
+        edge, corner = f.tail_exponents(2.0, beta)
+        assert edge < corner
+        e = _fitted_exponent(_series_terms(f.coefficients(2 ** 14), beta, 2.0))
+        assert abs(e - edge) < 2e-3
+
+    @pytest.mark.parametrize("f", [PowerSingularity(0.1),
+                                   PowerSingularity(0.2),
+                                   PowerSingularity(0.3), LogKernel()],
+                             ids=["s0.1", "s0.2", "s0.3", "log"])
+    def test_p4_corner(self, f):
+        edge, corner = f.tail_exponents(4.0, 0.7)
+        assert corner < edge
+        e = _fitted_exponent(_series_terms(f.coefficients(2 ** 11), 0.7, 4.0))
+        assert abs(e - corner) < 1.5e-2
 
 
 class TestP4LiftedNormSeries:
@@ -467,7 +502,8 @@ class TestP4LiftedNormSeries:
         # N = 2^4, ..., 2^11: measured within 4.4e-15
         f = LogKernel() if s is None else PowerSingularity(s)
         N = 2 ** np.arange(4, 12)
-        got = np.cumsum(_series_terms(f, beta, 4.0, N[-1]))[N - 1]
+        got = np.cumsum(_series_terms(f.coefficients(N[-1]), beta,
+                                      4.0))[N - 1]
         np.testing.assert_allclose(got, _lifted_square_partials(s, beta, N),
                                    rtol=1e-13, atol=0)
         # the public partials are these sums, to 2^10

@@ -669,6 +669,20 @@ class TestTailHead:
         assert tail_head(LogKernel(), 2, 0.0) == []
         assert tail_head(TaylorPoly([1.0, 2.0]), 2, 0.0) == []
 
+    def test_edge_and_corner(self):
+        # (w + 2 - ps, 2w + 4 - p(s+1)), worked by hand at dyadic values
+        assert PowerSingularity(0.5).tail_exponents(2, 0.0) == (1.0, 1.0)
+        assert PowerSingularity(0.25).tail_exponents(4, 1.0) == (2.0, 1.0)
+        assert PowerSingularity(1.5).tail_exponents(1, -0.5) == (0.0, 0.5)
+        assert PowerSingularity(0.45).tail_exponents(4, 0.75)[1] \
+            == pytest.approx(-0.3, abs=1e-15)
+        # the log kernel at s = 0: its lift's series use both exponents
+        assert LogKernel().tail_exponents(2, 0.0) == (2.0, 2.0)
+        assert LogKernel().tail_exponents(4, 1.0) == (3.0, 2.0)
+        assert LogKernel().tail_exponents(4, 0.0) == (2.0, 0.0)
+        # tail_head is the edge, for the power alone
+        assert tail_head(PowerSingularity(0.25), 4, 1.0) == [2.0]
+
 
 class TestDerivativeSeminorm:
     def test_constant(self, grids):
@@ -1066,6 +1080,28 @@ class TestBallGrid:
                 assert res.verdict == "member"
                 np.testing.assert_allclose(res.value, want[key], rtol=1e-9,
                                            err_msg=f"{name} {key}")
+
+    def test_thm13_closed_form_ratios(self):
+        # the suite's own moment derivation against the benchmark's
+        # reference sums, and z1's ratios worked by hand: with
+        # M(m, j) = 2! j! m! / (3 + j)!, radial 4 M(m, 2) / M(m, 0) = 1/10,
+        # gradient 5 M(m, 2) / M(m, 0) = 1/2, invariant 3 M(m, 1) / M(m, 0)
+        # = 3/4
+        for name, f in suites._ball_family():
+            want = reference.ball_quantities(f.terms, 0.0)
+            got = suites._ball_closed_form_ratios(f)
+            assert set(got) == {"radial", "gradient", "invariant_gradient"}
+            for key, ratio in got.items():
+                np.testing.assert_allclose(ratio, want[key] / want["norm"],
+                                           rtol=1e-14, err_msg=name)
+        z1 = suites._ball_closed_form_ratios(BallPoly(2, {(1, 0): 1.0}))
+        assert z1 == pytest.approx({"radial": 0.1, "gradient": 0.5,
+                                    "invariant_gradient": 0.75}, rel=1e-15)
+        # a constant term enters as |f(0)|^2 over the norm
+        c = suites._ball_closed_form_ratios(
+            BallPoly(2, {(0, 0): 2.0, (1, 0): 1.0}))
+        assert c["radial"] == pytest.approx((4.0 + 1.0 / 30.0)
+                                            / (4.0 + 1.0 / 3.0), rel=1e-15)
 
     @pytest.mark.parametrize("grid_n,grid_alpha", [(2, 0.0), (3, 1.0)])
     def test_norm_refuses_mismatched_grid(self, grid_n, grid_alpha):

@@ -88,6 +88,10 @@ class TestLocalSup:
         assert keys[0] == witness._function_key(TaylorPoly(c.copy()))
         assert witness._function_key(PowerSingularity(0.4)) \
             != witness._function_key(PowerSingularity(np.nextafter(0.4, 1)))
+        # both closed forms key as their class and boundary order
+        assert witness._function_key(PowerSingularity(0.4)) \
+            == (PowerSingularity, 0.4)
+        assert witness._function_key(LogKernel()) == (LogKernel, 0.0)
 
 
 class TestBuildWitness:
