@@ -77,12 +77,22 @@ def _loop_halvings(t_min):
     return len(brk) - 1
 
 
+def _fresh_radial_rule(alpha, eps_stop, nodes_per_panel):
+    """The radial rule computed afresh, past the cache: halve EPS_START
+    while it exceeds eps_stop, then run the uncached panel builder."""
+    halvings, eps = 0, quadrature.EPS_START
+    while eps > eps_stop * (1 + 1e-12):
+        halvings, eps = halvings + 1, eps / 2
+    return quadrature._radial_panels.__wrapped__(float(alpha), halvings,
+                                                 nodes_per_panel)
+
+
 def _graded_by_radius(alpha, eps_stop, nodes_per_panel=12,
                       theta_per_panel=6):
     """Reference graded layout, one radius at a time: the angular panels
     halve from pi down to max((1 - r)/4, 1e-7), then mirror to negative
     angles.  Returns (nodes, weights, ring)."""
-    _, u, wu, rg = quadrature._radial_rule(alpha, eps_stop, nodes_per_panel)
+    _, u, wu, rg = _fresh_radial_rule(alpha, eps_stop, nodes_per_panel)
     gx, gw = np.polynomial.legendre.leggauss(theta_per_panel)
     nodes, weights, ring = [], [], []
     for ui, wi, gi in zip(u, wu, rg):
@@ -198,6 +208,104 @@ class TestGradedGrid:
         assert res.eps_values is g.eps_values
         assert res.partials.dtype == np.float64
         assert res.to_json()["eps"] == g.eps_values.tolist()
+
+
+class TestCachedRules:
+    """Every one-dimensional rule a grid is made from is cached and
+    read-only; grids are assembled from them anew on every build."""
+
+    def test_radial_cache_keys_on_the_halving_count(self):
+        # a new eps_stop with a known halving count is a hit: the key
+        # never holds eps_stop itself
+        rng = np.random.default_rng(11)
+        stops = 10.0 ** rng.uniform(-8.0, np.log10(quadrature.EPS_START),
+                                    2000)
+        before = quadrature._radial_panels.cache_info()
+        counts = set()
+        for e in stops:
+            eps = quadrature._radial_rule(0.125, e, 7)[0]
+            counts.add(len(eps) - 1)
+        after = quadrature._radial_panels.cache_info()
+        assert after.misses - before.misses == len(counts)
+        assert after.hits - before.hits == len(stops) - len(counts)
+        assert len(counts) == 23  # 1 to 23 halvings
+
+    def test_cached_arrays_reject_writes(self):
+        rules = [*quadrature._radial_rule(0.3, 2.0 ** -9, 12),
+                 *quadrature._graded_angles(5, 6),
+                 quadrature._uniform_phases(16),
+                 *quadrature._sphere_rule(2, 4, 7),
+                 *quadrature._gauss_legendre(8)]
+        for arr in rules:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_cached_rules_match_fresh_ones(self):
+        # a cached rule handed out twice is one object, equal to a fresh
+        # computation
+        got = quadrature._radial_rule(0.3, 1e-5 / 16, 12)
+        assert quadrature._radial_rule(0.3, 1e-5 / 16 * 1.1, 12)[1] is got[1]
+        for a, b in zip(got, _fresh_radial_rule(0.3, 1e-5 / 16, 12)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        phases, w = quadrature._graded_angles(5, 6)
+        assert quadrature._graded_angles(5, 6)[0] is phases
+        fresh = quadrature._graded_angles.__wrapped__(5, 6)
+        assert np.array_equal(phases, fresh[0])
+        assert np.array_equal(w, fresh[1])
+        assert np.all(phases[:36].imag > 0)
+        assert np.array_equal(phases[36:], np.conj(phases[:36]))
+        np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-14)
+
+    def test_ball_grid_leaves_the_radial_rule_intact(self):
+        # BallGrid scales its radial weights out of place: the disk grid
+        # of the same radial layout built next is the uncached reference
+        for n in (2, 3):
+            per_panel = quadrature._BALL_RULES[n][0]
+            BallGrid(n, 0.5)
+            g = DiskGrid.build_graded(0.5, eps_stop=quadrature.EPS_STOP,
+                                      nodes_per_panel=per_panel)
+            nodes, weights, ring = _graded_by_radius(
+                0.5, quadrature.EPS_STOP, per_panel)
+            assert np.array_equal(g.nodes, nodes)
+            assert np.array_equal(g.weights, weights)
+            assert np.array_equal(g.ring, ring)
+
+    def test_grids_of_one_layout_share_their_levels(self):
+        a = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -9)
+        b = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -9 * 1.5)
+        c = DiskGrid.build(0.0, eps_stop=2.0 ** -9, nodes_per_panel=12,
+                           n_angular=16)
+        assert a.eps_values is b.eps_values is c.eps_values
+        assert a.nodes is not b.nodes
+        assert a.eps_values.dtype == np.float64
+        assert BallGrid(2, 0.0).eps_values is BallGrid(2, 0.0).eps_values
+        first, second = (forelli_rudin_scan([0.999], [(0.0, 1.0)])[
+            (0.0, 1.0)][0] for _ in range(2))
+        assert first.eps_values is second.eps_values
+        assert first.partials is not second.partials
+
+    def test_depth_bound(self):
+        # at EPS_MIN = 2^-50 every ring keeps its nodes, the radii stay
+        # distinct and below 1, and the constant 1 integrates to 1; below
+        # it rings go empty (2^-51 on) and radii round to 1 (2^-54 on)
+        g = DiskGrid.build_graded(0.0, eps_stop=quadrature.EPS_MIN)
+        assert g.n_levels == 47
+        assert np.all(np.bincount(g.ring, minlength=g.n_levels) > 0)
+        radii = 1.0 - g.eps_values
+        assert np.all(np.diff(radii) > 0) and radii[-1] < 1.0
+        res = g.integrate_protocol(np.ones(g.node_count))
+        assert res.verdict == "member"
+        np.testing.assert_allclose(res.value, 1.0, rtol=1e-14)
+        before = quadrature._radial_panels.cache_info()
+        for e in (np.nextafter(quadrature.EPS_MIN, 0.0),
+                  quadrature.EPS_MIN / 2, 1.1e-16, 1e-17, 0.0, -1.0):
+            with pytest.raises(ParameterError, match="EPS_MIN"):
+                DiskGrid.build_graded(0.0, eps_stop=e)
+            with pytest.raises(ParameterError, match="EPS_MIN"):
+                quadrature._radial_rule(0.0, e, 12)
+        with pytest.raises(ParameterError, match="EPS_MIN"):
+            DiskGrid.build(0.0, eps_stop=2.0 * quadrature.EPS_START)
+        assert quadrature._radial_panels.cache_info() == before
 
 
 def _ring_values(grid, masses):
@@ -852,6 +960,31 @@ class TestForelliRudin:
             for omu in (g.one_minus_u, 1.0 - np.abs(g.nodes) ** 2))
         assert exact != rounded
         assert forelli_rudin_scan([x], [(s, t)])[(s, t)][0].value == exact
+
+    def test_radii_beyond_the_angular_floor_are_refused(self):
+        # the finest graded panel is floored at 1e-7: every accepted radius
+        # of the sweep is within 1e-5 of the closed form for the growth
+        # benchmark's (s, t), and every refused one raises
+        pairs = [(s, t) for s in (0.0, 0.5)
+                 for t in (-0.5, 0.0, 0.5, 1.0, 2.0)]
+        accepted = []
+        for gap in 10.0 ** -np.linspace(5.0, 10.0, 21):
+            x = 1.0 - gap
+            if x > 1.0 - quadrature._T_FLOOR:
+                with pytest.raises(ParameterError, match="angular panel"):
+                    forelli_rudin_scan([x], pairs)
+                continue
+            accepted.append(gap)
+            scan = forelli_rudin_scan([x], pairs)
+            for s, t in pairs:
+                res = scan[(s, t)][0]
+                assert res.verdict == "member"
+                np.testing.assert_allclose(
+                    res.value, forelli_rudin_exact(x, s, t), rtol=1e-5,
+                    err_msg=f"1-x={gap:.3g} s={s} t={t}")
+        assert accepted[-1] == 1e-7 and len(accepted) == 9
+        with pytest.raises(ParameterError, match="angular panel"):
+            forelli_rudin_scan([0.5, 1.0 - 1e-8], [(0.0, 1.0)])
 
     def test_bounded_case_supremum(self):
         # Gauss's value: Gamma(1/2) / Gamma(5/4)^2 for s = 0, t = -1/2
