@@ -433,10 +433,10 @@ class DiskGrid:
         |z| = 0.99999), each as one outer product of its radii and its
         cached rule, written straight into node and weight arrays sized
         from the per-radius counts.  The default 19,128-node grid builds
-        in ~0.25 ms, and the 8,464- and 27,504-node Forelli-Rudin grids
-        at |z| = 0.9 and 0.99999 in ~0.2 ms and ~0.6-0.9 ms, the latter
-        mostly in first touches of its fresh arrays (one thread, 2-core
-        Xeon).
+        in ~0.2-0.3 ms, and the 8,464- and 27,504-node Forelli-Rudin
+        grids at |z| = 0.9 and 0.99999 in ~0.14 ms and ~0.65 ms, the
+        latter mostly in first touches of its fresh arrays (one thread,
+        2-core Xeon).
 
         Guaranteed layout: nodes are listed radius by radius in
         increasing |z|; every angle lies strictly inside (0, pi), so no
