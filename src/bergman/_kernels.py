@@ -27,31 +27,43 @@ in closed form (see ``ball_sup_invgrad``), from
 ``BallPoly.invariant_gradient_sq`` and its per-coordinate power tables.
 Both kernels take one square root per centre (point), after the max.
 
+The integrability grids of Taylor polynomials are products of radii and
+uniform angles, and the disk sample (a centre and rings of 32 angles) is
+invariant under rotation by 2 pi / 32.  ``local_sup_rings`` takes their
+sups one ring class at a time: with g = gcd(angles, 32), the g nodes of
+one radius whose angles lie 2 pi / g apart see rotated copies of one
+pushed sample, so they share one weight row, and each reads f' through
+its own shifted coefficients twisted by the rotation.  Per ring it cuts
+the shifted series at the least depth whose radial-majorant tail is at
+most eps times the whole, sum_j |a'_j| (|c| + R)^j, which keeps the
+dropped part under the rounding bound above, and it forms f' in real
+arithmetic.  It agrees with ``local_sup_poly`` to 1e-12 relative, not
+bit for bit, and takes about half its time on the ``disk-witness``
+grid.  Only the integrability nodes take it: no screen of bound and
+prune is compared with its values.
+
 A pass takes max(1, _BUDGET // len(sample)) centres (points): 16 centres
 of the 993-point disk sample, 16 points of the 1,024-point ball sample.
 The budget is measured, one thread on a 2-core Xeon, as the median
-kernel time per benchmark round (seed 101; 10 rounds, 6 for lifting;
-budgets interleaved round by round in one process):
+time per benchmark round in the four kernels (seed 101; 10 rounds, 6
+for lifting; budgets interleaved round by round in one process, the
+witness sup cache emptied before each):
 
-    budget             2^12   2^13   2^14   2^15   2^16
-    disk-witness (s)   0.415  0.297  0.254  0.238  0.461
-    ball-witness (s)   0.069  0.058  0.057  0.076  0.099
-    lifting (s)        0.543  0.411  0.333  0.334  0.340
+    budget             2^12    2^13    2^14    2^15    2^16
+    disk-witness (s)   0.102   0.080   0.073   0.073   0.083
+    ball-witness (s)   0.0039  0.0036  0.0033  0.0033  0.0033
+    lifting (s)        0.129   0.076   0.059   0.053   0.054
 
-These ``disk-witness`` times predate bound-and-prune verification of
-disk witnesses, which took a round's kernel work from 15.1 M to about
-9.4 M sample evaluations: the 2,304 integrability nodes per function
-stay exact, the 1,500 verification points take the 33-point screen and
-a few exact sups.  Small exact passes do not change the pass size.
-
-The ball kernel keeps about a dozen (points, samples) temporaries per
-pass and slows above 2^14; at 2^16 the ``ball-witness`` benchmark's peak
-RSS was also 119.9 MB against 110.8 MB at 2^14.  At 2^16 the disk kernel
-lost time to the allocator: 3,000 degree-50 centres took 0.10 s, and
-0.06 s with glibc's trim and mmap thresholds raised.  Long passes suit the shifted coefficients of a
-high-degree Taylor polynomial, whose power table E is read once per
-pass: the ``thm6`` suite (witnesses of degree up to 50 on 100,000
-pairs) took 18-23 s at 2^14 against 16-18 s at 2^16.
+A ``disk-witness`` round takes its integrability sups by
+``local_sup_rings`` and its verification by the 33-point screen and a
+few exact sups; a ``ball-witness`` round takes a few exact sups; a
+``lifting`` round is one pair-kernel scan.  Small exact passes do not
+change the pass size.  Earlier measurements give the reasons not to go
+higher: the ball kernel keeps about a dozen (points, samples)
+temporaries per pass, and at 2^16 the ``ball-witness`` peak RSS was
+119.9 MB against 110.8 MB at 2^14; at 2^16 the disk kernel lost time to
+the allocator (3,000 degree-50 centres took 0.10 s, 0.06 s with glibc's
+trim and mmap thresholds raised).
 
 The pair sum of the lifted closed forms visits each mirror orbit of node
 pairs once.  When the nodes below the real axis are exact mirror images
@@ -85,10 +97,11 @@ series at p = 2 and p = 4.
 """
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
+from .errors import ParameterError
 from .functions import LogKernel, PowerSingularity
 
 HAVE_NUMBA = False  # read only by two warm-up branches of perfbench/workloads.py
@@ -128,18 +141,133 @@ def local_sup_poly(centers, radii, grid, f):
     carries an absolute error of a few eps from 1 - |c|^2.
     """
     table = f.local_derivative_table(grid)
-    e_terms = np.stack([np.ones(len(grid)), grid.real, grid.imag,
-                        grid.real ** 2 + grid.imag ** 2])
-    c_terms = np.stack([1.0 - (centers.real ** 2 + centers.imag ** 2),
-                        -2.0 * radii * centers.real,
-                        -2.0 * radii * centers.imag, -radii * radii], axis=1)
+    e_terms = _sample_terms(grid)
     out = np.empty(len(centers))
     for k in _passes(len(centers), len(grid)):
-        w = np.einsum("ci,is->cs", c_terms[k], e_terms)
-        w *= w
+        w = _weight_rows(centers[k], radii[k], e_terms)
         w *= f.local_derivative_sq(centers[k], radii[k], table)
         out[k] = w.max(axis=1)
     return np.sqrt(out)
+
+
+def _sample_terms(grid):
+    """The sample's rows of the weight's four terms: 1, Re e, Im e, |e|^2."""
+    return np.stack([np.ones(len(grid)), grid.real, grid.imag,
+                     grid.real ** 2 + grid.imag ** 2])
+
+
+def _weight_rows(c, R, e_terms):
+    """(1 - |c + R e|^2)^2 per centre c and radius R (rows) over the
+    sample e (columns): the per-centre terms 1 - |c|^2, -2R Re c,
+    -2R Im c, -R^2 against ``_sample_terms``, by ``einsum``."""
+    c_terms = np.stack([1.0 - (c.real ** 2 + c.imag ** 2), -2.0 * R * c.real,
+                        -2.0 * R * c.imag, -R * R], axis=1)
+    w = np.einsum("ci,is->cs", c_terms, e_terms)
+    w *= w
+    return w
+
+
+def _truncation_depths(M, c_abs, R):
+    """Per |c| and R: the least K whose tail sum_(k >= K) B_k of the
+    radial majorant B_k = R^k sum_j C(j, k) |a'_j| |c|^(j-k) is at most
+    eps times the whole, sum_k B_k = sum_j |a'_j| (|c| + R)^j; 0 where
+    f' = 0.  |beta_k(c')| R^k <= B_k wherever |c'| = |c|."""
+    D = len(M)
+    B = np.vander(c_abs, D, increasing=True) @ np.abs(M)
+    B *= np.vander(R, D, increasing=True)
+    tail = np.cumsum(B[:, ::-1], axis=1)[:, ::-1]  # tail[:, 0] is the whole
+    return np.count_nonzero(tail > np.finfo(float).eps * tail[:, :1], axis=1)
+
+
+def local_sup_rings(centers, radii, grid, f, n_angular, symmetry):
+    """``local_sup_poly`` for a ``TaylorPoly`` at the local disks of a
+    product grid's nodes, listed ring by ring with ``n_angular`` uniform
+    angles per ring, over a sample ``grid`` invariant under rotation by
+    2 pi / ``symmetry``; agrees with it to rounding.
+
+    Let g = gcd(n_angular, symmetry) and omega = e^(2 pi i / g).  Class j
+    of a ring is its nodes j + (n_angular / g) m, m < g, whose centres are
+    c_m = omega^m c_0 with one radius R.  As the sample is invariant under
+    rotation by omega, node m may take the sample pushed as
+    u = c_m + R omega^m e = omega^m (c_0 + R e): the same points as the
+    plain push, each with the weight w(e) = (1 - |c_0 + R e|^2)^2, one
+    row per class.  f'(u) = sum_k beta_k(c_m) (R omega^m)^k e^k, through
+    the node's twisted shifted coefficients.  In floats the rotated
+    sample and weight differ from the plain ones by rounding only.
+
+    Per ring the series is cut at the depth K of ``_truncation_depths``:
+    the dropped terms are at most eps sum_j |a'_j| (|c| + R)^j, under
+    the rounding bound that ``local_sup_poly`` documents; a pass over
+    classes of two rings cuts at the deeper one's K.  d = f'(u) is
+    formed in real arithmetic: the table's rows Re E[k], Im E[k] (k < K),
+    interleaved, so that a cut at K is a prefix, times one block of rows
+    Re beta_k, -Im beta_k and one of Im beta_k, Re beta_k, interleaved
+    alike; the two real GEMMs give Re d and Im d as contiguous blocks.
+
+    Classes go in blocks of at most ``local_sup_poly``'s pass rows, whose
+    twisted coefficients, both parts together, fill at most the element
+    budget: one product gives a block's coefficients, written in place
+    into its real rows, and one ``einsum`` its weight rows.  A pass then
+    takes whole classes of the block, or part of one, up to those pass
+    rows, its two real blocks together as large as their complex one.
+    Beyond ``local_sup_poly``'s temporaries a call holds the real rows of
+    E (0.8 MB at degree 50).
+    No screen compares with these values, so they need not equal any
+    other batch's bit for bit (a real-split ``local_sup_poly`` would
+    break the batch independence that bound and prune relies on)."""
+    n = int(n_angular)
+    if n < 1 or len(centers) % n:
+        raise ParameterError(f"{len(centers)} nodes do not form rings of "
+                             f"{n_angular} angles")
+    g = gcd(n, symmetry)
+    step, rings = n // g, len(centers) // n
+    M, E = f.local_derivative_table(grid)
+    D, S = E.shape
+    # [ring, class j, m] is the node ring * n + m * step + j
+    c = centers.reshape(rings, g, step).transpose(0, 2, 1)
+    R = radii.reshape(rings, g, step).transpose(0, 2, 1)
+    depth = _truncation_depths(M, np.abs(c[:, 0, 0]), R[:, 0, 0])
+    top = int(depth.max(initial=0))
+    ER = np.empty((2 * top, S))
+    ER[0::2], ER[1::2] = E[:top].real, E[:top].imag
+    twist = np.exp(2j * np.pi * np.arange(g) / g)
+    e_terms = _sample_terms(grid)
+    per = max(1, _BUDGET // S)
+    width = min(g, per)  # nodes of one class per pass
+    q = per // width     # classes per pass
+    # classes listed ring after ring, each its g nodes m = 0, 1, ...
+    c, R = c.reshape(-1, g), R.reshape(-1, g)
+    cut = np.repeat(depth, step)
+    block = max(1, min(per, _BUDGET // (2 * g * D)))  # classes per block
+    out = np.empty(c.shape)
+    for b in range(0, len(c), block):
+        cb, Rb = c[b:b + block], R[b:b + block]
+        # the block's twisted coefficients k < top, as real rows: Re, -Im
+        # per k in part 0, Im, Re per k in part 1
+        split = np.empty((2, *cb.shape, top), dtype=complex)
+        beta = split[0].reshape(cb.size, top)
+        np.matmul(np.vander(cb.ravel(), D, increasing=True), M[:, :top],
+                  out=beta)
+        beta *= np.vander((Rb * twist).ravel(), top, increasing=True)
+        np.conjugate(beta, out=beta)
+        np.multiply(split[0], 1j, out=split[1])
+        rows = split.view(float)
+        w = _weight_rows(cb[:, 0], Rb[:, 0], e_terms)
+        for j in range(0, len(cb), q):
+            K = int(cut[b + j:b + j + q].max())  # the deeper ring's cut
+            wj = w[j:j + q, None]
+            for m in range(0, g, width):
+                # whole classes, or part of one
+                nodes = rows[:, j:j + q, m:m + width, :2 * K]
+                n_rows = nodes.shape[1] * nodes.shape[2]
+                d = np.matmul(nodes.reshape(2, n_rows, 2 * K), ER[:2 * K])
+                d *= d
+                sq = d[0]
+                sq += d[1]
+                sq = sq.reshape(len(wj), -1, S)
+                sq *= wj
+                out[b + j:b + j + q, m:m + width] = sq.max(axis=2)
+    return np.sqrt(out.reshape(rings, step, g).transpose(0, 2, 1).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -108,19 +108,9 @@ class TaylorPoly(HoloFunction):
         if self.degree > SHIFT_MAX_DEGREE:
             raise ParameterError(f"local sups take degrees up to "
                                  f"{SHIFT_MAX_DEGREE}, not {self.degree}")
-        da = self.differentiated().coeffs
-        D = len(da)
-        binom = np.zeros((D, D))  # Pascal's triangle, exact below 2^53
-        binom[:, 0] = 1.0
-        for j in range(1, D):
-            binom[j, 1:] = binom[j - 1, 1:] + binom[j - 1, :-1]
-        m, k = np.indices((D, D))
-        j = m + k
-        inside = j < D
-        M = np.zeros((D, D), dtype=complex)
-        M[inside] = binom[j[inside], k[inside]] * da[j[inside]]
+        M = _shift_matrix(self.differentiated().coeffs.tobytes())
         grid = np.asarray(grid, dtype=complex)
-        return M, _power_rows(grid.tobytes(), D)
+        return M, _power_rows(grid.tobytes(), len(M))
 
     def local_derivative_sq(self, centers, radii, table):
         """|f'(c + R e)|^2, with f'(c + R e) = sum_k beta_k(c) R^k e^k by
@@ -136,6 +126,29 @@ class TaylorPoly(HoloFunction):
     def to_json(self) -> dict:
         return {"variant": "taylor",
                 "coeffs": [[c.real, c.imag] for c in self.coeffs]}
+
+
+@lru_cache(maxsize=8)
+def _shift_matrix(da: bytes) -> np.ndarray:
+    """The read-only shift matrix M of ``local_derivative_table`` for the
+    coefficients of f' whose complex values are the bytes ``da``.  Its
+    Pascal triangle is a D-step loop, and the witness calls the kernels
+    many times per polynomial, so M is built once per polynomial and
+    kept in this small cache, not on the polynomial: a caller that keeps
+    its polynomials would keep every M with them (41 KB at degree 50)."""
+    da = np.frombuffer(da, dtype=complex)
+    D = len(da)
+    binom = np.zeros((D, D))  # Pascal's triangle, exact below 2^53
+    binom[:, 0] = 1.0
+    for j in range(1, D):
+        binom[j, 1:] = binom[j - 1, 1:] + binom[j - 1, :-1]
+    m, k = np.indices((D, D))
+    j = m + k
+    inside = j < D
+    M = np.zeros((D, D), dtype=complex)
+    M[inside] = binom[j[inside], k[inside]] * da[j[inside]]
+    M.flags.writeable = False
+    return M
 
 
 @lru_cache(maxsize=8)

@@ -377,6 +377,18 @@ def _uniform_phases(n_angular: int) -> np.ndarray:
     return th
 
 
+def _check_sizes(**sizes):
+    """Refuse a rule size that is not a positive integer, before any
+    rule is built or looked up: 0 angles would build an empty grid whose
+    integral of 1 reads 0, and the kernels split a product grid's nodes
+    into rings of its angular count."""
+    for name, v in sizes.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
+                or v < 1:
+            raise ParameterError(f"{name} must be a positive integer, "
+                                 f"got {v!r}")
+
+
 class DiskGrid:
     """Nodes and weights realizing dA_alpha on |z| <= 1 - eps, with the
     whole halving eps-sequence embedded as nested node rings.
@@ -385,7 +397,10 @@ class DiskGrid:
     ``weights``, ``ring``, ``one_minus_u`` and ``eps_values`` are
     read-only; ``eps_values`` is kept as given, so every grid of one
     radial layout, and every ``NormResult`` it gives, holds the same
-    level array."""
+    level array.  ``n_angular`` is the uniform angular count of a
+    product grid (``build``), None for any other layout."""
+
+    n_angular = None
 
     def __init__(self, nodes, weights, ring, one_minus_u, eps_values, alpha):
         self.nodes = nodes
@@ -410,14 +425,22 @@ class DiskGrid:
     def build(cls, alpha: float, eps_stop: float = EPS_STOP,
               n_angular: int = 256, nodes_per_panel: int = 20) -> "DiskGrid":
         """Product grid: radial GL panels times a uniform angular rule
-        (angles offset by half a spacing so no node sits on the real axis)."""
+        (angles offset by half a spacing so no node sits on the real axis).
+
+        Nodes are listed radius by radius, ``n_angular`` angles each in
+        increasing order, and the grid records ``n_angular``: the witness
+        takes its local sups one class of rotated nodes at a time
+        (``_kernels.local_sup_rings``)."""
+        _check_sizes(n_angular=n_angular, nodes_per_panel=nodes_per_panel)
         eps, u, wu, rg = _radial_rule(alpha, eps_stop, nodes_per_panel)
         th = _uniform_phases(n_angular)
         nodes = (np.sqrt(u)[:, None] * th[None, :]).ravel()
         weights = np.repeat(wu / n_angular, n_angular)
         ring = np.repeat(rg, n_angular)
-        return cls(nodes, weights, ring, np.repeat(1.0 - u, n_angular), eps,
+        grid = cls(nodes, weights, ring, np.repeat(1.0 - u, n_angular), eps,
                    alpha)
+        grid.n_angular = int(n_angular)
+        return grid
 
     @classmethod
     def build_graded(cls, alpha: float, eps_stop: float = EPS_STOP,
@@ -445,6 +468,8 @@ class DiskGrid:
         element by element, with equal weights and rings.
         ``_kernels.pair_block_sums`` relies on this exact mirror to halve
         the lifted-norm pair pass."""
+        _check_sizes(nodes_per_panel=nodes_per_panel,
+                     theta_per_panel=theta_per_panel)
         eps, u, wu, rg = _radial_rule(alpha, eps_stop, nodes_per_panel)
         r = np.sqrt(u)
         m = _halving_counts(np.maximum((1.0 - r) / 4.0, _T_FLOOR))

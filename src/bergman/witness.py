@@ -17,6 +17,16 @@ the screen sup and the exact sups taken so far, so that the rho, beta
 and euclid checks of one family share one pair set's work, and
 ``Witness.g_values`` computes only the sups still missing.
 
+:func:`witness_integrability` integrates g^p over a grid's nodes.  On a
+product grid (``DiskGrid.build``, which records its angular count) the
+sups of a ``TaylorPoly`` are taken one ring class at a time by
+``_kernels.local_sup_rings``: the sample is invariant under rotation by
+2 pi / ``SUP_GRID[1]``, so the nodes of one radius whose angles differ
+by a multiple of that share one weight row and one truncation depth.
+They agree with the per-point kernel to rounding (7e-13 relative on
+the benchmark's grid).  Closed forms, graded grids and ball witnesses
+take their sups point by point.
+
 :func:`verify_lipschitz` reports the max residual over seeded pairs and
 its argmax, and :func:`derivative_bound_check` the max of the limiting
 derivative bound's residual over seeded points.  For a witness both
@@ -44,8 +54,8 @@ from .errors import ParameterError
 from .functions import BallPoly, HoloFunction, TaylorPoly, _ClosedForm
 from .geometry import EuclideanDisk, ball_metric, beta as beta_metric, \
     pseudo_disk_params, rho as rho_metric
-from .quadrature import BallGrid, NormResult, WeightParams, disk_ladder, \
-    grid_for, matching_grid, tail_head
+from .quadrature import BallGrid, DiskGrid, NormResult, WeightParams, \
+    disk_ladder, grid_for, matching_grid, tail_head
 from .sampling import ball_pairs_stratified, disk_pairs_stratified, \
     sample_disk, sobol_ball
 
@@ -137,6 +147,19 @@ class _Sups:
             self.h[need] = _raw_local_sup(self.f, z[need], self.r)
         return self.h[idx]
 
+    def rings(self, z, n_angular: int):
+        """h at every node z of a product grid with ``n_angular`` angles
+        per ring, the missing ones taken by ``_kernels.local_sup_rings``,
+        in which the nodes that rotations of the sample map onto each
+        other share one weight row."""
+        need = np.isnan(self.h)
+        if need.any():
+            centers, radii = pseudo_disk_params(z, self.r)
+            self.h[need] = _kernels.local_sup_rings(
+                centers, radii, _UNIT_GRID, self.f, n_angular,
+                SUP_GRID[1])[need]
+        return self.h
+
 
 def _function_key(f: HoloFunction) -> tuple:
     """f's part of the cache key: its class with its coefficient bytes
@@ -167,12 +190,17 @@ def _sups(f: HoloFunction, z, r: float, values) -> _Sups:
     return entry
 
 
-def _all_sups(f: HoloFunction, z, r: float):
+def _all_sups(f: HoloFunction, z, r: float, n_angular):
     """(points, cache entry, h at every point) for f, r and the points z,
-    taken to shape (points,) on the disk and (points, n) on the ball."""
+    taken to shape (points,) on the disk and (points, n) on the ball.
+    Points that are a product grid's nodes with ``n_angular`` angles per
+    ring (None for any other points) take the sups of a ``TaylorPoly``
+    one ring class at a time (``_Sups.rings``)."""
     z = np.asarray(z, dtype=complex)
     z = np.atleast_2d(z) if f.domain == "ball" else np.atleast_1d(z)
     sups = _sups(f, z, r, None)
+    if n_angular is not None and isinstance(f, TaylorPoly):
+        return z, sups, sups.rings(z, n_angular)
     return z, sups, sups.exact(z, np.arange(len(z)))
 
 
@@ -181,7 +209,7 @@ def local_sup_h(f: HoloFunction, z, r: float):
     the pseudo-hyperbolic disk D(z, r)."""
     if f.domain != "disk":
         raise TypeError("local_sup_h requires a disk variant")
-    vals = disk_constant(r) * _all_sups(f, z, r)[2]
+    vals = disk_constant(r) * _all_sups(f, z, r, None)[2]
     return float(vals[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else vals
 
 
@@ -197,8 +225,14 @@ class Witness:
 
     def g_values(self, z) -> np.ndarray:
         """g = |f|/r + safety * C * h, with h the cached local sup of the
-        disk or ball; the euclid witness is then divided by (1 - |z|)."""
-        z, sups, h = _all_sups(self.f, z, self.r)
+        disk or ball; the euclid witness is then divided by (1 - |z|).
+        ``z`` is a point array or a disk grid, whose nodes are then the
+        points; on a product grid (``DiskGrid.n_angular``) the sups of a
+        ``TaylorPoly`` are taken one ring class at a time."""
+        n_angular = None
+        if isinstance(z, DiskGrid):
+            z, n_angular = z.nodes, z.n_angular
+        z, sups, h = _all_sups(self.f, z, self.r, n_angular)
         return self._g(sups.abs_f, z, h)
 
     def _g(self, abs_f, z, h):
@@ -366,7 +400,10 @@ def witness_integrability(w: Witness, p: float, alpha: float,
     On the disk g^p carries the tail of |f|^p against the source dA_alpha,
     since the euclid factor (1 - |z|)^(-p) only cancels the measure's
     extra weight: the ladder is ``tail_head`` at the source (p, alpha),
-    then ``disk_ladder`` of the measure's alpha."""
+    then ``disk_ladder`` of the measure's alpha.  ``g_values`` takes the
+    grid itself, so that the sups of a ``TaylorPoly`` on a product grid
+    are filled into the cache one ring class at a time, with one cache
+    lookup (a hash of the nodes) per call."""
     WeightParams(p, alpha)
     if w.metric == "ball-rho":
         grid = matching_grid(grid, lambda: BallGrid(w.f.n, alpha), alpha,
@@ -375,7 +412,7 @@ def witness_integrability(w: Witness, p: float, alpha: float,
     measure_alpha = alpha + (p if w.metric == "euclid" else 0.0)
     grid = matching_grid(grid, lambda: grid_for(w.f, measure_alpha),
                          measure_alpha)
-    return grid.integrate_protocol(w.g_values(grid.nodes) ** p, ladder=[
+    return grid.integrate_protocol(w.g_values(grid) ** p, ladder=[
         *tail_head(w.f, p, alpha), *disk_ladder(measure_alpha)])
 
 

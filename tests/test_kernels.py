@@ -1,15 +1,19 @@
 """Tests for the kernels' passes of the element budget, for the local
 sups of Taylor polynomials and the closed forms' |f'|^2 against 30-digit
-references, for the ball sup's closed-form push against ``ball_phi``,
+references, for the ring-class sups of product grids against the
+per-point kernel, with their truncation under the rounding floor, for
+the ball sup's closed-form push against ``ball_phi``,
 for the ring-block pair sums of the lifted closed forms against their
 defining double sum, on unmirrored and mirrored node sets, and of the
 mirror layout of the graded grids that the pair sums rely on."""
+
+from math import comb, gcd
 
 import mpmath
 import numpy as np
 import pytest
 
-from bergman import _kernels, witness
+from bergman import _kernels, functions, witness
 from bergman.errors import ParameterError
 from bergman.functions import SHIFT_MAX_DEGREE, BallPoly, LogKernel, \
     PowerSingularity, TaylorPoly
@@ -258,6 +262,125 @@ def test_local_derivative_degree_cap():
     f = TaylorPoly(np.ones(SHIFT_MAX_DEGREE + 2))
     with pytest.raises(ParameterError):
         f.local_derivative_table(witness._UNIT_GRID)
+
+
+def test_shift_matrix_built_once_per_polynomial():
+    # M is built on a polynomial's first kernel call, read-only and equal
+    # to a fresh build; its later calls, and every local sup, reuse it
+    rng = np.random.default_rng(43)
+    f = TaylorPoly(rng.normal(size=(31, 2)) @ [1, 1j])
+    grid = witness._UNIT_GRID
+    M = f.local_derivative_table(grid)[0]
+    assert not M.flags.writeable
+    assert np.array_equal(
+        M, functions._shift_matrix.__wrapped__(
+            f.differentiated().coeffs.tobytes()))
+    before = functions._shift_matrix.cache_info()
+    centers, radii = pseudo_disk_params(sample_disk(44, 40, rmax=0.99), 0.5)
+    first = _kernels.local_sup_poly(centers, radii, grid, f)
+    assert f.local_derivative_table(grid)[0] is M
+    assert TaylorPoly(f.coeffs.copy()).local_derivative_table(grid)[0] is M
+    assert np.array_equal(_kernels.local_sup_poly(centers, radii, grid, f),
+                          first)
+    after = functions._shift_matrix.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 4
+
+
+# ---------------------------------------------------------------------------
+# the local sups of a product grid, one ring class at a time
+# ---------------------------------------------------------------------------
+
+# angular counts of the product grids -> class size gcd(n, 32)
+RING_ANGLES = {32: 32, 128: 32, 36: 4, 56: 8, 33: 1}
+RING_FUNCTIONS = {
+    **{f"taylor{d}": TaylorPoly(np.random.default_rng(d + 35).normal(
+        size=(d + 1, 2)) @ [1, 1j]) for d in (0, 1, 5, 20, 50)},
+    **{f"section{d}": PowerSingularity(0.4).taylor_section(d)
+       for d in (30, 50)},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RING_ANGLES))
+def product_disks(request):
+    """(angles, centres, radii) of the local disks at the nodes of a
+    product grid: 32 radii out to 1 - 2^-8, ``angles`` per radius."""
+    n = request.param
+    grid = DiskGrid.build(0.0, eps_stop=2.0 ** -8, n_angular=n,
+                          nodes_per_panel=4)
+    assert grid.n_angular == n
+    return (n, *pseudo_disk_params(grid.nodes, 0.5))
+
+
+def test_ring_classes_have_the_listed_sizes():
+    assert witness.SUP_GRID[1] == 32
+    for n, size in RING_ANGLES.items():
+        assert gcd(n, witness.SUP_GRID[1]) == size
+
+
+def test_unit_grid_is_invariant_under_the_class_rotation():
+    # the symmetry the ring kernel relies on: rotating the sample by
+    # 2 pi / 32 maps it onto itself, up to rounding
+    grid = witness._UNIT_GRID
+    turned = grid * np.exp(2j * np.pi / witness.SUP_GRID[1])
+    dist = np.abs(turned[:, None] - grid[None, :]).min(axis=1)
+    assert dist.max() < 1e-15
+
+
+@pytest.mark.parametrize("name", RING_FUNCTIONS)
+def test_ring_kernel_matches_local_sup_poly(product_disks, name):
+    n, centers, radii = product_disks
+    f = RING_FUNCTIONS[name]
+    want = _kernels.local_sup_poly(centers, radii, witness._UNIT_GRID, f)
+    got = _kernels.local_sup_rings(centers, radii, witness._UNIT_GRID, f, n,
+                                   witness.SUP_GRID[1])
+    assert got.shape == want.shape
+    rel = np.abs(got - want) / np.maximum(want, np.finfo(float).tiny)
+    assert rel.max() <= 1e-11
+
+
+@pytest.mark.parametrize("name", RING_FUNCTIONS)
+def test_ring_truncation_is_under_the_rounding_floor(product_disks, name):
+    """At every node, with its own |c| and R, the terms k >= K of the
+    radial majorant B_k = R^k sum_j C(j, k) |a'_j| |c|^(j-k), K its
+    ring's depth, sum to at most eps sum_j |a'_j| (|c| + R)^j, and they
+    bound the shifted coefficients' dropped terms; from K - 1 on they do
+    not, so K is the least such depth."""
+    n, centers, radii = product_disks
+    f = RING_FUNCTIONS[name]
+    da = np.abs(f.differentiated().coeffs)
+    D = len(da)
+    M = f.local_derivative_table(witness._UNIT_GRID)[0]
+    K = np.repeat(_kernels._truncation_depths(M, np.abs(centers[::n]),
+                                              radii[::n]), n)
+    ca = np.abs(centers)
+    B = np.zeros((len(ca), D))
+    for k in range(D):
+        j = np.arange(k, D)
+        binom = np.array([float(comb(int(i), k)) for i in j])
+        B[:, k] = radii ** k * ((ca[:, None] ** (j - k)) @ (binom * da[j]))
+    beta = np.abs(np.vander(centers, D, increasing=True) @ M) \
+        * np.vander(radii, D, increasing=True)
+    floor = np.finfo(float).eps * ((ca + radii)[:, None]
+                                   ** np.arange(D) @ da)
+    past = np.arange(D)[None, :] >= K[:, None]
+    assert np.all((beta * past).sum(axis=1)
+                  <= (B * past).sum(axis=1) * (1 + 1e-12))
+    assert np.all((B * past).sum(axis=1) <= floor * (1 + 1e-9))
+    from_before = np.arange(D)[None, :] >= K[:, None] - 1
+    cut = K > 0
+    assert np.all((B * from_before).sum(axis=1)[cut]
+                  > floor[cut] * (1 - 1e-9))
+    if name in ("taylor20", "taylor50", "section50"):  # the cut saves work
+        assert K.min() < D // 2
+
+
+def test_ring_kernel_refuses_a_partial_ring():
+    centers, radii = pseudo_disk_params(sample_disk(45, 40), 0.5)
+    f = RING_FUNCTIONS["taylor5"]
+    with pytest.raises(ParameterError, match="rings of 32"):
+        _kernels.local_sup_rings(centers, radii, witness._UNIT_GRID, f, 32,
+                                 32)
 
 
 # ---------------------------------------------------------------------------

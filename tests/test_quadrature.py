@@ -284,6 +284,45 @@ class TestCachedRules:
         assert first.eps_values is second.eps_values
         assert first.partials is not second.partials
 
+    @pytest.mark.parametrize("build,sizes", [
+        *[(DiskGrid.build, {"n_angular": v})
+          for v in (0, -3, 2.5, 16.0, True, "16")],
+        *[(DiskGrid.build, {"nodes_per_panel": v}) for v in (0, -1, 1.5)],
+        *[(DiskGrid.build_graded, {"nodes_per_panel": v})
+          for v in (0, -2, 6.5)],
+        *[(DiskGrid.build_graded, {"theta_per_panel": v})
+          for v in (0, -1, 4.0)],
+    ])
+    def test_rule_sizes_must_be_positive_integers(self, build, sizes):
+        # refused before any rule is built or looked up; 0 angles built
+        # an empty grid whose integral of 1 read 0 under ``member``
+        caches = (quadrature._radial_panels, quadrature._uniform_phases,
+                  quadrature._graded_angles, quadrature._gauss_legendre)
+        before = [c.cache_info() for c in caches]
+        name = next(iter(sizes))
+        with pytest.raises(ParameterError, match=name):
+            build(0.0, **sizes)
+        assert [c.cache_info() for c in caches] == before
+
+    def test_product_grids_record_their_angular_count(self):
+        # nodes run radius by radius, n_angular angles each; a numpy
+        # integer count is taken, and one angle still integrates 1
+        g = DiskGrid.build(0.5, eps_stop=2.0 ** -6, n_angular=np.int64(36))
+        assert g.n_angular == 36 and type(g.n_angular) is int
+        radii = np.abs(g.nodes).reshape(-1, 36)
+        np.testing.assert_allclose(
+            radii, np.broadcast_to(radii[:, :1], radii.shape), rtol=1e-15)
+        np.testing.assert_allclose(
+            g.nodes[:36], radii[0, 0] * quadrature._uniform_phases(36),
+            rtol=1e-15)
+        assert DiskGrid.build_graded(0.5, eps_stop=2.0 ** -6).n_angular \
+            is None
+        assert grid_for(TaylorPoly(np.ones(8)), 0.0).n_angular == 44
+        assert grid_for(LogKernel(), 0.0).n_angular is None
+        one = DiskGrid.build(0.0, eps_stop=2.0 ** -6, n_angular=1)
+        res = one.integrate_protocol(np.ones(one.node_count))
+        np.testing.assert_allclose(res.value, 1.0, rtol=1e-12)
+
     def test_depth_bound(self):
         # at EPS_MIN = 2^-50 every ring keeps its nodes, the radii stay
         # distinct and below 1, and the constant 1 integrates to 1; below

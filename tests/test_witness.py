@@ -303,6 +303,84 @@ class TestIntegrability:
         assert np.isfinite(gnorm.value / fnorm.value)
 
 
+class TestIntegrabilityRouting:
+    """A ``TaylorPoly``'s witness on a product grid takes its sups one ring
+    class at a time; closed forms, graded grids and ball witnesses keep
+    their per-point kernels."""
+
+    KERNELS = ("local_sup_poly", "local_sup_rings", "ball_sup_invgrad")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Kernel calls by name, from an empty sup cache."""
+        monkeypatch.setattr(witness, "_H_CACHE", OrderedDict())
+        counts = dict.fromkeys(self.KERNELS, 0)
+        for name in self.KERNELS:
+            def counting(*args, _name=name, _kernel=getattr(_kernels, name)):
+                counts[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counting)
+        return counts
+
+    @staticmethod
+    def _product_grid(alpha):
+        return DiskGrid.build(alpha, eps_stop=2.0 ** -8, n_angular=40,
+                              nodes_per_panel=4)
+
+    def test_taylor_product_grid_takes_ring_classes(self, calls):
+        f = _seeded_taylor(7)
+        grid = self._product_grid(0.0)
+        res = witness_integrability(build_witness(f, "rho", 0.5), 2, 0.0,
+                                    grid=grid)
+        assert res.converged
+        assert calls == {"local_sup_poly": 0, "local_sup_rings": 1,
+                         "ball_sup_invgrad": 0}
+        h = witness._sups(f, grid.nodes, 0.5, None).h
+        assert not np.isnan(h).any()
+        # the euclid witness's grid (dA_2) has the same nodes: it reads
+        # the filled entry
+        euclid = build_witness(f, "euclid", 0.5)
+        witness_integrability(euclid, 2, 0.0, grid=self._product_grid(2.0))
+        assert calls == {"local_sup_poly": 0, "local_sup_rings": 1,
+                         "ball_sup_invgrad": 0}
+        # the sups and g agree with the per-point route's
+        want = _kernels.local_sup_poly(*pseudo_disk_params(grid.nodes, 0.5),
+                                       witness._UNIT_GRID, f)
+        np.testing.assert_allclose(h, want, rtol=1e-11)
+        np.testing.assert_allclose(
+            euclid.g_values(grid), euclid._g(np.abs(f(grid.nodes)),
+                                             grid.nodes, want), rtol=1e-11)
+
+    def test_default_grid_of_a_polynomial_takes_ring_classes(self, calls):
+        res = witness_integrability(
+            build_witness(TaylorPoly([1, 0.5, -0.25]), "rho", 0.5), 2, 0.0)
+        assert res.converged
+        assert calls["local_sup_poly"] == 0 and calls["local_sup_rings"] == 1
+
+    @pytest.mark.parametrize("case", ["closed form, graded grid",
+                                      "closed form, product grid",
+                                      "polynomial, graded grid"])
+    def test_other_disk_cases_take_the_point_kernel(self, calls, case):
+        graded = DiskGrid.build_graded(0.0, eps_stop=2.0 ** -6)
+        f, grid = {
+            "closed form, graded grid": (PowerSingularity(0.7), graded),
+            "closed form, product grid": (LogKernel(),
+                                          self._product_grid(0.0)),
+            "polynomial, graded grid": (_seeded_taylor(7), graded)}[case]
+        witness_integrability(build_witness(f, "rho", 0.5), 2, 0.0,
+                              grid=grid)
+        assert calls["local_sup_poly"] >= 1
+        assert calls["local_sup_rings"] == calls["ball_sup_invgrad"] == 0
+        assert not np.isnan(witness._sups(f, grid.nodes, 0.5, None).h).any()
+
+    def test_ball_witness_takes_the_ball_kernel(self, calls):
+        w = build_witness_ball(BallPoly(2, {(1, 0): 1.0, (0, 2): 0.5j}), 0.5)
+        witness_integrability(w, 2, 0.0, grid=BallGrid(2, 0.0))
+        assert calls["ball_sup_invgrad"] >= 1
+        assert calls["local_sup_poly"] == calls["local_sup_rings"] == 0
+
+
 def _seeded_ball_poly(n, k, count=5, degree=3):
     mons = [m for m in itertools.product(range(degree + 1), repeat=n)
             if sum(m) <= degree]
